@@ -11,6 +11,11 @@ exponential limit handled continuously. The search runs on the profiled
 one-dimensional objective over tau = xi/sigma (see _kernels): a coarse
 grid brackets the optimum, golden-section narrows it, and bisection on
 the analytic derivative polishes it to machine precision.
+
+:func:`fit_samples` fits many samples at once, as the threshold scan
+needs: it searches blocks of samples in lockstep, one search coroutine
+per sample, and every sample follows exactly the iterates it would follow
+alone. :func:`fit_mle` is the one-sample call of the same code.
 """
 
 import math
@@ -25,6 +30,7 @@ from .errors import (
     InvalidProbability,
     NoExceedances,
     NonConvergence,
+    PotriskError,
     TooFewExceedances,
     ValidationError,
 )
@@ -35,6 +41,7 @@ __all__ = [
     "FitResult",
     "GpdParams",
     "fit_mle",
+    "fit_samples",
     "gpd_cdf",
     "gpd_log_likelihood",
     "gpd_quantile",
@@ -90,8 +97,8 @@ class ExcessSample:
         exc = np.asarray(self.excesses, dtype=float)
         if exc.ndim != 1 or exc.size == 0:
             raise ValidationError("excesses must be a nonempty 1-d array")
-        if not np.all(exc > 0.0):
-            raise ValidationError("every excess must be > 0")
+        if not np.all(exc > 0.0) or not np.all(np.isfinite(exc)):
+            raise ValidationError("every excess must be finite and > 0")
         if not self.n >= exc.size:
             raise ValidationError(f"n={self.n} smaller than the exceedance count {exc.size}")
         exc = exc.copy()
@@ -173,29 +180,36 @@ def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
 
 def gpd_log_likelihood(params: GpdParams, excesses) -> float:
     """Log-likelihood of ``excesses`` under ``params`` (-inf when infeasible)."""
-    y = np.ascontiguousarray(excesses, dtype=float)
-    return -_kernels.gpd_nll(y, params.shape, params.scale)
+    return -_kernels.evaluate(_kernels.gpd_nll, excesses, params.shape, params.scale)
 
 
 # -- maximum likelihood fit ---------------------------------------------------
 
-def _tau_grid(y: np.ndarray, tau_min: float) -> np.ndarray:
-    """Coarse candidate ratios covering both tail regimes.
+# Points per row of the tau grid: tau_min, 9 near the edge, 25 negative, 0
+# and 49 positive.
+_GRID_POINTS = 1 + 9 + 25 + 1 + 49
+
+
+def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
+    """Coarse candidate ratios covering both tail regimes, one sorted row per sample.
 
     Clusters near the feasibility edge tau_min (short-tail optima pile up
     there), around zero (exponential neighborhood), and sweeps positive
-    ratios over many decades.
+    ratios over many decades. A row can repeat a value; the search skips
+    repeats.
     """
-    s = 1.0 / y.mean()
-    near_edge = tau_min * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
-    neg_mid = -np.geomspace(1e-8 * s, 0.9 * abs(tau_min), 25)
-    pos = np.geomspace(1e-8 * s, 1e8 * s, 49)
-    grid = np.concatenate([[tau_min], near_edge, neg_mid, [0.0], pos])
-    return np.unique(grid)
+    s = 1.0 / means
+    near_edge = tau_mins[:, None] * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
+    neg_mid = -np.geomspace(1e-8 * s, 0.9 * np.abs(tau_mins), 25, axis=1)
+    pos = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
+    zero = np.zeros((means.size, 1))
+    grid = np.concatenate([tau_mins[:, None], near_edge, neg_mid, zero, pos], axis=1)
+    grid.sort(axis=1)
+    return grid
 
 
-def _golden_section(y, a, b, x0, f0, max_iterations, loglik_tol):
-    """Golden-section minimize the profile NLL on [a, b].
+def _golden_section(row, a, b, x0, f0, max_iterations, loglik_tol):
+    """Golden-section minimize the profile NLL on [a, b] (a coroutine).
 
     (x0, f0) is the best already-evaluated point inside the bracket.
     Stops once an iteration improves the objective by less than
@@ -207,8 +221,8 @@ def _golden_section(y, a, b, x0, f0, max_iterations, loglik_tol):
     wtol = 1e-12 * max(abs(a), abs(b))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = nll(y, c)
-    fd = nll(y, d)
+    fc = yield from nll(row, c)
+    fd = yield from nll(row, d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     if f0 < best_f:
         best_x, best_f = x0, f0
@@ -220,11 +234,11 @@ def _golden_section(y, a, b, x0, f0, max_iterations, loglik_tol):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = nll(y, c)
+            fc = yield from nll(row, c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = nll(y, d)
+            fd = yield from nll(row, d)
         f_new, x_new = (fc, c) if fc <= fd else (fd, d)
         if f_new < best_f:
             improvement = best_f - f_new
@@ -235,8 +249,8 @@ def _golden_section(y, a, b, x0, f0, max_iterations, loglik_tol):
     return best_x, best_f, a, b, converged
 
 
-def _bisect_deriv(y, a, b):
-    """Zero of the profile NLL derivative inside [a, b], by bisection.
+def _bisect_deriv(row, a, b):
+    """Zero of the profile NLL derivative inside [a, b], by bisection (a coroutine).
 
     Polishes the golden-section result to machine precision: comparing
     objective values cannot localize a minimum better than the square
@@ -245,15 +259,15 @@ def _bisect_deriv(y, a, b):
     bracket (boundary optimum).
     """
     deriv = _kernels.profile_nll_deriv
-    da = deriv(y, a)
-    db = deriv(y, b)
+    da = yield from deriv(row, a)
+    db = yield from deriv(row, b)
     if not (math.isfinite(da) and math.isfinite(db)) or not (da < 0.0 < db):
         return None
     for _ in range(200):
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
-        dm = deriv(y, m)
+        dm = yield from deriv(row, m)
         if not math.isfinite(dm):
             return None
         if dm < 0.0:
@@ -261,6 +275,117 @@ def _bisect_deriv(y, a, b):
         else:
             b = m
     return 0.5 * (a + b)
+
+
+def _search(row, grid, values, loglik_tol, max_iterations):
+    """Maximum-likelihood fit of one row (a coroutine returning a FitResult).
+
+    ``grid`` holds the row's distinct tau grid points and ``values`` the
+    profile NLL there.
+    """
+    if row.y_max == row.y_min:
+        raise DegenerateSample("all excesses are equal; the GPD likelihood diverges")
+
+    nll = _kernels.profile_nll
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise NonConvergence("profile likelihood is non-finite on the whole search grid")
+    grid, values = grid[finite], values[finite]
+
+    # Expand to the right while the best candidate sits on the upper edge.
+    best = int(np.argmin(values))
+    expansions = 0
+    while best == grid.size - 1 and expansions < 20:
+        nxt = float(grid[-1]) * 10.0
+        val = yield from nll(row, nxt)
+        if not math.isfinite(val):
+            break
+        grid = np.append(grid, nxt)
+        values = np.append(values, val)
+        best = int(np.argmin(values))
+        expansions += 1
+
+    lo = float(grid[best - 1] if best > 0 else grid[0])
+    hi = float(grid[best + 1] if best < grid.size - 1 else grid[-1])
+    tau_hat, nll_hat, g_lo, g_hi, converged = yield from _golden_section(
+        row, lo, hi, float(grid[best]), float(values[best]), max_iterations, loglik_tol
+    )
+    if not math.isfinite(nll_hat):
+        raise NonConvergence("golden-section search returned a non-finite objective")
+
+    polished = yield from _bisect_deriv(row, g_lo, g_hi)
+    if polished is None and (g_lo > lo or g_hi < hi):
+        polished = yield from _bisect_deriv(row, lo, hi)
+    if polished is not None:
+        nll_pol = yield from nll(row, polished)
+        if math.isfinite(nll_pol) and nll_pol <= nll_hat + 1e-6 * (1.0 + abs(nll_hat)):
+            tau_hat, nll_hat = polished, nll_pol
+
+    if tau_hat == 0.0:
+        xi_hat = 0.0
+        sigma_hat = row.mean
+    else:
+        xi_hat = (yield _kernels.SUM, tau_hat) / row.n
+        sigma_hat = xi_hat / tau_hat
+    if not (sigma_hat > 0.0) or not math.isfinite(sigma_hat):
+        raise NonConvergence(f"optimizer produced an invalid scale {sigma_hat}")
+
+    params = GpdParams(shape=xi_hat, scale=sigma_hat)
+    boundary_hit = (1.0 + tau_hat * row.y_max) < _BOUNDARY_MARGIN
+    nll_params = yield from _kernels.gpd_nll(row, params.shape, params.scale)
+    return FitResult(
+        params=params,
+        log_likelihood=-nll_params,
+        converged=converged,
+        boundary_hit=boundary_hit,
+    )
+
+
+def fit_samples(
+    samples,
+    loglik_tol: float = _LOGLIK_TOL,
+    max_iterations: int = _MAX_ITERATIONS,
+):
+    """Maximum-likelihood GPD fits of many excess samples, searched together.
+
+    ``samples`` is an iterable of nonempty 1-d arrays of positive, finite
+    excesses. It is consumed one block at a time, and the fits are
+    yielded one block at a time, so neither all samples nor all results
+    are held at once. A block takes consecutive samples while it holds
+    ``_kernels.BLOCK_ELEMENTS`` elements at its widest row: the largest
+    sample plus its leading zero, or the tau grid if that is wider. Each
+    block is searched in lockstep. Yields one entry per sample, in order:
+    its FitResult, or the DegenerateSample or NonConvergence that
+    :func:`fit_mle` would raise for it.
+    """
+    rows = _kernels.Rows()
+    block, width = [], 0
+    for y in samples:
+        y = np.ascontiguousarray(y, dtype=float)
+        row_width = max(y.size + 1, _GRID_POINTS)
+        if block and (len(block) + 1) * max(width, row_width) > _kernels.BLOCK_ELEMENTS:
+            yield from _fit_block(rows, block, loglik_tol, max_iterations)
+            block, width = [], 0
+        block.append(y)
+        width = max(width, row_width)
+    if block:
+        yield from _fit_block(rows, block, loglik_tol, max_iterations)
+
+
+def _fit_block(rows, block, loglik_tol, max_iterations) -> list:
+    """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
+    stats = rows.load(block)
+    y_max = np.array([row.y_max for row in stats])
+    tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
+    grids = _tau_grids(np.array([row.mean for row in stats]), tau_mins)
+    values = rows.profile_nll_grid(grids)
+    distinct = np.ones(grids.shape, dtype=bool)
+    distinct[:, 1:] = grids[:, 1:] != grids[:, :-1]
+    searches = [
+        _search(row, grid[keep], value[keep], loglik_tol, max_iterations)
+        for row, grid, value, keep in zip(stats, grids, values, distinct)
+    ]
+    return _kernels.drive(rows, searches)
 
 
 def fit_mle(
@@ -275,67 +400,11 @@ def fit_mle(
     DegenerateSample when all excesses coincide (the likelihood diverges),
     and NonConvergence when no finite optimum exists.
     """
-    y = np.ascontiguousarray(sample.excesses, dtype=float)
-    n_u = y.size
-    if n_u < min_exceedances:
+    if sample.n_u < min_exceedances:
         raise TooFewExceedances(
-            f"{n_u} exceedances below the minimum fit size {min_exceedances}"
+            f"{sample.n_u} exceedances below the minimum fit size {min_exceedances}"
         )
-    y_max = float(y.max())
-    if y_max == float(y.min()):
-        raise DegenerateSample("all excesses are equal; the GPD likelihood diverges")
-
-    tau_min = -(1.0 - _FEASIBILITY_EPS) / y_max
-    grid = _tau_grid(y, tau_min)
-    values = _kernels.profile_nll_grid(y, grid)
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise NonConvergence("profile likelihood is non-finite on the whole search grid")
-    grid, values = grid[finite], values[finite]
-
-    # Expand to the right while the best candidate sits on the upper edge.
-    best = int(np.argmin(values))
-    expansions = 0
-    while best == grid.size - 1 and expansions < 20:
-        nxt = grid[-1] * 10.0
-        val = _kernels.profile_nll(y, nxt)
-        if not math.isfinite(val):
-            break
-        grid = np.append(grid, nxt)
-        values = np.append(values, val)
-        best = int(np.argmin(values))
-        expansions += 1
-
-    lo = grid[best - 1] if best > 0 else grid[0]
-    hi = grid[best + 1] if best < grid.size - 1 else grid[-1]
-    tau_hat, nll_hat, g_lo, g_hi, converged = _golden_section(
-        y, lo, hi, grid[best], values[best], max_iterations, loglik_tol
-    )
-    if not math.isfinite(nll_hat):
-        raise NonConvergence("golden-section search returned a non-finite objective")
-
-    polished = _bisect_deriv(y, g_lo, g_hi)
-    if polished is None and (g_lo > lo or g_hi < hi):
-        polished = _bisect_deriv(y, lo, hi)
-    if polished is not None:
-        nll_pol = _kernels.profile_nll(y, polished)
-        if math.isfinite(nll_pol) and nll_pol <= nll_hat + 1e-6 * (1.0 + abs(nll_hat)):
-            tau_hat, nll_hat = polished, nll_pol
-
-    if tau_hat == 0.0:
-        xi_hat = 0.0
-        sigma_hat = float(y.mean())
-    else:
-        xi_hat = float(np.log1p(tau_hat * y).mean())
-        sigma_hat = xi_hat / tau_hat
-    if not (sigma_hat > 0.0) or not math.isfinite(sigma_hat):
-        raise NonConvergence(f"optimizer produced an invalid scale {sigma_hat}")
-
-    params = GpdParams(shape=xi_hat, scale=sigma_hat)
-    boundary_hit = (1.0 + tau_hat * y_max) < _BOUNDARY_MARGIN
-    return FitResult(
-        params=params,
-        log_likelihood=gpd_log_likelihood(params, y),
-        converged=converged,
-        boundary_hit=boundary_hit,
-    )
+    (result,) = fit_samples([sample.excesses], loglik_tol, max_iterations)
+    if isinstance(result, PotriskError):
+        raise result
+    return result

@@ -17,10 +17,12 @@ from .errors import (
     DegenerateSample,
     InvalidCounts,
     InvalidProbability,
+    NoExceedances,
     NonConvergence,
     NoSurvivingCandidates,
     NotApplicable,
     ShapeAtOrAboveOne,
+    ValidationError,
 )
 from .excess import candidate_thresholds
 from .gof import (
@@ -31,7 +33,7 @@ from .gof import (
     require_alpha,
     test_gpd_fit,
 )
-from .gpd import DEFAULT_MIN_EXCEEDANCES, ExcessSample, GpdParams, fit_mle
+from .gpd import DEFAULT_MIN_EXCEEDANCES, GpdParams, fit_samples
 
 __all__ = [
     "HEAVY_TAIL",
@@ -128,30 +130,37 @@ def scan_thresholds(
 ) -> ThresholdScan:
     """Fit every candidate threshold and select the maximal-VaR estimate.
 
-    ``tail`` holds positive magnitudes (gains, or sign-flipped losses).
-    Fits that error out or fail to converge are dropped but counted, as
-    are fits whose shape sign contradicts ``regime``. Boundary optima are
-    dropped too: there the likelihood is unbounded and the "fit" would
-    only reflect the numerical feasibility margin. Goodness-of-fit
-    reports are attached for the heavy-tail regime, where the critical
-    table applies.
+    ``tail`` holds positive magnitudes (gains, or sign-flipped losses),
+    all finite. The candidates are fitted together, by
+    :func:`~potrisk.gpd.fit_samples`. Fits that error out or fail to
+    converge are dropped but counted, as are fits whose shape sign
+    contradicts ``regime``. Boundary optima are dropped too: there the
+    likelihood is unbounded and the "fit" would only reflect the
+    numerical feasibility margin. Goodness-of-fit reports are attached
+    for the heavy-tail regime, where the critical table applies.
     """
     if regime not in (HEAVY_TAIL, SHORT_TAIL):
         raise ValueError(f"unknown regime {regime!r}")
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must lie in (0, 1), got {p}")
     x = np.asarray(tail, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("tail values must be finite")
     candidates = candidate_thresholds(x, min_exceedances)
+    if min_exceedances < 1:  # then the largest value is a candidate, with nothing above
+        raise NoExceedances(f"no observations above threshold {candidates[-1]}")
+
+    def excesses(u):
+        return x[x > u] - u
+
+    fits = fit_samples(excesses(u) for u in candidates)
     estimates = []
     fit_errors = 0
     not_converged = 0
     boundary_hits = 0
     wrong_sign = 0
-    for u in candidates:
-        sample = ExcessSample.from_sample(x, u)
-        try:
-            fit = fit_mle(sample, min_exceedances=min_exceedances)
-        except (NonConvergence, DegenerateSample):
+    for u, fit in zip(candidates, fits):
+        if isinstance(fit, (NonConvergence, DegenerateSample)):
             fit_errors += 1
             continue
         if not fit.converged:
@@ -164,12 +173,13 @@ def scan_thresholds(
         if not _sign_matches(xi, regime):
             wrong_sign += 1
             continue
-        var = value_at_risk(float(u), fit.params, sample.n, sample.n_u, p)
+        exc = excesses(u)
+        var = value_at_risk(float(u), fit.params, x.size, exc.size, p)
         es = None if xi >= 1.0 else expected_shortfall(var, float(u), fit.params)
-        gof = test_gpd_fit(sample.excesses, fit.params, gof_table) if regime == HEAVY_TAIL else None
+        gof = test_gpd_fit(exc, fit.params, gof_table) if regime == HEAVY_TAIL else None
         estimates.append(
             RiskEstimate(
-                u=float(u), params=fit.params, n=sample.n, n_u=sample.n_u,
+                u=float(u), params=fit.params, n=x.size, n_u=exc.size,
                 p=p, var=var, es=es, gof=gof,
             )
         )

@@ -61,7 +61,7 @@ class EarningsSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Dated relative returns."""
+    """Dated finite relative returns."""
 
     dates: tuple[datetime.date, ...]
     values: np.ndarray
@@ -70,6 +70,8 @@ class ReturnSeries:
         vals = np.asarray(self.values, dtype=float)
         if len(self.dates) != vals.size:
             raise ValidationError("dates and values must have equal length")
+        if np.any(~np.isfinite(vals)):
+            raise ValidationError("returns must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -253,7 +255,10 @@ def read_returns_csv(path) -> ReturnSeries:
                 values.append(float(row[1]))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return ReturnSeries(dates=tuple(dates), values=np.asarray(values))
+    try:
+        return ReturnSeries(dates=tuple(dates), values=np.asarray(values))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def write_returns_csv(returns: ReturnSeries, path) -> None:

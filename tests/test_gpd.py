@@ -136,6 +136,11 @@ class TestExcessSample:
         with pytest.raises(ValidationError):
             ExcessSample(threshold=0.0, excesses=np.array([1.0, 0.0]), n=5)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_excess(self, bad):
+        with pytest.raises(ValidationError):
+            ExcessSample(threshold=0.0, excesses=np.array([1.0, bad]), n=5)
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ValidationError):
             ExcessSample(threshold=0.0, excesses=np.array([1.0, 2.0]), n=1)

@@ -1,127 +1,155 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from potrisk import _kernels
+from potrisk.errors import NoSurvivingCandidates
+from potrisk.excess import candidate_thresholds
+from potrisk.gpd import GpdParams, fit_samples, gpd_sample
+from potrisk.risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds
+
+import scalar_oracle
 
 
-pytestmark = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
+def _block_values(kernel, cases):
+    """Drive ``kernel(row_i, *args_i)`` for every (sample_i, args_i) in one block."""
+    rows = _kernels.Rows()
+    stats = rows.load([np.ascontiguousarray(y, dtype=float) for y, _ in cases])
+    return _kernels.drive(rows, [kernel(row, *args) for row, (_, args) in zip(stats, cases)])
 
 
-def _samples():
-    rng = np.random.default_rng(123)
-    small = rng.exponential(1.0, size=25)
-    large = rng.pareto(4.0, size=4000) + 0.01
-    return [np.ascontiguousarray(small), np.ascontiguousarray(large)]
+class TestRows:
+    def _samples(self):
+        rng = np.random.default_rng(3)
+        return [rng.exponential(1.0, size) * 10.0 ** rng.uniform(-3, 3) for size in (1, 7, 300, 129, 300)]
 
+    def _taus(self, samples):
+        return np.array([0.7 / y.mean() if i % 2 else -0.9 / y.max() for i, y in enumerate(samples)])
 
-def _taus(y):
-    tau_min = -(1.0 - 1e-10) / y.max()
-    return [0.0, 1e-9, -1e-9, 0.5, 5.0, tau_min * 0.5, tau_min * 0.999, tau_min]
+    def test_sums_match_one_sample_numpy_bit_for_bit(self):
+        samples = self._samples()
+        rows = _kernels.Rows()
+        rows.load(samples)
+        taus = self._taus(samples)
+        l, w, d = rows.sums(taus, deriv=True)
+        for i, y in enumerate(samples):
+            t = taus[i] * y
+            lg = np.log1p(t)
+            wt = t / (1.0 + t)
+            assert l[i] == lg.sum()
+            assert w[i] == wt.sum()
+            assert d[i] == (wt - lg).sum()
+        assert rows.sums(taus, deriv=False)[0].tolist() == l.tolist()
 
+    def test_row_constants(self):
+        samples = self._samples()
+        stats = _kernels.Rows().load(samples)
+        for row, y in zip(stats, samples):
+            assert (row.n, row.mean, row.m2) == (y.size, y.mean(), np.mean(y * y))
+            assert (row.y_max, row.y_min, row.total) == (y.max(), y.min(), y.sum())
 
-class TestBackendEquivalence:
-    def test_profile_nll(self):
-        for y in _samples():
-            for tau in _taus(y):
-                a = _kernels.profile_nll_numpy(y, tau)
-                b = _kernels.profile_nll_numba(y, tau)
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-9)
+    def test_keep_compacts_in_order(self):
+        samples = self._samples()
+        rows = _kernels.Rows()
+        rows.load(samples)
+        taus = self._taus(samples)
+        full = rows.sums(taus, deriv=False)[0]
+        rows.keep([1, 3, 4])
+        assert rows.count == 3
+        assert rows.sums(taus[[1, 3, 4]], deriv=False)[0].tolist() == full[[1, 3, 4]].tolist()
 
-    def test_profile_nll_grid(self):
-        for y in _samples():
-            taus = np.asarray(_taus(y))
-            a = _kernels.profile_nll_grid_numpy(y, taus)
-            b = _kernels.profile_nll_grid_numba(y, taus)
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-9)
-
-    def test_profile_nll_deriv(self):
-        # near the feasibility edge the w/(tau*k) terms amplify
-        # summation-order differences, hence the looser tolerance
-        for y in _samples():
-            for tau in _taus(y)[:-1]:
-                a = _kernels.profile_nll_deriv_numpy(y, tau)
-                b = _kernels.profile_nll_deriv_numba(y, tau)
-                assert a == pytest.approx(b, rel=1e-8, abs=1e-6)
-
-    def test_gpd_nll(self):
-        for y in _samples():
-            for xi, sigma in [(0.0, 1.0), (0.3, 0.5), (-0.2, 2.0)]:
-                if xi < 0 and (1.0 + xi * y.max() / sigma) <= 0:
-                    continue
-                a = _kernels.gpd_nll_numpy(y, xi, sigma)
-                b = _kernels.gpd_nll_numba(y, xi, sigma)
-                assert a == pytest.approx(b, rel=1e-12)
-
-    def test_infeasible_tau_is_inf(self):
+    def test_infeasible_tau(self):
         y = np.array([1.0, 2.0, 4.0])
         bad = -0.3  # 1 + tau*4 < 0
-        assert _kernels.profile_nll_numpy(y, bad) == math.inf
-        assert _kernels.profile_nll_numba(y, bad) == math.inf
-        assert math.isnan(_kernels.profile_nll_deriv_numpy(y, bad))
-        assert math.isnan(_kernels.profile_nll_deriv_numba(y, bad))
+        assert _kernels.evaluate(_kernels.profile_nll, y, bad) == math.inf
+        assert math.isnan(_kernels.evaluate(_kernels.profile_nll_deriv, y, bad))
+
+    def test_kernels_match_scalar_oracle(self):
+        rng = np.random.default_rng(123)
+        samples = [rng.exponential(1.0, 25), rng.pareto(4.0, 4000) + 0.01]
+        for y in samples:
+            tau_min = -(1.0 - 1e-10) / y.max()
+            taus = [0.0, 1e-9, -1e-9, 0.5, 5.0, tau_min * 0.5, tau_min * 0.999, tau_min]
+            nll = _block_values(_kernels.profile_nll, [(y, (tau,)) for tau in taus])
+            deriv = _block_values(_kernels.profile_nll_deriv, [(y, (tau,)) for tau in taus])
+            for tau, a, b in zip(taus, nll, deriv):
+                assert a == scalar_oracle.profile_nll_numpy(y, tau)
+                assert b == scalar_oracle.profile_nll_deriv_numpy(y, tau)
+            for xi, sigma in [(0.0, 1.0), (0.3, 0.5), (-0.2, 2.0)]:
+                got = _kernels.evaluate(_kernels.gpd_nll, y, xi, sigma)
+                assert got == scalar_oracle.gpd_nll_numpy(y, xi, sigma)
 
 
 class TestDerivative:
     @pytest.mark.parametrize("tau", [-0.15, -1e-4, 1e-4, 0.3, 2.0])
     def test_matches_finite_differences(self, tau):
-        y = np.ascontiguousarray(np.random.default_rng(5).exponential(1.0, 400))
+        y = np.random.default_rng(5).exponential(1.0, 400)
+        other = np.random.default_rng(8).exponential(3.0, 250)
         h = 1e-7 * max(1.0, abs(tau))
-        fd = (_kernels.profile_nll_numpy(y, tau + h) - _kernels.profile_nll_numpy(y, tau - h)) / (2 * h)
-        assert _kernels.profile_nll_deriv_numpy(y, tau) == pytest.approx(fd, rel=1e-5, abs=1e-6)
+        up, down, _ = _block_values(
+            _kernels.profile_nll, [(y, (tau + h,)), (y, (tau - h,)), (other, (0.1,))]
+        )
+        deriv, _ = _block_values(_kernels.profile_nll_deriv, [(y, (tau,)), (other, (-0.1,))])
+        assert deriv == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-6)
 
     def test_zero_tau_limit(self):
-        y = np.ascontiguousarray(np.random.default_rng(6).exponential(1.0, 400))
-        left = _kernels.profile_nll_deriv_numpy(y, -1e-10)
-        at0 = _kernels.profile_nll_deriv_numpy(y, 0.0)
-        right = _kernels.profile_nll_deriv_numpy(y, 1e-10)
+        y = np.random.default_rng(6).exponential(1.0, 400)
+        left, at0, right = _block_values(
+            _kernels.profile_nll_deriv, [(y, (-1e-10,)), (y, (0.0,)), (y, (1e-10,))]
+        )
         assert left == pytest.approx(at0, rel=1e-5, abs=1e-8)
         assert right == pytest.approx(at0, rel=1e-5, abs=1e-8)
 
 
-class TestBackendSelection:
-    def _probe(self, env_value):
-        code = "import potrisk._kernels as k; print(k.BACKEND)"
-        env = {"POTRISK_BACKEND": env_value} if env_value is not None else {}
-        import os
+# Seeded tails (values, regime, min_exceedances): heavy, short and tied,
+# from 10 to 2,000 points.
+TAILS = [
+    pytest.param(gpd_sample(GpdParams(0.3, 1.0), 2000, seed=1), HEAVY_TAIL, 10, id="heavy_2000"),
+    pytest.param(gpd_sample(GpdParams(-0.4, 0.5), 400, seed=2), SHORT_TAIL, 10, id="short_400"),
+    pytest.param(np.round(gpd_sample(GpdParams(0.2, 1.0), 300, seed=3), 1) + 0.05,
+                 HEAVY_TAIL, 10, id="tied_300"),
+    pytest.param(gpd_sample(GpdParams(0.25, 1.0), 10, seed=4), HEAVY_TAIL, 3, id="heavy_10"),
+    pytest.param(gpd_sample(GpdParams(-0.3, 2.0), 60, seed=5), SHORT_TAIL, 5, id="short_60"),
+]
 
-        full_env = dict(os.environ)
-        full_env.pop("POTRISK_BACKEND", None)
-        full_env.update(env)
-        return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=full_env
-        )
 
-    def test_default_prefers_numba(self):
-        out = self._probe(None)
-        assert out.stdout.strip() == "numba"
+class TestAgainstScalarOracle:
+    @pytest.mark.parametrize("tail,regime,min_exc", TAILS)
+    def test_every_candidate_and_the_diagnostics_agree(self, tail, regime, min_exc):
+        _, want_diag, want_fits = scalar_oracle.scan(tail, regime=regime, min_exceedances=min_exc)
+        candidates = candidate_thresholds(tail, min_exc)
+        got_fits = list(fit_samples(tail[tail > u] - u for u in candidates))
+        assert len(got_fits) == len(want_fits) == candidates.size
+        for u, got, want in zip(candidates, got_fits, want_fits):
+            if isinstance(want, Exception):
+                assert type(got) is type(want), (u, got, want)
+                continue
+            assert not isinstance(got, Exception), (u, got)
+            assert got.params.shape == pytest.approx(want.params.shape, rel=1e-9, abs=0.0)
+            assert got.params.scale == pytest.approx(want.params.scale, rel=1e-9, abs=0.0)
+            assert (got.converged, got.boundary_hit) == (want.converged, want.boundary_hit)
+        if want_diag.surviving == 0:
+            with pytest.raises(NoSurvivingCandidates):
+                scan_thresholds(tail, regime=regime, min_exceedances=min_exc)
+        else:
+            assert scan_thresholds(tail, regime=regime, min_exceedances=min_exc).diagnostics == want_diag
 
-    def test_numpy_fallback_via_env(self):
-        out = self._probe("numpy")
-        assert out.stdout.strip() == "numpy"
 
-    def test_invalid_value_rejected(self):
-        out = self._probe("cuda")
-        assert out.returncode != 0
-        assert "POTRISK_BACKEND" in out.stderr
+def test_one_row_blocks_give_the_same_scan(monkeypatch):
+    tail = gpd_sample(GpdParams(0.2, 1.0), 400, seed=9)
+    block_sizes = []
+    load = _kernels.Rows.load
 
-    def test_fit_results_agree_across_backends(self):
-        code = (
-            "from potrisk.gpd import ExcessSample, GpdParams, fit_mle, gpd_sample\n"
-            "y = gpd_sample(GpdParams(0.2, 1.0), 2000, seed=99)\n"
-            "r = fit_mle(ExcessSample(0.0, y, 2000))\n"
-            "print(f'{r.params.shape:.12g} {r.params.scale:.12g}')\n"
-        )
-        import os
+    def spy(self, samples):
+        block_sizes.append(len(samples))
+        return load(self, samples)
 
-        runs = {}
-        for backend in ("numba", "numpy"):
-            env = dict(os.environ)
-            env["POTRISK_BACKEND"] = backend
-            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-            assert out.returncode == 0, out.stderr
-            runs[backend] = out.stdout.strip()
-        assert runs["numba"] == runs["numpy"]
+    monkeypatch.setattr(_kernels.Rows, "load", spy)
+    default = scan_thresholds(tail)
+    assert max(block_sizes) > 1
+    block_sizes.clear()
+    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", 1)
+    one_row = scan_thresholds(tail)
+    assert set(block_sizes) == {1}
+    assert one_row == default

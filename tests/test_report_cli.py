@@ -199,6 +199,26 @@ class TestCli:
         assert out.returncode == 2
         assert "p must lie in" in out.stderr
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_input_exits_without_traceback(self, tmp_path, bad):
+        returns = tmp_path / "returns.csv"
+        returns.write_text(
+            f"date,return\n2001-01-05,0.1\n2001-01-12,{bad}\n2001-01-19,-0.2\n2001-01-26,0.3\n"
+        )
+        earnings = tmp_path / "earnings.csv"
+        earnings.write_text(
+            f"date,revenue\n2001-01-05,100\n2001-01-12,{bad}\n2001-01-19,90\n2001-01-26,120\n"
+        )
+        runs = [
+            _cli("scan", "--input", str(returns), "--tail", tail, "--out-dir", str(tmp_path))
+            for tail in ("positive", "negative")
+        ]
+        runs += [_cli("analyze", "--input", str(path), "--out-dir", str(tmp_path))
+                 for path in (returns, earnings)]
+        for out in runs:
+            assert out.returncode in (1, 2), out.stderr
+            assert "Traceback" not in out.stderr + out.stdout
+
     def test_missing_input_exit_2(self, tmp_path):
         out = _cli("returns", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path))
         assert out.returncode == 2

@@ -6,10 +6,12 @@ import pytest
 from potrisk.errors import (
     InvalidCounts,
     InvalidProbability,
+    NoExceedances,
     NoSurvivingCandidates,
     NotApplicable,
     ShapeAtOrAboveOne,
     UnknownAlphaLevel,
+    ValidationError,
 )
 from potrisk.excess import mean_excess_theoretical
 from potrisk.gof import GofReport, interpolate_criticals
@@ -195,6 +197,17 @@ class TestScan:
     def test_bad_probability(self):
         with pytest.raises(InvalidProbability):
             scan_thresholds([1.0, 2.0, 3.0] * 20, p=1.0, regime=HEAVY_TAIL)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_tail_is_a_validation_error(self, bad):
+        x = np.append(gpd_sample(GpdParams(0.2, 1.0), 50, seed=63), bad)
+        with pytest.raises(ValidationError, match="finite"):
+            scan_thresholds(x, p=0.01, regime=HEAVY_TAIL)
+
+    def test_candidates_without_exceedances_are_rejected(self):
+        x = gpd_sample(GpdParams(0.2, 1.0), 50, seed=64)
+        with pytest.raises(NoExceedances):
+            scan_thresholds(x, p=0.01, regime=HEAVY_TAIL, min_exceedances=0)
 
 
 class TestAlphaFilter:

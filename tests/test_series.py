@@ -135,6 +135,10 @@ class TestSplitBySign:
         assert len(split.positive) == 0
         assert split.negative.values.tolist() == [pytest.approx(0.3)]
 
+    def test_nan_return_is_rejected_not_counted_as_zero(self):
+        with pytest.raises(ValidationError, match="finite"):
+            split_by_sign(weekly_returns([0.5, float("nan"), 0.0, -0.1]))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_counts_reconcile(self, seed):
         rng = np.random.default_rng(seed)
@@ -191,6 +195,13 @@ class TestCsv:
         path = tmp_path / "returns.csv"
         write_returns_csv(returns, path)
         assert "0.333333333333333" in path.read_text()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_returns_reader_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "r.csv"
+        path.write_text(f"date,return\n2001-01-05,0.1\n2001-01-12,{bad}\n")
+        with pytest.raises(ValidationError, match="r.csv: returns must be finite"):
+            read_returns_csv(path)
 
     def test_earnings_reader(self, tmp_path):
         path = tmp_path / "e.csv"
