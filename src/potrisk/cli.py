@@ -20,10 +20,8 @@ from .risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds, scan_with_alpha_filte
 from .series import box_plot, compute_returns, read_earnings_csv, read_returns_csv, write_returns_csv
 
 
-def _add_common(parser, *, seed=False, fmt=False):
+def _add_common(parser, *, fmt=False):
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    if seed:
-        parser.add_argument("--seed", type=int, default=0, help="random seed")
     if fmt:
         parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -48,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--alpha", type=float, default=None,
                            help="goodness-of-fit acceptance level for the filtered selection")
     p_analyze.add_argument("--min-exceedances", type=int, default=None)
-    _add_common(p_analyze, seed=True)
+    _add_common(p_analyze)
 
     p_scan = sub.add_parser("scan", help="threshold scan over one tail of a returns CSV")
     p_scan.add_argument("--input", type=Path, required=True, help="date,return CSV")
@@ -68,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--shape", type=float, required=True)
     p_sim.add_argument("--scale", type=float, required=True)
     p_sim.add_argument("--count", type=int, required=True)
-    _add_common(p_sim, seed=True)
+    p_sim.add_argument("--seed", type=int, default=0, help="random seed")
+    _add_common(p_sim)
 
     p_table = sub.add_parser("gof-table", help="export the critical-value table to CSV")
     _add_common(p_table)
@@ -104,8 +103,6 @@ def _cmd_analyze(args) -> None:
         config.alpha_filter = args.alpha
     if args.min_exceedances is not None:
         config.min_exceedances = args.min_exceedances
-    if args.seed is not None:
-        config.seed = args.seed
     report.analyze(config)
     print(f"wrote {Path(config.out_dir) / 'report.json'}")
 

@@ -5,13 +5,19 @@ exceed u; under a GPD tail it is linear in u with slope shape/(1 - shape),
 so its trend diagnoses the tail regime. Candidate thresholds are the
 observed order statistics themselves: a threshold between two data points
 leaves the exceedance set unchanged and adds nothing.
+
+Candidates and curve come from one sort. With x_k the first sorted value
+above u and n_k the count from x_k on, the mean excess at u is
+(x_k - u) + S_k/n_k, where S_k, the sum of x_j - x_k over j > k, is a
+suffix sum of the gaps between sorted values, each weighted by the count
+above it: no term is negative, so the sum cannot cancel.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NoExceedances, TooFewObservations
+from .errors import InvalidParams, NoExceedances, TooFewObservations, ValidationError
 from .gpd import GpdParams
 
 __all__ = [
@@ -64,6 +70,14 @@ def mean_excess_theoretical(params: GpdParams, u: float) -> float:
     return (sigma + xi * u) / (1.0 - xi)
 
 
+def _sorted_counts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``x`` once: the sorted values, the distinct values, and the count above each."""
+    xs = np.sort(x)
+    last = np.ones(xs.size, dtype=bool)  # the last copy of each distinct value
+    np.not_equal(xs[1:], xs[:-1], out=last[:-1])
+    return xs, xs[last], xs.size - 1 - np.flatnonzero(last)
+
+
 def candidate_thresholds(sample, min_exceedances: int) -> np.ndarray:
     """Distinct observed values u with at least ``min_exceedances`` points above.
 
@@ -76,20 +90,29 @@ def candidate_thresholds(sample, min_exceedances: int) -> np.ndarray:
         raise TooFewObservations(
             f"sample size {x.size} must exceed min_exceedances={min_exceedances}"
         )
-    distinct = np.unique(x)
-    counts = np.searchsorted(np.sort(x), distinct, side="right")
-    above = x.size - counts
+    _, distinct, above = _sorted_counts(x)
     return distinct[above >= min_exceedances]
 
 
 def mean_excess_curve(sample) -> MeanExcessCurve:
-    """Empirical mean-excess curve at every candidate threshold."""
+    """Empirical mean-excess curve at every candidate threshold, in O(n log n).
+
+    The thresholds are ``candidate_thresholds(sample, 1)``. After one sort,
+    S_k = sum over m >= k of (x_{m+1} - x_m)*(n - 1 - m) is a reversed
+    cumulative sum, and each row is (x_k - u) + S_k/(n - k). Raises
+    ValidationError when a value or an excess sum is not finite.
+    """
     x = np.asarray(sample, dtype=float)
     if x.size < 3:
         raise TooFewObservations("mean-excess curve needs at least 3 observations")
-    thresholds = candidate_thresholds(x, 1)
-    means = np.empty(thresholds.size)
-    counts = np.empty(thresholds.size, dtype=int)
-    for i, u in enumerate(thresholds):
-        means[i], counts[i] = mean_excess_empirical(x, u)
+    xs, distinct, above = _sorted_counts(x)
+    suffix = np.zeros(xs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = np.diff(xs) * np.arange(xs.size - 1, 0, -1)
+        suffix[:-1] = np.cumsum(weighted[::-1])[::-1]
+    if not np.isfinite(suffix[0]):
+        raise ValidationError("mean-excess curve needs finite values with a finite excess sum")
+    thresholds, counts = distinct[above >= 1], above[above >= 1]
+    first = xs.size - counts
+    means = (xs[first] - thresholds) + suffix[first] / counts
     return MeanExcessCurve(thresholds=thresholds, mean_excesses=means, counts=counts)

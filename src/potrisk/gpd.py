@@ -196,9 +196,9 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
     Clusters near the feasibility edge tau_min (short-tail optima pile up
     there), around zero (exponential neighborhood), and sweeps positive
     ratios over many decades. A row can repeat a value; the search skips
-    repeats.
+    repeats. A row whose excess sum overflowed (its search stops) gets mean 1.
     """
-    s = 1.0 / means
+    s = 1.0 / np.where(np.isfinite(means), means, 1.0)
     near_edge = tau_mins[:, None] * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
     neg_mid = -np.geomspace(1e-8 * s, 0.9 * np.abs(tau_mins), 25, axis=1)
     pos = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
@@ -285,6 +285,8 @@ def _search(row, grid, values, loglik_tol, max_iterations):
     """
     if row.y_max == row.y_min:
         raise DegenerateSample("all excesses are equal; the GPD likelihood diverges")
+    if not math.isfinite(row.mean):
+        raise NonConvergence("the excess sum overflows; rescale the sample")
 
     nll = _kernels.profile_nll
     finite = np.isfinite(values)
@@ -374,11 +376,12 @@ def fit_samples(
 
 def _fit_block(rows, block, loglik_tol, max_iterations) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
-    stats = rows.load(block)
-    y_max = np.array([row.y_max for row in stats])
-    tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
-    grids = _tau_grids(np.array([row.mean for row in stats]), tau_mins)
-    values = rows.profile_nll_grid(grids)
+    with np.errstate(over="ignore"):  # a row whose sums overflow stops in its search
+        stats = rows.load(block)
+        y_max = np.array([row.y_max for row in stats])
+        tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
+        grids = _tau_grids(np.array([row.mean for row in stats]), tau_mins)
+        values = rows.profile_nll_grid(grids)
     distinct = np.ones(grids.shape, dtype=bool)
     distinct[:, 1:] = grids[:, 1:] != grids[:, :-1]
     searches = [
@@ -398,7 +401,8 @@ def fit_mle(
 
     Raises TooFewExceedances below ``min_exceedances`` points,
     DegenerateSample when all excesses coincide (the likelihood diverges),
-    and NonConvergence when no finite optimum exists.
+    and NonConvergence when no finite optimum exists or the excess sum
+    overflows.
     """
     if sample.n_u < min_exceedances:
         raise TooFewExceedances(

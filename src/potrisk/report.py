@@ -3,16 +3,15 @@
 ``analyze`` runs ingest -> returns -> period split -> sign split -> per-tail
 threshold scan and writes a versioned JSON report plus CSV exports. The
 report is fully deterministic: floats are rounded to 12 significant digits
-before serialization so reruns (and both kernel backends) produce
-byte-identical files, and every reported number can be reproduced by
-re-invoking the corresponding library operation on the recorded inputs.
+before serialization, so reruns produce byte-identical files and every
+reported number can be recomputed by the library from the recorded inputs.
 """
 
 import csv
 import datetime
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +85,6 @@ class AnalysisConfig:
     p: float = 0.01
     min_exceedances: int = DEFAULT_MIN_EXCEEDANCES
     alpha_filter: float | None = None
-    seed: int = 0
     out_dir: Path = Path(".")
 
     def validate(self) -> None:
@@ -113,7 +111,6 @@ class AnalysisConfig:
             p=raw.get("p", 0.01),
             min_exceedances=raw.get("min_exceedances", DEFAULT_MIN_EXCEEDANCES),
             alpha_filter=raw.get("alpha_filter"),
-            seed=raw.get("seed", 0),
             out_dir=Path(out_dir if out_dir is not None else "."),
         )
 
@@ -217,17 +214,9 @@ def read_scan_csv(path) -> tuple[list[float], list[float]]:
 
 def scan_dict(scan: ThresholdScan, alpha_filtered: RiskEstimate | None = None) -> dict:
     """JSON-ready mirror of a ThresholdScan (estimates ordered by threshold)."""
-    diag = scan.diagnostics
     return {
         "regime": scan.regime,
-        "diagnostics": {
-            "candidates_total": diag.candidates_total,
-            "fit_errors": diag.fit_errors,
-            "not_converged": diag.not_converged,
-            "boundary_hits": diag.boundary_hits,
-            "wrong_sign": diag.wrong_sign,
-            "surviving": diag.surviving,
-        },
+        "diagnostics": asdict(scan.diagnostics),
         "selected_index": scan.selected_index,
         "estimates": [_estimate_dict(e) for e in scan.estimates],
         "alpha_filtered": None if alpha_filtered is None else _estimate_dict(alpha_filtered),
@@ -292,18 +281,10 @@ def _tail_report(values, regime, config, label, tail_name, out_dir, period_idx):
             alpha_filtered = scan_with_alpha_filter(scan, config.alpha_filter)
         except NoSurvivingCandidates as exc:
             raise _rescope(exc, context) from exc
-    diag = scan.diagnostics
     return {
         "regime": regime,
         "n": int(np.asarray(values).size),
-        "diagnostics": {
-            "candidates_total": diag.candidates_total,
-            "fit_errors": diag.fit_errors,
-            "not_converged": diag.not_converged,
-            "boundary_hits": diag.boundary_hits,
-            "wrong_sign": diag.wrong_sign,
-            "surviving": diag.surviving,
-        },
+        "diagnostics": asdict(scan.diagnostics),
         "selected": _estimate_dict(scan.selected),
         "alpha_filtered": None if alpha_filtered is None else _estimate_dict(alpha_filtered),
     }

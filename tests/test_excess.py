@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from potrisk.errors import InvalidParams, NoExceedances, TooFewObservations
+from potrisk.errors import InvalidParams, NoExceedances, TooFewObservations, ValidationError
 from potrisk.excess import (
     candidate_thresholds,
     mean_excess_curve,
@@ -137,3 +141,60 @@ class TestCurve:
             mean, _ = mean_excess_empirical(grid, u)
             theory = mean_excess_theoretical(params, u)
             assert mean == pytest.approx(theory, rel=tol)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_is_a_validation_error(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            mean_excess_curve([1.0, 2.0, bad, 3.0])
+
+    def test_overflowing_excess_sum_is_a_validation_error(self):
+        # every value is finite, but the excesses over the smallest sum past
+        # the largest double
+        x = gpd_sample(GpdParams(0.2, 1.0), 40, seed=0) * 1e307
+        assert np.all(np.isfinite(x))
+        with pytest.raises(ValidationError, match="excess sum"):
+            mean_excess_curve(x)
+
+
+@st.composite
+def _gpd_samples(draw, shapes, sizes=st.integers(3, 2000)):
+    params = GpdParams(draw(shapes), 1.0)
+    return gpd_sample(params, draw(sizes), draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def _near_constant_samples(draw):
+    base = draw(st.floats(0.1, 1e6))
+    steps = draw(st.lists(st.integers(0, 8), min_size=3, max_size=300))
+    return base + np.spacing(base) * np.array(steps, dtype=float)
+
+
+# Both signs, bounded away from zero: gpd_quantile overflows for a
+# subnormal shape.
+_MIXED_SHAPES = st.floats(-0.5, -0.05) | st.floats(0.05, 0.6)
+
+_SAMPLES = {
+    "tied": st.lists(
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.25, 7.0]), min_size=3, max_size=300
+    ).map(np.array),
+    "rounded_gpd": _gpd_samples(_MIXED_SHAPES).map(lambda x: np.round(x, 1)),
+    "near_constant": _near_constant_samples(),
+    "offset_1e6": _gpd_samples(_MIXED_SHAPES).map(lambda x: x + 1e6),
+    "heavy_tail": _gpd_samples(st.floats(0.05, 0.95)),
+    "short_tail": _gpd_samples(st.floats(-0.95, -0.05)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SAMPLES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_curve_matches_direct_formula(family, data):
+    # every row of the sorted, gap-summed curve against the direct
+    # mean(x[x > u] - u): thresholds and counts exactly, means to 1e-12
+    x = data.draw(_SAMPLES[family])
+    curve = mean_excess_curve(x)
+    np.testing.assert_array_equal(curve.thresholds, candidate_thresholds(x, 1))
+    for u, mean, count in zip(curve.thresholds, curve.mean_excesses, curve.counts):
+        direct, direct_count = mean_excess_empirical(x, u)
+        assert count == direct_count
+        assert abs(mean - direct) <= 1e-12 * direct, (u, mean, direct)

@@ -9,6 +9,7 @@ from potrisk.errors import (
     InvalidParams,
     InvalidProbability,
     NoExceedances,
+    NonConvergence,
     TooFewExceedances,
     ValidationError,
 )
@@ -233,6 +234,12 @@ class TestFitMle:
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSample):
             fit_mle(ExcessSample(0.0, np.full(20, 0.4), n=20))
+
+    def test_overflowing_excess_sum(self):
+        excesses = np.linspace(1.0, 1.7, 20) * 1e308
+        assert np.all(np.isfinite(excesses))
+        with pytest.raises(NonConvergence, match="overflows"):
+            fit_mle(ExcessSample(0.0, excesses, n=20))
 
     def test_feasibility_at_optimum(self):
         sample = self._sample(-0.45, 1.0, 300, seed=21)

@@ -10,7 +10,7 @@ import pytest
 
 from potrisk import bundled_data_path
 from potrisk.errors import TooFewObservations, ValidationError
-from potrisk.gpd import GpdParams
+from potrisk.gpd import GpdParams, gpd_sample
 from potrisk.report import (
     AnalysisConfig,
     analyze,
@@ -216,6 +216,30 @@ class TestCli:
         runs += [_cli("analyze", "--input", str(path), "--out-dir", str(tmp_path))
                  for path in (returns, earnings)]
         for out in runs:
+            assert out.returncode in (1, 2), out.stderr
+            assert "Traceback" not in out.stderr + out.stdout
+
+    def test_overflowing_tail_exits_without_traceback(self, tmp_path):
+        # finite gains whose excess sum overflows: every fit of the scan
+        # stops, and analyze's mean-excess curve rejects the tail
+        gains = gpd_sample(GpdParams(0.2, 1.0), 40, seed=0) * 1e307
+        dates = [datetime.date(2001, 1, 5) + datetime.timedelta(weeks=i) for i in range(80)]
+        returns = tmp_path / "returns.csv"
+        returns.write_text("date,return\n" + "".join(
+            f"{d.isoformat()},{float(v)!r}\n"
+            for d, v in zip(dates, np.column_stack([gains, np.full(40, -0.5)]).ravel())
+        ))
+        # revenues alternating 1e-300 and g*1e-300 give returns of about g and -1
+        revenues = np.column_stack([np.full(40, 1e-300), gains * 1e-300]).ravel()
+        earnings = tmp_path / "earnings.csv"
+        earnings.write_text("date,revenue\n" + "".join(
+            f"{d.isoformat()},{float(r)!r}\n" for d, r in zip(dates, revenues)
+        ))
+        scan = _cli("scan", "--input", str(returns), "--tail", "positive", "--out-dir", str(tmp_path))
+        full = _cli("analyze", "--input", str(earnings), "--out-dir", str(tmp_path))
+        assert "30 fit errors" in scan.stderr
+        assert "excess sum" in full.stderr
+        for out in (scan, full):
             assert out.returncode in (1, 2), out.stderr
             assert "Traceback" not in out.stderr + out.stdout
 

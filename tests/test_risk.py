@@ -13,7 +13,7 @@ from potrisk.errors import (
     UnknownAlphaLevel,
     ValidationError,
 )
-from potrisk.excess import mean_excess_theoretical
+from potrisk.excess import candidate_thresholds, mean_excess_theoretical
 from potrisk.gof import GofReport, interpolate_criticals
 from potrisk.gpd import GpdParams, gpd_sample
 from potrisk.risk import (
@@ -203,6 +203,23 @@ class TestScan:
         x = np.append(gpd_sample(GpdParams(0.2, 1.0), 50, seed=63), bad)
         with pytest.raises(ValidationError, match="finite"):
             scan_thresholds(x, p=0.01, regime=HEAVY_TAIL)
+
+    def test_overflowing_excess_sums_are_fit_errors(self):
+        # finite values whose excess sum overflows at every candidate: each
+        # row stops with NonConvergence, so nothing survives
+        x = gpd_sample(GpdParams(0.2, 1.0), 40, seed=0) * 1e307
+        with pytest.raises(NoSurvivingCandidates, match="30 fit errors"):
+            scan_thresholds(x, p=0.01, regime=HEAVY_TAIL)
+
+    def test_only_the_overflowing_rows_are_dropped(self):
+        x = gpd_sample(GpdParams(-0.3, 1.0), 40, seed=0) * 1e307
+        candidates = candidate_thresholds(x, 10)
+        with np.errstate(over="ignore"):
+            overflowing = sum(not np.isfinite(np.sum(x[x > u] - u)) for u in candidates)
+        scan = scan_thresholds(x, p=0.01, regime=SHORT_TAIL)
+        assert 0 < overflowing < candidates.size
+        assert scan.diagnostics.fit_errors == overflowing
+        assert scan.diagnostics.surviving > 0
 
     def test_candidates_without_exceedances_are_rejected(self):
         x = gpd_sample(GpdParams(0.2, 1.0), 50, seed=64)
