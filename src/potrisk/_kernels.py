@@ -120,10 +120,11 @@ class Rows:
         """
         n = np.array([row.n for row in self._rows], dtype=float)[:, None]
         y_max = np.array([row.y_max for row in self._rows])[:, None]
-        k = np.empty(taus.shape)
+        k = np.zeros(taus.shape)
         with np.errstate(all="ignore"):
             for j, column in enumerate(taus.T):
-                k[:, j] = self.sums(column, False)[0]
+                if column.any():  # a tau = 0 column is set from the row means below
+                    k[:, j] = self.sums(column, False)[0]
             k /= n
             r = k / taus
         ok = (taus != 0.0) & (taus * y_max > -1.0) & (r > 0.0) & np.isfinite(r)

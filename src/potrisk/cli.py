@@ -195,10 +195,10 @@ def _cmd_trend(args) -> None:
     else:
         out = args.out_dir / "trend.json"
         doc = {
-            "slope": float(f"{slope:.12g}"),
-            "intercept": float(f"{intercept:.12g}"),
+            "slope": report._round12(slope),
+            "intercept": report._round12(intercept),
             "yearly_means": [
-                {"year": year, "mean": float(f"{mean:.12g}")} for year, mean in yearly
+                {"year": year, "mean": report._round12(mean)} for year, mean in yearly
             ],
         }
         with open(out, "w", encoding="utf-8") as fh:

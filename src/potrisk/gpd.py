@@ -8,9 +8,13 @@ a threshold. The fit maximizes the log-likelihood
 
 over the feasible region sigma > 0, sigma + xi*y_i > 0, with the xi = 0
 exponential limit handled continuously. The search runs on the profiled
-one-dimensional objective over tau = xi/sigma (see _kernels): a coarse
-grid brackets the optimum, golden-section narrows it, and bisection on
-the analytic derivative polishes it to machine precision.
+one-dimensional objective over tau = xi/sigma (see _kernels), as Grimshaw
+(1993) does: a coarse grid brackets the optimum, and a safeguarded
+false-position solve finds the root of the analytic derivative (the
+profile score) in that bracket to within 4 ulps. Where the score does not
+change sign over the bracket, the optimum sits on its edge (as at the
+feasibility boundary): golden section narrows the bracket by objective
+values, and the same solver polishes what is left of it.
 
 :func:`fit_samples` fits many samples at once, as the threshold scan
 needs: it searches blocks of samples in lockstep, one search coroutine
@@ -163,7 +167,8 @@ def gpd_quantile(params: GpdParams, q):
     scalar = q_arr.ndim == 0
     q_arr = np.atleast_1d(q_arr)
     xi, sigma = params.shape, params.scale
-    if xi == 0.0:
+    # The exponential limit, also where sigma/xi overflows for a tiny shape.
+    if xi == 0.0 or not math.isfinite(sigma / xi):
         out = -sigma * np.log1p(-q_arr)
     else:
         out = (sigma / xi) * np.expm1(-xi * np.log1p(-q_arr))
@@ -249,32 +254,75 @@ def _golden_section(row, a, b, x0, f0, max_iterations, loglik_tol):
     return best_x, best_f, a, b, converged
 
 
-def _bisect_deriv(row, a, b):
-    """Zero of the profile NLL derivative inside [a, b], by bisection (a coroutine).
+def _solve_score(row, a, b, f_best, max_iterations, first=math.nan):
+    """Root of the profile NLL derivative (the score) in [a, b] (a coroutine).
 
-    Polishes the golden-section result to machine precision: comparing
-    objective values cannot localize a minimum better than the square
-    root of the evaluation noise, which leaves the score visibly nonzero.
-    Returns None when the derivative does not change sign over the
-    bracket (boundary optimum).
+    Comparing objective values cannot localize a minimum better than the
+    square root of their rounding noise; the score's sign can, down to
+    the last bits. Anderson-Bjorck false position keeps score(a) < 0 <=
+    score(b). Each step is a secant step between the endpoints (the first
+    is ``first`` if that lies inside), held at least half the stopping
+    width inside them; an endpoint kept twice in a row has its score
+    scaled down so that it cannot stall the bracket, and a bisection is
+    forced when three secant steps have not halved the bracket. Stops when
+    the bracket is within 4 ulps or the score is exactly 0.
+
+    Returns (root, converged), converged False after ``max_iterations``
+    steps, if the profile NLL at the root is within slack of ``f_best``;
+    None if it is not, or if the score does not change sign over [a, b]
+    (a boundary optimum) or is not finite inside it.
     """
     deriv = _kernels.profile_nll_deriv
-    da = yield from deriv(row, a)
-    db = yield from deriv(row, b)
-    if not (math.isfinite(da) and math.isfinite(db)) or not (da < 0.0 < db):
+    fa = yield from deriv(row, a)
+    fb = yield from deriv(row, b)
+    if not (fa < 0.0 <= fb < math.inf):
         return None
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
+    ga, gb = fa, fb  # the scores the secant uses, scaled while an endpoint is kept
+    newest = 0  # the endpoint the last step replaced: -1 a, +1 b, 0 neither
+    width, steps = b - a, 0  # bracket width at the last check, secant steps since
+    converged = False
+    for _ in range(max_iterations):
+        tol = 2.0 * math.ulp(max(abs(a), abs(b)))
+        if fb == 0.0 or b - a <= 2.0 * tol:
+            converged = True
             break
-        dm = yield from deriv(row, m)
-        if not math.isfinite(dm):
-            return None
-        if dm < 0.0:
-            a = m
+        if steps == 3 and b - a > 0.5 * width:
+            c = 0.5 * (a + b)
+            width, steps = 0.5 * (b - a), 0
         else:
-            b = m
-    return 0.5 * (a + b)
+            if steps == 3:
+                width, steps = b - a, 0
+            c = first if a < first < b else b - gb * ((b - a) / (gb - ga))
+            c = b - tol if not c < b - tol else max(c, a + tol)
+            first = math.nan
+            steps += 1
+        fc = yield from deriv(row, c)
+        if not math.isfinite(fc):
+            return None
+        if fc < 0.0:
+            if newest < 0:
+                m = 1.0 - fc / fa
+                gb *= m if m > 0.0 else 0.5
+            a, fa, ga, newest = c, fc, fc, -1
+        else:
+            if newest > 0:
+                m = 1.0 - fc / fb
+                ga *= m if m > 0.0 else 0.5
+            b, fb, gb, newest = c, fc, fc, 1
+    root = a if -fa < fb else b
+    f = yield from _kernels.profile_nll(row, root)
+    if math.isfinite(f) and f <= f_best + 1e-6 * (1.0 + abs(f_best)):
+        return root, converged
+    return None
+
+
+def _vertex(x0, x1, x2, f0, f1, f2) -> float:
+    """Minimum of the parabola through (x0, f0), (x1, f1), (x2, f2); nan unless convex."""
+    d1 = (f1 - f0) / (x1 - x0)
+    curvature = ((f2 - f1) / (x2 - x1) - d1) / (x2 - x0)
+    if not curvature > 0.0:
+        return math.nan
+    return 0.5 * (x0 + x1) - d1 / (2.0 * curvature)
 
 
 def _search(row, grid, values, loglik_tol, max_iterations):
@@ -309,19 +357,23 @@ def _search(row, grid, values, loglik_tol, max_iterations):
 
     lo = float(grid[best - 1] if best > 0 else grid[0])
     hi = float(grid[best + 1] if best < grid.size - 1 else grid[-1])
-    tau_hat, nll_hat, g_lo, g_hi, converged = yield from _golden_section(
-        row, lo, hi, float(grid[best]), float(values[best]), max_iterations, loglik_tol
-    )
-    if not math.isfinite(nll_hat):
-        raise NonConvergence("golden-section search returned a non-finite objective")
-
-    polished = yield from _bisect_deriv(row, g_lo, g_hi)
-    if polished is None and (g_lo > lo or g_hi < hi):
-        polished = yield from _bisect_deriv(row, lo, hi)
-    if polished is not None:
-        nll_pol = yield from nll(row, polished)
-        if math.isfinite(nll_pol) and nll_pol <= nll_hat + 1e-6 * (1.0 + abs(nll_hat)):
-            tau_hat, nll_hat = polished, nll_pol
+    tau_hat, converged = float(grid[best]), True
+    first = math.nan
+    if 0 < best < grid.size - 1:
+        first = _vertex(*grid[best - 1 : best + 2].tolist(), *values[best - 1 : best + 2].tolist())
+    root = yield from _solve_score(row, lo, hi, float(values[best]), max_iterations, first)
+    if root is None:
+        # No acceptable root in the grid bracket: the optimum sits on its
+        # edge. Narrow the bracket by objective values, then solve in what
+        # is left of it.
+        tau_hat, nll_hat, lo, hi, converged = yield from _golden_section(
+            row, lo, hi, tau_hat, float(values[best]), max_iterations, loglik_tol
+        )
+        if not math.isfinite(nll_hat):
+            raise NonConvergence("golden-section search returned a non-finite objective")
+        root = yield from _solve_score(row, lo, hi, nll_hat, max_iterations)
+    if root is not None:
+        tau_hat, converged = root[0], converged and root[1]
 
     if tau_hat == 0.0:
         xi_hat = 0.0

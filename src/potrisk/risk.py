@@ -92,7 +92,7 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
     """Level exceeded with probability p under the fitted tail model.
 
     u + (sigma/xi) * (((n/n_u) * p)^(-xi) - 1), with the exponential limit
-    u + sigma*ln(n_u/(n*p)) at shape zero.
+    u + sigma*ln(n_u/(n*p)) at shape zero and wherever sigma/xi overflows.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must lie in (0, 1), got {p}")
@@ -100,7 +100,7 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
         raise InvalidCounts(f"need 0 < n_u <= n, got n_u={n_u}, n={n}")
     xi, sigma = params.shape, params.scale
     ratio = (n / n_u) * p
-    if xi == 0.0:
+    if xi == 0.0 or not math.isfinite(sigma / xi):
         return u - sigma * math.log(ratio)
     return u + (sigma / xi) * math.expm1(-xi * math.log(ratio))
 

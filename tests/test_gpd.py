@@ -95,6 +95,21 @@ class TestQuantile:
         for y in np.linspace(0.01, hi, 50):
             assert gpd_quantile(params, gpd_cdf(params, y)) == pytest.approx(y, abs=1e-10)
 
+    @pytest.mark.parametrize("xi", [1e-310, -1e-310, 5e-324, -5e-324])
+    def test_tiny_shape_takes_the_exponential_limit(self, xi):
+        # sigma/xi overflows here, so the GPD formula would give inf or nan
+        params = GpdParams(xi, 1.0)
+        assert gpd_quantile(params, 0.5) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert gpd_quantile(params, 0.0) == 0.0
+        draws = gpd_sample(params, 50, seed=4)
+        np.testing.assert_array_equal(draws, gpd_sample(GpdParams(0.0, 1.0), 50, seed=4))
+
+    def test_small_shape_keeps_the_gpd_formula(self):
+        # sigma/xi is finite, so the result is the formula's, bit for bit
+        xi, sigma, q = 1e-300, 2.0, np.array([0.1, 0.5, 0.99])
+        want = (sigma / xi) * np.expm1(-xi * np.log1p(-q))
+        np.testing.assert_array_equal(gpd_quantile(GpdParams(xi, sigma), q), want)
+
     @pytest.mark.parametrize("q", [-0.1, 1.0, 1.5, math.nan])
     def test_invalid_probability(self, q):
         with pytest.raises(InvalidProbability):

@@ -33,6 +33,18 @@ from helpers import grafted_sample, grafted_true_quantile
 
 
 class TestValueAtRisk:
+    @pytest.mark.parametrize("xi", [1e-310, -1e-310, 5e-324, -5e-324])
+    def test_tiny_shape_takes_the_exponential_limit(self, xi):
+        # sigma/xi overflows here; u + sigma*ln(n_u/(n*p)) is the limit
+        var = value_at_risk(0.7, GpdParams(xi, 2.0), n=100, n_u=25, p=0.01)
+        assert var == value_at_risk(0.7, GpdParams(0.0, 2.0), n=100, n_u=25, p=0.01)
+        assert var == pytest.approx(0.7 + 2.0 * math.log(25.0), rel=1e-15)
+
+    def test_small_shape_keeps_the_gpd_formula(self):
+        xi, sigma, ratio = 1e-300, 2.0, (100 / 25) * 0.01
+        want = 0.7 + (sigma / xi) * math.expm1(-xi * math.log(ratio))
+        assert value_at_risk(0.7, GpdParams(xi, sigma), n=100, n_u=25, p=0.01) == want
+
     @pytest.mark.parametrize("xi,sigma", [(0.3, 1.0), (-0.3, 0.5), (0.0, 2.0)])
     def test_p_equal_exceedance_rate_gives_threshold(self, xi, sigma):
         var = value_at_risk(0.7, GpdParams(xi, sigma), n=100, n_u=25, p=0.25)

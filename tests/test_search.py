@@ -1,0 +1,160 @@
+"""Properties of the maximum-likelihood search, and how many score evaluations it makes.
+
+The search solves for the root of the profile score from the tau grid's
+bracket (``gpd._solve_score``). Hypothesis draws heavy, short and tied
+tails and checks every candidate fit of a scan against the quantities the
+search is meant to optimize; a deterministic test on the bundled data
+counts the score evaluations per fit.
+"""
+
+import math
+import re
+import statistics
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from potrisk import _kernels, bundled_data_path, gpd
+from potrisk.errors import NoSurvivingCandidates
+from potrisk.excess import candidate_thresholds
+from potrisk.gpd import ExcessSample, GpdParams, fit_mle, fit_samples, gpd_sample
+from potrisk.report import AnalysisConfig
+from potrisk.risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds
+from potrisk.series import compute_returns, read_earnings_csv, split_by_period, split_by_sign
+
+import scalar_oracle
+
+
+@st.composite
+def _tails(draw, shapes, tied=False):
+    params = GpdParams(draw(shapes), 1.0)
+    x = gpd_sample(params, draw(st.integers(12, 300)), draw(st.integers(0, 2**32 - 1)))
+    return np.round(x, 1) + 0.05 if tied else x
+
+
+_FAMILIES = {
+    "heavy": (_tails(st.floats(0.05, 0.9)), HEAVY_TAIL),
+    "short": (_tails(st.floats(-0.9, -0.05)), SHORT_TAIL),
+    "tied": (_tails(st.floats(-0.4, 0.6), tied=True), HEAVY_TAIL),
+}
+
+
+def _candidate_fits(tail, min_exceedances):
+    samples = [tail[tail > u] - u for u in candidate_thresholds(tail, min_exceedances)]
+    return zip(samples, fit_samples(samples))
+
+
+def _score(y, tau):
+    """The profile NLL's derivative at tau, and the size of the two terms that cancel in it."""
+    t = tau * y
+    log_terms = np.log1p(t)
+    ratio_terms = t / (1.0 + t)
+    k = log_terms.mean()
+    kp = ratio_terms.mean() / tau
+    g = np.mean(ratio_terms - log_terms) / (tau * k)
+    return y.size * (g + kp), y.size * (abs(g) + abs(kp))
+
+
+def _grid_nll(y):
+    """Profile NLL at every point of the sample's tau grid."""
+    tau_min = -(1.0 - gpd._FEASIBILITY_EPS) / y.max()
+    grid = gpd._tau_grids(np.array([y.mean()]), np.array([tau_min]))[0]
+    return scalar_oracle.profile_nll_grid_numpy(y, grid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(sorted(_FAMILIES)), min_exceedances=st.sampled_from([3, 10]), data=st.data())
+def test_every_fit_is_a_score_root_at_least_as_likely_as_the_grid(family, min_exceedances, data):
+    tail = data.draw(_FAMILIES[family][0])
+    for y, fit in _candidate_fits(tail, min_exceedances):
+        if isinstance(fit, Exception):
+            continue
+        if fit.boundary_hit:
+            # the likelihood is unbounded at the feasibility edge, and its
+            # value there hangs on the last bits of shape/scale
+            continue
+        values = _grid_nll(y)
+        grid_best = -values[np.isfinite(values)].min()
+        assert fit.log_likelihood >= grid_best - 1e-9, (y.size, fit, grid_best)
+        tau = fit.params.shape / fit.params.scale
+        if tau == 0.0:
+            continue
+        score, scale = _score(y, tau)
+        # The score kernel forms each O(t^2) term t/(1+t) - log1p(t) as a
+        # difference of two O(t) values, so it can only place the root to
+        # about n*eps/|tau|; that matters only for a shape near zero.
+        noise = y.size * np.finfo(float).eps / abs(tau)
+        assert abs(score) <= 1e-9 * scale + 100.0 * noise, (y.size, fit, score, scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(sorted(_FAMILIES)), data=st.data())
+def test_diagnostics_account_for_every_candidate(family, data):
+    strategy, regime = _FAMILIES[family]
+    tail = data.draw(strategy)
+    try:
+        diag = scan_thresholds(tail, regime=regime).diagnostics
+    except NoSurvivingCandidates as exc:
+        total, *dropped = map(int, re.findall(r"(\d+)", str(exc).split("(of ")[1]))
+        assert sum(dropped) == total
+        return
+    dropped = diag.fit_errors + diag.not_converged + diag.boundary_hits + diag.wrong_sign
+    assert dropped + diag.surviving == diag.candidates_total
+
+
+def test_the_iteration_cap_marks_the_fit_unconverged():
+    sample = ExcessSample(0.0, gpd_sample(GpdParams(0.2, 1.0), 500, seed=21), 500)
+    assert fit_mle(sample).converged
+    capped = fit_mle(sample, max_iterations=3)
+    assert not capped.converged
+    assert capped.params.shape == pytest.approx(fit_mle(sample).params.shape, rel=0.1)
+
+
+def _bundled_tails():
+    config = AnalysisConfig.from_json(bundled_data_path("synthetic_config.json"))
+    returns = compute_returns(read_earnings_csv(bundled_data_path("synthetic_weekends.csv")))
+    for series in split_by_period(returns, config.periods):
+        split = split_by_sign(series)
+        yield split.positive.values, config.min_exceedances
+        yield split.negative.values, config.min_exceedances
+
+
+def _plain_bisection_evaluations(lo, hi, root):
+    """Score evaluations plain bisection from [lo, hi] needs to bracket ``root`` within 4 ulps."""
+    count = 2
+    while hi - lo > 4.0 * math.ulp(max(abs(lo), abs(hi))):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid < root else (lo, mid)
+        count += 1
+    return count
+
+
+def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
+    rows, requests = [], {}  # every loaded Row in fit order; Row -> taus of its score requests
+    load, deriv = _kernels.Rows.load, _kernels.profile_nll_deriv
+
+    def recording(self, samples):
+        rows.extend(load(self, samples))
+        return rows[-len(samples):]
+
+    def counting(row, tau):
+        requests.setdefault(row, []).append(tau)
+        return (yield from deriv(row, tau))
+
+    monkeypatch.setattr(_kernels.Rows, "load", recording)
+    monkeypatch.setattr(_kernels, "profile_nll_deriv", counting)
+    fits = [fit for tail, m in _bundled_tails() for _, fit in _candidate_fits(tail, m)]
+    assert len(fits) == len(rows) == 1416
+    counts, plain = [], []
+    for row, fit in zip(rows, fits):
+        if isinstance(fit, Exception):
+            continue
+        taus = requests[row]
+        counts.append(len(taus))
+        if not fit.boundary_hit:
+            # the first two requests are the grid bracket's endpoints
+            plain.append(_plain_bisection_evaluations(*taus[:2], fit.params.shape / fit.params.scale))
+    assert statistics.median(counts) <= 12
+    assert max(counts) <= min(plain)
