@@ -11,10 +11,11 @@ exponential limit handled continuously. The search runs on the profiled
 one-dimensional objective over tau = xi/sigma (see _kernels), as Grimshaw
 (1993) does: a coarse grid brackets the optimum, and a safeguarded
 false-position solve finds the root of the analytic derivative (the
-profile score) in that bracket to within 4 ulps. Where the score does not
-change sign over the bracket, the optimum sits on its edge (as at the
-feasibility boundary): golden section narrows the bracket by objective
-values, and the same solver polishes what is left of it.
+profile score) in that bracket to within 4 ulps. The grid is evaluated
+lazily, only where a concavity bound cannot rule a point out, with the
+same minimum and bracket as the full grid. Where the score does not
+change sign over the bracket and the grid's minimum is its feasibility
+edge, the fit is that edge, a boundary hit.
 
 :func:`fit_samples` fits many samples at once, as the threshold scan
 needs: it searches blocks of samples in lockstep, one search coroutine
@@ -59,9 +60,7 @@ DEFAULT_MIN_EXCEEDANCES = 10
 _FEASIBILITY_EPS = 1e-10
 _BOUNDARY_MARGIN = 1e-6
 
-_LOGLIK_TOL = 1e-10
 _MAX_ITERATIONS = 500
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -200,8 +199,9 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
 
     Clusters near the feasibility edge tau_min (short-tail optima pile up
     there), around zero (exponential neighborhood), and sweeps positive
-    ratios over many decades. A row can repeat a value; the search skips
-    repeats. A row whose excess sum overflowed (its search stops) gets mean 1.
+    ratios over many decades. A row can repeat a value, which the grid
+    evaluation skips. A row whose excess sum overflowed (its search stops)
+    gets mean 1.
     """
     s = 1.0 / np.where(np.isfinite(means), means, 1.0)
     near_edge = tau_mins[:, None] * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
@@ -211,47 +211,6 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
     grid = np.concatenate([tau_mins[:, None], near_edge, neg_mid, zero, pos], axis=1)
     grid.sort(axis=1)
     return grid
-
-
-def _golden_section(row, a, b, x0, f0, max_iterations, loglik_tol):
-    """Golden-section minimize the profile NLL on [a, b] (a coroutine).
-
-    (x0, f0) is the best already-evaluated point inside the bracket.
-    Stops once an iteration improves the objective by less than
-    ``loglik_tol`` (or the bracket collapses). Returns the best point, its
-    value, the final bracket, and whether a stopping criterion was met
-    before the iteration cap.
-    """
-    nll = _kernels.profile_nll
-    wtol = 1e-12 * max(abs(a), abs(b))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = yield from nll(row, c)
-    fd = yield from nll(row, d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    if f0 < best_f:
-        best_x, best_f = x0, f0
-    converged = False
-    for _ in range(max_iterations):
-        if (b - a) <= wtol:
-            converged = True
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = yield from nll(row, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = yield from nll(row, d)
-        f_new, x_new = (fc, c) if fc <= fd else (fd, d)
-        if f_new < best_f:
-            improvement = best_f - f_new
-            best_x, best_f = x_new, f_new
-            if improvement < loglik_tol:
-                converged = True
-                break
-    return best_x, best_f, a, b, converged
 
 
 def _solve_score(row, a, b, f_best, max_iterations, first=math.nan):
@@ -325,11 +284,11 @@ def _vertex(x0, x1, x2, f0, f1, f2) -> float:
     return 0.5 * (x0 + x1) - d1 / (2.0 * curvature)
 
 
-def _search(row, grid, values, loglik_tol, max_iterations):
+def _search(row, grid, values, max_iterations):
     """Maximum-likelihood fit of one row (a coroutine returning a FitResult).
 
-    ``grid`` holds the row's distinct tau grid points and ``values`` the
-    profile NLL there.
+    ``grid`` holds the row's tau grid points that the lazy grid evaluated
+    and ``values`` the profile NLL there.
     """
     if row.y_max == row.y_min:
         raise DegenerateSample("all excesses are equal; the GPD likelihood diverges")
@@ -362,18 +321,13 @@ def _search(row, grid, values, loglik_tol, max_iterations):
     if 0 < best < grid.size - 1:
         first = _vertex(*grid[best - 1 : best + 2].tolist(), *values[best - 1 : best + 2].tolist())
     root = yield from _solve_score(row, lo, hi, float(values[best]), max_iterations, first)
-    if root is None:
-        # No acceptable root in the grid bracket: the optimum sits on its
-        # edge. Narrow the bracket by objective values, then solve in what
-        # is left of it.
-        tau_hat, nll_hat, lo, hi, converged = yield from _golden_section(
-            row, lo, hi, tau_hat, float(values[best]), max_iterations, loglik_tol
-        )
-        if not math.isfinite(nll_hat):
-            raise NonConvergence("golden-section search returned a non-finite objective")
-        root = yield from _solve_score(row, lo, hi, nll_hat, max_iterations)
     if root is not None:
-        tau_hat, converged = root[0], converged and root[1]
+        tau_hat, converged = root
+    elif best > 0:
+        # No acceptable root in the bracket, yet its best point is inside.
+        converged = False
+    # Otherwise the best point is the grid's left end, its feasibility
+    # edge, and the fit is that edge: a boundary hit.
 
     if tau_hat == 0.0:
         xi_hat = 0.0
@@ -395,11 +349,7 @@ def _search(row, grid, values, loglik_tol, max_iterations):
     )
 
 
-def fit_samples(
-    samples,
-    loglik_tol: float = _LOGLIK_TOL,
-    max_iterations: int = _MAX_ITERATIONS,
-):
+def fit_samples(samples, max_iterations: int = _MAX_ITERATIONS):
     """Maximum-likelihood GPD fits of many excess samples, searched together.
 
     ``samples`` is an iterable of nonempty 1-d arrays of positive, finite
@@ -418,15 +368,15 @@ def fit_samples(
         y = np.ascontiguousarray(y, dtype=float)
         row_width = max(y.size + 1, _GRID_POINTS)
         if block and (len(block) + 1) * max(width, row_width) > _kernels.BLOCK_ELEMENTS:
-            yield from _fit_block(rows, block, loglik_tol, max_iterations)
+            yield from _fit_block(rows, block, max_iterations)
             block, width = [], 0
         block.append(y)
         width = max(width, row_width)
     if block:
-        yield from _fit_block(rows, block, loglik_tol, max_iterations)
+        yield from _fit_block(rows, block, max_iterations)
 
 
-def _fit_block(rows, block, loglik_tol, max_iterations) -> list:
+def _fit_block(rows, block, max_iterations) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
     with np.errstate(over="ignore"):  # a row whose sums overflow stops in its search
         stats = rows.load(block)
@@ -434,11 +384,10 @@ def _fit_block(rows, block, loglik_tol, max_iterations) -> list:
         tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
         grids = _tau_grids(np.array([row.mean for row in stats]), tau_mins)
         values = rows.profile_nll_grid(grids)
-    distinct = np.ones(grids.shape, dtype=bool)
-    distinct[:, 1:] = grids[:, 1:] != grids[:, :-1]
+    evaluated = ~np.isnan(values)
     searches = [
-        _search(row, grid[keep], value[keep], loglik_tol, max_iterations)
-        for row, grid, value, keep in zip(stats, grids, values, distinct)
+        _search(row, grid[keep], value[keep], max_iterations)
+        for row, grid, value, keep in zip(stats, grids, values, evaluated)
     ]
     return _kernels.drive(rows, searches)
 
@@ -446,7 +395,6 @@ def _fit_block(rows, block, loglik_tol, max_iterations) -> list:
 def fit_mle(
     sample: ExcessSample,
     min_exceedances: int = DEFAULT_MIN_EXCEEDANCES,
-    loglik_tol: float = _LOGLIK_TOL,
     max_iterations: int = _MAX_ITERATIONS,
 ) -> FitResult:
     """Maximum-likelihood GPD fit to an excess sample.
@@ -460,7 +408,7 @@ def fit_mle(
         raise TooFewExceedances(
             f"{sample.n_u} exceedances below the minimum fit size {min_exceedances}"
         )
-    (result,) = fit_samples([sample.excesses], loglik_tol, max_iterations)
+    (result,) = fit_samples([sample.excesses], max_iterations)
     if isinstance(result, PotriskError):
         raise result
     return result

@@ -10,6 +10,7 @@ reported number can be recomputed by the library from the recorded inputs.
 import csv
 import datetime
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -39,6 +40,7 @@ from .series import (
     ReturnSeries,
     box_plot,
     compute_returns,
+    csv_rows,
     read_earnings_csv,
     split_by_period,
     split_by_sign,
@@ -151,20 +153,22 @@ def write_curve_csv(curve: MeanExcessCurve, path) -> None:
 
 def read_curve_csv(path) -> tuple[list[float], list[float], list[int]]:
     us, means, counts = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["u", "mean_excess", "count"]:
-            raise ValidationError(f"{path}: expected header 'u,mean_excess,count', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                us.append(float(row[0]))
-                means.append(float(row[1]))
-                counts.append(int(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed curve row {row}") from exc
+    reader = csv_rows(path)
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header] != ["u", "mean_excess", "count"]:
+        raise ValidationError(f"{path}: expected header 'u,mean_excess,count', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            u, mean, count = float(row[0]), float(row[1]), int(row[2])
+        except (ValueError, IndexError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed curve row {row}") from exc
+        if not (math.isfinite(u) and math.isfinite(mean)):
+            raise ValidationError(f"{path}:{lineno}: non-finite value in curve row {row}")
+        us.append(u)
+        means.append(mean)
+        counts.append(count)
     return us, means, counts
 
 
@@ -190,23 +194,25 @@ def write_scan_csv(scan: ThresholdScan, path) -> None:
 def read_scan_csv(path) -> tuple[list[float], list[float]]:
     """(u, var) pairs from a scan export, e.g. for plotting."""
     us, vars_ = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip().lower() != "u":
-            raise ValidationError(f"{path}: not a scan export (header {header})")
+    reader = csv_rows(path)
+    header = next(reader, None)
+    if header is None or not header or header[0].strip().lower() != "u":
+        raise ValidationError(f"{path}: not a scan export (header {header})")
+    try:
+        var_idx = [c.strip().lower() for c in header].index("var")
+    except ValueError as exc:
+        raise ValidationError(f"{path}: scan export lacks a 'var' column") from exc
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
         try:
-            var_idx = [c.strip().lower() for c in header].index("var")
-        except ValueError as exc:
-            raise ValidationError(f"{path}: scan export lacks a 'var' column") from exc
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                us.append(float(row[0]))
-                vars_.append(float(row[var_idx]))
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed scan row {row}") from exc
+            u, var = float(row[0]), float(row[var_idx])
+        except (ValueError, IndexError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed scan row {row}") from exc
+        if not (math.isfinite(u) and math.isfinite(var)):
+            raise ValidationError(f"{path}:{lineno}: non-finite value in scan row {row}")
+        us.append(u)
+        vars_.append(var)
     return us, vars_
 
 

@@ -208,28 +208,40 @@ def box_plot(returns: ReturnSeries) -> BoxPlotSummary:
 
 # -- CSV interfaces -----------------------------------------------------------
 
+def csv_rows(path):
+    """The rows of the UTF-8 CSV file at ``path``, read one at a time.
+
+    Raises ValidationError, naming the file, for bytes that are not UTF-8
+    or that the csv module cannot parse.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+
+
 def read_earnings_csv(path) -> EarningsSeries:
     """Read a `date,revenue` CSV (ISO dates, plain decimal revenues)."""
     dates = []
     revenues = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["date", "revenue"]:
-            raise ValidationError(f"{path}: expected header 'date,revenue', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                dates.append(datetime.date.fromisoformat(row[0].strip()))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from exc
-            try:
-                revenues.append(float(row[1]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad revenue {row[1]!r}") from exc
+    reader = csv_rows(path)
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header] != ["date", "revenue"]:
+        raise ValidationError(f"{path}: expected header 'date,revenue', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        try:
+            dates.append(datetime.date.fromisoformat(row[0].strip()))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from exc
+        try:
+            revenues.append(float(row[1]))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: bad revenue {row[1]!r}") from exc
     try:
         return EarningsSeries(dates=tuple(dates), revenues=np.asarray(revenues))
     except ValidationError as exc:
@@ -240,21 +252,20 @@ def read_returns_csv(path) -> ReturnSeries:
     """Read a `date,return` CSV produced by :func:`write_returns_csv`."""
     dates = []
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["date", "return"]:
-            raise ValidationError(f"{path}: expected header 'date,return', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                dates.append(datetime.date.fromisoformat(row[0].strip()))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    reader = csv_rows(path)
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header] != ["date", "return"]:
+        raise ValidationError(f"{path}: expected header 'date,return', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        try:
+            dates.append(datetime.date.fromisoformat(row[0].strip()))
+            values.append(float(row[1]))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     try:
         return ReturnSeries(dates=tuple(dates), values=np.asarray(values))
     except ValidationError as exc:

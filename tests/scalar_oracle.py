@@ -3,7 +3,8 @@
 Kept verbatim as the test oracle: the kernels evaluate one sample at one
 tau, and ``fit_mle`` searches one sample at a time (tau grid, golden
 section, then bisection on the derivative). ``scan`` is the threshold
-scan's per-candidate loop over it. The batched search solves for the
+scan's per-candidate loop over it. The batched search evaluates the grid
+lazily (with the same minimum and bracket) and solves for the
 derivative's root from the grid bracket instead, so it does not follow
 these iterates; its fits agree with these to a relative 1e-9 in shape
 and scale, with the same flags and scan diagnostics.
@@ -23,11 +24,12 @@ from potrisk.gpd import (
     GpdParams,
     _BOUNDARY_MARGIN,
     _FEASIBILITY_EPS,
-    _INVPHI,
-    _LOGLIK_TOL,
     _MAX_ITERATIONS,
 )
 from potrisk.risk import HEAVY_TAIL, RiskEstimate, ScanDiagnostics, _sign_matches, expected_shortfall, value_at_risk
+
+_LOGLIK_TOL = 1e-10
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def profile_nll_numpy(y: np.ndarray, tau: float) -> float:

@@ -229,14 +229,16 @@ class TestFitMle:
         assert abs(fit1.params.shape - fit2.params.shape) < 1e-12
         assert abs(fit1.params.scale - fit2.params.scale) < 1e-12
 
-    @pytest.mark.parametrize("c", [0.1, 10.0])
+    @pytest.mark.parametrize("c", [0.1, 10.0, 1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
     def test_scale_equivariance(self, c):
-        sample = self._sample(0.15, 1.0, 1500, seed=9)
-        fit1 = fit_mle(sample)
-        scaled = ExcessSample(0.0, c * sample.excesses, n=sample.n)
-        fit2 = fit_mle(scaled)
-        assert fit2.params.shape == pytest.approx(fit1.params.shape, abs=1e-6)
-        assert fit2.params.scale == pytest.approx(c * fit1.params.scale, rel=1e-6)
+        # heavy, short and exponential samples; fitting c*y gives (xi, c*sigma)
+        for xi, n, seed in [(0.15, 1500, 9), (-0.3, 400, 7), (0.0, 600, 5)]:
+            sample = self._sample(xi, 1.0, n, seed=seed)
+            fit1 = fit_mle(sample)
+            fit2 = fit_mle(ExcessSample(0.0, c * sample.excesses, n=sample.n))
+            assert fit2.params.shape == pytest.approx(fit1.params.shape, rel=1e-12, abs=0.0)
+            assert fit2.params.scale / c == pytest.approx(fit1.params.scale, rel=1e-12, abs=0.0)
+            assert (fit2.converged, fit2.boundary_hit) == (fit1.converged, fit1.boundary_hit)
 
     def test_too_few_exceedances(self):
         with pytest.raises(TooFewExceedances):

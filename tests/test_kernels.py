@@ -81,6 +81,24 @@ class TestRows:
                 assert got == scalar_oracle.gpd_nll_numpy(y, xi, sigma)
 
 
+def test_the_least_values_nearest_finite_neighbours_are_pending():
+    nan, inf = math.nan, math.inf
+    f = np.array([
+        [5.0, nan, inf, 1.0, nan, 4.0],  # an infinite value lies between the least and its neighbour
+        [5.0, nan, inf, 1.0, nan, 4.0],  # ... and the point right of it repeats its predecessor
+        [nan, 2.0, 1.0, 3.0, nan, nan],  # both neighbours known
+        [1.0, nan, nan, nan, nan, nan],  # the least is at the left end
+    ])
+    skip = np.zeros(f.shape, dtype=bool)
+    skip[1, 4] = True
+    assert _kernels._neighbours_pending(f, skip).astype(int).tolist() == [
+        [0, 1, 0, 0, 1, 0],
+        [0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0],
+    ]
+
+
 class TestDerivative:
     @pytest.mark.parametrize("tau", [-0.15, -1e-4, 1e-4, 0.3, 2.0])
     def test_matches_finite_differences(self, tau):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from potrisk import bundled_data_path
+from potrisk.cli import main
 from potrisk.errors import TooFewObservations, ValidationError
 from potrisk.gpd import GpdParams, gpd_sample
 from potrisk.report import (
@@ -392,3 +393,73 @@ class TestCli:
                    "--out-dir", str(tmp_path))
         assert out.returncode == 2
         assert not (tmp_path / "mean_excess.svg").exists()
+
+
+# -- malformed input fuzz ------------------------------------------------------
+
+# Each input-reading command, with the header its input file carries.
+_READERS = {
+    "returns": (["returns"], "date,revenue"),
+    "analyze": (["analyze"], "date,revenue"),
+    "scan": (["scan", "--tail", "positive"], "date,return"),
+    "trend": (["trend"], "date,return"),
+    "plot-trend": (["plot", "--kind", "trend"], "date,return"),
+    "plot-box": (["plot", "--kind", "box"], "date,return"),
+    "plot-mean-excess": (["plot", "--kind", "mean-excess"], "u,mean_excess,count"),
+    "plot-var-scan": (["plot", "--kind", "var-scan"], "u,xi,sigma,n_u,var,es,w2,a2,accepted_alphas"),
+}
+
+
+def _with_bad_row(header, column, value):
+    """Twelve well-formed rows under ``header``, with row 6's ``column`` set to ``value``.
+
+    ``column`` is "first" or "value" (the number the command reads, e.g.
+    the VaR of a scan export); ``value`` None cuts row 6 to one field.
+    """
+    rows = []
+    for i in range(12):
+        day = (datetime.date(2001, 1, 5) + datetime.timedelta(weeks=i)).isoformat()
+        x = 0.01 * (i + 1) * (-1) ** i
+        if header == "date,revenue":
+            rows.append([day, f"{100 + 10 * x:g}"])
+        elif header == "date,return":
+            rows.append([day, f"{x:g}"])
+        elif header == "u,mean_excess,count":
+            rows.append([f"{0.01 * i:g}", f"{0.2 - 0.01 * i:g}", str(30 - i)])
+        else:
+            rows.append([f"{0.01 * i:g}", "0.2", "0.5", str(30 - i), f"{1 + 0.01 * i:g}", "", "", "", ""])
+    fields = header.split(",")
+    if value is None:
+        rows[5] = rows[5][:1]
+    elif column == "first":
+        rows[5][0] = value
+    else:
+        rows[5][fields.index("var") if "var" in fields else 1] = value
+    return "".join(",".join(row) + "\n" for row in [fields, *rows]).encode()
+
+
+_MALFORMED = {
+    "empty": lambda header: b"",
+    "header-only": lambda header: (header + "\n").encode(),
+    "bad-date": lambda header: _with_bad_row(header, "first", "2001-13-45"),
+    "bad-number": lambda header: _with_bad_row(header, "value", "abc"),
+    "short-row": lambda header: _with_bad_row(header, "first", None),
+    "non-utf8": lambda header: b"\xff\xfe" + header.encode("utf-16-le") + b"\x00\x80\xfe",
+    "nul-bytes": lambda header: header.encode() + b"\n\x00\x01\x02,\x00\n",
+    "nan": lambda header: _with_bad_row(header, "value", "nan"),
+    "inf": lambda header: _with_bad_row(header, "value", "inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_malformed_input_exits_without_traceback(tmp_path, capsys, reader, case):
+    """Every input-reading command on every kind of malformed file ends in exit 2, not a traceback."""
+    command, header = _READERS[reader]
+    path = tmp_path / "input.csv"
+    path.write_bytes(_MALFORMED[case](header))
+    code = main([*command, "--input", str(path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    # every case is an input error, so not only an exit code in {0, 1, 2}: 2
+    assert code == 2, captured.err
+    assert "Traceback" not in captured.err + captured.out

@@ -1,10 +1,12 @@
-"""Properties of the maximum-likelihood search, and how many score evaluations it makes.
+"""Properties of the maximum-likelihood search, and how many evaluations it makes.
 
-The search solves for the root of the profile score from the tau grid's
-bracket (``gpd._solve_score``). Hypothesis draws heavy, short and tied
-tails and checks every candidate fit of a scan against the quantities the
-search is meant to optimize; a deterministic test on the bundled data
-counts the score evaluations per fit.
+The search evaluates the tau grid lazily (``_kernels.Rows.profile_nll_grid``)
+and solves for the root of the profile score from the grid's bracket
+(``gpd._solve_score``). Hypothesis draws heavy, short and tied tails and
+checks the lazy grid against the full grid, and every candidate fit of a
+scan against the quantities the search is meant to optimize;
+deterministic tests on the bundled data count the grid points and score
+evaluations per fit.
 """
 
 import math
@@ -57,11 +59,53 @@ def _score(y, tau):
     return y.size * (g + kp), y.size * (abs(g) + abs(kp))
 
 
+def _grids(samples):
+    """The tau grid of each sample, one row per sample."""
+    tau_mins = -(1.0 - gpd._FEASIBILITY_EPS) / np.array([y.max() for y in samples])
+    return gpd._tau_grids(np.array([y.mean() for y in samples]), tau_mins)
+
+
 def _grid_nll(y):
     """Profile NLL at every point of the sample's tau grid."""
-    tau_min = -(1.0 - gpd._FEASIBILITY_EPS) / y.max()
-    grid = gpd._tau_grids(np.array([y.mean()]), np.array([tau_min]))[0]
-    return scalar_oracle.profile_nll_grid_numpy(y, grid)
+    return scalar_oracle.profile_nll_grid_numpy(y, _grids([y])[0])
+
+
+def _minimum_and_neighbours(grid, values):
+    """The tau of the least finite value and of its nearest finite neighbours (None at an end)."""
+    finite = np.isfinite(values)
+    grid, values = grid[finite], values[finite]
+    best = int(np.argmin(values))
+    left = grid[best - 1] if best > 0 else None
+    right = grid[best + 1] if best < grid.size - 1 else None
+    return grid[best], left, right
+
+
+_BLOCK_FAMILIES = {name: strategy for name, (strategy, _) in _FAMILIES.items()} | {
+    "3-point": st.builds(
+        lambda xi, seed: gpd_sample(GpdParams(xi, 1.0), 3, seed),
+        st.floats(-0.9, 0.9), st.integers(0, 2**32 - 1),
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(_BLOCK_FAMILIES)), data=st.data())
+def test_the_lazy_grid_finds_the_full_grids_minimum_and_neighbours(family, data):
+    samples = data.draw(st.lists(_BLOCK_FAMILIES[family], min_size=1, max_size=4))
+    rows = _kernels.Rows()
+    rows.load(samples)
+    grids = _grids(samples)
+    lazy = rows.profile_nll_grid(grids)
+    for y, grid, values in zip(samples, grids, lazy):
+        first = np.ones(grid.size, dtype=bool)
+        first[1:] = grid[1:] != grid[:-1]
+        full = scalar_oracle.profile_nll_grid_numpy(y, grid)
+        evaluated = ~np.isnan(values)
+        assert not (evaluated & ~first).any()  # repeats are not evaluated
+        assert values[evaluated].tolist() == full[evaluated].tolist()
+        assert _minimum_and_neighbours(grid[evaluated], values[evaluated]) == (
+            _minimum_and_neighbours(grid[first], full[first])
+        )
 
 
 @settings(max_examples=25, deadline=None)
@@ -129,6 +173,22 @@ def _plain_bisection_evaluations(lo, hi, root):
         lo, hi = (mid, hi) if mid < root else (lo, mid)
         count += 1
     return count
+
+
+def test_grid_points_evaluated_per_fit_on_the_bundled_data(monkeypatch):
+    evaluated = []  # per fit: the non-zero grid points whose value was evaluated
+    grid = _kernels.Rows.profile_nll_grid
+
+    def counting(self, taus):
+        values = grid(self, taus)
+        evaluated.extend(np.count_nonzero(~np.isnan(values) & (taus != 0.0), axis=1).tolist())
+        return values
+
+    monkeypatch.setattr(_kernels.Rows, "profile_nll_grid", counting)
+    fits = [fit for tail, m in _bundled_tails() for _, fit in _candidate_fits(tail, m)]
+    assert len(evaluated) == len(fits) == 1416
+    # the full grid has 84 non-zero points
+    assert statistics.mean(evaluated) <= 42
 
 
 def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
