@@ -20,11 +20,11 @@ points that a concavity bound cannot rule out as the row's minimum, and
 the minimum's neighbours.
 
 Each row is stored after one leading zero and padded with zeros to the
-block's width; np.add.reduceat sums each row over exactly its own
+width of its row group; np.add.reduceat sums each row over exactly its own
 elements, starting at the leading zero, which is the order ``y.sum()``
 uses. So a row's sums, and with them every iterate of its search, are
 bit-identical to those of the same sample fitted alone: a fit never
-depends on which rows share its block.
+depends on which rows share its block or its group.
 """
 
 import math
@@ -48,15 +48,23 @@ __all__ = [
 # The kernels are numpy only; perfbench records this in its provenance.
 BACKEND = "numpy"
 
-# Elements per work buffer (2**13 doubles = 64 KiB). A block takes as many
-# rows as fit at its widest row: the largest sample plus its leading zero,
-# or the tau grid when that is wider; a longer sample gets a block, and
-# buffers, of its own. Buffers are allocated once per fit_samples call and
-# reused, since a numpy array above glibc's 128 KiB mmap threshold gets
-# fresh pages on every allocation and costs about three times as much per
-# element. On the bundled analysis (2-core Xeon VM), 2**14 measured +4%
-# peak memory over fitting one sample at a time, for no gain in speed;
-# 2**13 measures +2%.
+# Elements per kernel scratch buffer (2**13 doubles = 64 KiB), and the unit
+# of every block size. fit_samples gives a block up to BLOCK_ELEMENTS //
+# gpd._GRID_POINTS (96) samples, however long, while their padded rows fit
+# a data buffer of 8 * BLOCK_ELEMENTS elements; a longer sample gets a
+# block of its own. Per-block costs (the tau grids, the bound and neighbour
+# rounds, every drive step) are then paid once per 96 candidates of a long
+# tail, not once per 1-5 as when a block held BLOCK_ELEMENTS elements at
+# its widest row. A kernel pass runs one row group (at most BLOCK_ELEMENTS
+# elements, or one longer row) at a time through the scratch buffers, so
+# its arithmetic stays in cache. Buffers are allocated once per
+# fit_samples call and reused, since a numpy array above glibc's 128 KiB
+# mmap threshold gets fresh pages on every allocation and costs about
+# three times as much per element; the data buffer is past it, but only
+# its touched pages are resident. With this layout, 2**14 (192-row blocks,
+# a 2**17-element data buffer) measured within the noise of 2**13 in six
+# alternating in-process runs of the three perfbench workloads' fits
+# (2-core Xeon VM, spread about 10%).
 BLOCK_ELEMENTS = 1 << 13
 
 # profile_nll_grid first evaluates every _GRID_STRIDE-th point of a row
@@ -90,40 +98,120 @@ class Row:
         self.y_min = y_min
 
 
+class _Group:
+    """Consecutive rows of a block, stored as one zero-padded rectangle of the data buffer."""
+
+    __slots__ = ("offset", "width", "sizes", "start", "stop", "y", "t", "w", "t_flat", "w_flat", "segments")
+
+    def __init__(self, offset, width):
+        self.offset = offset
+        self.width = width
+        self.sizes = []
+
+    def build(self, data, t, w, start) -> None:
+        """Point the group's views at the data and scratch buffers; its rows begin at row ``start``."""
+        rows = len(self.sizes)
+        used = rows * self.width
+        self.start, self.stop = start, start + rows
+        self.y = data[self.offset : self.offset + used].reshape(rows, self.width)
+        self.t, self.w = (buf[:used].reshape(rows, self.width) for buf in (t, w))
+        # The scratch views hold one element past the rows so that the last
+        # segment has an end.
+        self.t_flat, self.w_flat = t[: used + 1], w[: used + 1]
+        # Row i's segment runs from its leading zero over its data; every
+        # other segment covers padding and is dropped.
+        starts = np.arange(rows, dtype=np.intp) * self.width
+        self.segments = np.empty(2 * rows, dtype=np.intp)
+        self.segments[0::2] = starts
+        self.segments[1::2] = starts + 1 + np.asarray(self.sizes, dtype=np.intp)
+
+
 class Rows:
-    """A block of samples in reusable work buffers, one sample per row."""
+    """A block of samples, one sample per row, in reusable buffers.
+
+    :meth:`add` copies each sample into one data buffer as it arrives, and
+    :meth:`load` finishes the block. The rows are kept in groups of
+    consecutive rows: each group is a rectangle of the data buffer, as wide
+    as its first row plus the leading zero, and holds rows while they are
+    no wider than that and the rectangle stays within ``BLOCK_ELEMENTS``
+    elements (a wider row has a group of its own). :meth:`sums` makes each
+    pass one group at a time, through scratch buffers sized to the largest
+    group, so that the arithmetic of a pass runs in cache however many rows
+    the block holds.
+    """
 
     def __init__(self):
         self._y = self._t = self._w = np.empty(0)
-        self.count = 0
-        self._width = 0
-        self._segments = np.empty(0, dtype=np.intp)
         self._rows = []
+        self.clear()
 
-    def load(self, samples) -> list[Row]:
-        """Copy ``samples`` (1-d float arrays) into the block; return their Rows."""
-        sizes = [s.size for s in samples]
-        self.count = len(samples)
-        self._width = max(sizes) + 1
-        used = self.count * self._width
-        if used + 1 > self._y.size:
-            size = max(used + 1, BLOCK_ELEMENTS + 1)
-            self._y, self._t, self._w = (np.zeros(size) for _ in range(3))
-        self._y[: used + 1] = 0.0
-        y = self._grid(self._y)
-        for i, s in enumerate(samples):
-            y[i, 1 : 1 + sizes[i]] = s
-        self._set_segments(np.asarray(sizes, dtype=np.intp))
-        data = self._segments + np.tile([1, 0], self.count)
-        flat = self._y[: used + 1]
-        np.multiply(y, y, out=self._grid(self._t))
-        totals = self._row_sums(self._y)
-        totals_sq = self._row_sums(self._t)
+    def clear(self) -> None:
+        """Empty the block; the buffers are kept for the next one."""
+        self.count = 0
+        self._used = 0
+        self._groups = []
+
+    def _joins(self, size) -> bool:
+        """Whether a row of ``size`` points goes into the last group."""
+        if not self._groups:
+            return False
+        g = self._groups[-1]
+        return size < g.width and (len(g.sizes) + 1) * g.width <= BLOCK_ELEMENTS
+
+    def has_room(self, size) -> bool:
+        """Whether a sample of ``size`` points still fits in the data buffer's 8 * BLOCK_ELEMENTS elements."""
+        grow = self._groups[-1].width if self._joins(size) else size + 1
+        return self._used + grow <= 8 * BLOCK_ELEMENTS
+
+    def add(self, sample: np.ndarray) -> None:
+        """Copy ``sample`` (a nonempty 1-d float array) into the block as its next row."""
+        size = sample.size
+        if not self._joins(size):
+            self._groups.append(_Group(self._used, size + 1))
+        g = self._groups[-1]
+        start = g.offset + len(g.sizes) * g.width
+        self._used = start + g.width
+        if self._used + 1 > self._y.size:
+            data = np.zeros(max(self._used + 1, 8 * BLOCK_ELEMENTS + 1))
+            data[:start] = self._y[:start]
+            self._y = data
+        self._y[start] = 0.0
+        self._y[start + 1 : start + 1 + size] = sample
+        self._y[start + 1 + size : self._used] = 0.0
+        g.sizes.append(size)
+        self.count += 1
+
+    def load(self) -> list[Row]:
+        """Finish the block: build the group views and segments; return the Rows of its samples."""
+        scratch = max(len(g.sizes) * g.width for g in self._groups) + 1
+        if scratch > self._t.size:
+            self._t, self._w = (np.zeros(max(scratch, BLOCK_ELEMENTS + 1)) for _ in range(2))
+        self._build(self._groups)
+        sizes = [size for g in self._groups for size in g.sizes]
+        segments = np.concatenate([g.segments + g.offset for g in self._groups])
+        data = segments + np.tile([1, 0], self.count)
+        flat = self._y[: self._used + 1]
+        totals_sq = np.empty(self.count)
+        # The squares of samples above about 1e154 overflow; a row whose
+        # sums overflow stops in its search.
+        with np.errstate(over="ignore"):
+            for g in self._groups:
+                np.multiply(g.y, g.y, out=g.t)
+                totals_sq[g.start : g.stop] = np.add.reduceat(g.t_flat, g.segments)[::2]
+            totals = np.add.reduceat(flat, segments)[::2]
         maxima = np.maximum.reduceat(flat, data)[::2]
         minima = np.minimum.reduceat(flat, data)[::2]
         columns = (sizes, totals.tolist(), totals_sq.tolist(), maxima.tolist(), minima.tolist())
         self._rows = [Row(*r) for r in zip(*columns)]
         return self._rows
+
+    def _build(self, groups) -> None:
+        start = 0
+        for g in groups:
+            g.build(self._y, self._t, self._w, start)
+            start = g.stop
+        self._groups = groups
+        self.count = start
 
     def profile_nll_grid(self, taus: np.ndarray) -> np.ndarray:
         """:func:`profile_nll` of every row at the points of its row of ``taus`` that matter.
@@ -196,12 +284,24 @@ class Rows:
         k[rows[ok], cols[ok] + 1] = kk[ok]
 
     def keep(self, positions) -> None:
-        """Compact the block to the rows at ``positions`` (ascending), in order."""
-        y = self._grid(self._y)
-        y[: len(positions)] = y[positions]
-        sizes = self._segments[1::2] - self._segments[0::2] - 1
-        self.count = len(positions)
-        self._set_segments(sizes[positions])
+        """Compact the block to the rows at ``positions`` (ascending), in order.
+
+        Each group keeps its place in the data buffer and moves its kept
+        rows to its front; a group with none left is dropped.
+        """
+        groups, i = [], 0
+        for g in self._groups:
+            local = []
+            while i < len(positions) and positions[i] < g.stop:
+                local.append(positions[i] - g.start)
+                i += 1
+            if not local:
+                continue
+            if len(local) < len(g.sizes):
+                g.y[: len(local)] = g.y[local]
+                g.sizes = [g.sizes[j] for j in local]
+            groups.append(g)
+        self._build(groups)
 
     def sums(self, tau: np.ndarray, deriv: bool):
         """Per-row sums at one tau per row.
@@ -210,34 +310,22 @@ class Rows:
         ``deriv`` (l, w, w - l) where w sums t/(1 + t) and the last sums
         t/(1 + t) - log1p(t), t = tau*y; each an array over the rows.
         """
-        t = self._grid(self._t)
-        np.multiply(self._grid(self._y), tau[:, None], out=t)
-        if deriv:
-            w = self._grid(self._w)
-            np.add(t, 1.0, out=w)
-            np.divide(t, w, out=w)
-        np.log1p(t, out=t)
-        if not deriv:
-            return self._row_sums(self._t), None, None
-        w_sums = self._row_sums(self._w)
-        np.subtract(w, t, out=w)
-        return self._row_sums(self._t), w_sums, self._row_sums(self._w)
-
-    def _grid(self, buf: np.ndarray) -> np.ndarray:
-        return buf[: self.count * self._width].reshape(self.count, self._width)
-
-    def _set_segments(self, sizes: np.ndarray) -> None:
-        # Row i's segment runs from its leading zero over its data; every
-        # other segment covers padding and is dropped. The buffers hold
-        # one element past the rows so that the last segment has an end.
-        starts = np.arange(self.count, dtype=np.intp) * self._width
-        self._segments = np.empty(2 * self.count, dtype=np.intp)
-        self._segments[0::2] = starts
-        self._segments[1::2] = starts + 1 + sizes
-
-    def _row_sums(self, buf: np.ndarray) -> np.ndarray:
-        flat = buf[: self.count * self._width + 1]
-        return np.add.reduceat(flat, self._segments)[::2]
+        l = np.empty(self.count)
+        w_sums, d_sums = (np.empty(self.count), np.empty(self.count)) if deriv else (None, None)
+        for g in self._groups:
+            rows = slice(g.start, g.stop)
+            t = g.t
+            np.multiply(g.y, tau[rows, None], out=t)
+            if deriv:
+                np.add(t, 1.0, out=g.w)
+                np.divide(t, g.w, out=g.w)
+            np.log1p(t, out=t)
+            l[rows] = np.add.reduceat(g.t_flat, g.segments)[::2]
+            if deriv:
+                w_sums[rows] = np.add.reduceat(g.w_flat, g.segments)[::2]
+                np.subtract(g.w, t, out=g.w)
+                d_sums[rows] = np.add.reduceat(g.w_flat, g.segments)[::2]
+        return l, w_sums, d_sums
 
 
 def _not_ruled_out(taus, n, means, k, f, skip) -> np.ndarray:
@@ -423,6 +511,7 @@ def drive(rows: Rows, searches: list) -> list:
 def evaluate(kernel, y, *args):
     """Value of one kernel coroutine on one sample, e.g. evaluate(profile_nll, y, tau)."""
     rows = Rows()
-    (row,) = rows.load([np.ascontiguousarray(y, dtype=float)])
+    rows.add(np.ascontiguousarray(y, dtype=float))
+    (row,) = rows.load()
     (value,) = drive(rows, [kernel(row, *args)])
     return value

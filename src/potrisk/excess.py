@@ -85,13 +85,18 @@ def candidate_thresholds(sample, min_exceedances: int) -> np.ndarray:
     above the k-th distinct value is exactly the number of larger
     observations.
     """
-    x = np.asarray(sample, dtype=float)
+    return sorted_candidates(np.asarray(sample, dtype=float), min_exceedances)[1]
+
+
+def sorted_candidates(x: np.ndarray, min_exceedances: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x`` sorted, :func:`candidate_thresholds` of it, and the count above each candidate."""
     if x.size <= min_exceedances:
         raise TooFewObservations(
             f"sample size {x.size} must exceed min_exceedances={min_exceedances}"
         )
-    _, distinct, above = _sorted_counts(x)
-    return distinct[above >= min_exceedances]
+    xs, distinct, above = _sorted_counts(x)
+    keep = above >= min_exceedances
+    return xs, distinct[keep], above[keep]
 
 
 def mean_excess_curve(sample) -> MeanExcessCurve:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import BoundaryValue, EmptySample, UnknownAlphaLevel
 from .gpd import GpdParams, gpd_cdf
 
@@ -22,6 +23,7 @@ __all__ = [
     "GofReport",
     "anderson_darling",
     "cramer_von_mises",
+    "gof_reports",
     "interpolate_criticals",
     "test_gpd_fit",
     "transform_to_uniform",
@@ -174,22 +176,101 @@ def test_gpd_fit(
 ) -> GofReport:
     """W²/A² report for a fitted GPD on its excess sample.
 
-    Zero-valued transforms are dropped before both statistics.
+    Zero-valued transforms are dropped before both statistics. The
+    one-sample case of :func:`gof_reports`.
     """
-    z = transform_to_uniform(excesses, params)
-    z = z[z != 0.0]
-    if z.size == 0:
-        raise EmptySample("all transformed values are zero")
-    w2 = cramer_von_mises(z)
-    a2 = anderson_darling(z)
-    verdicts, criticals = verdicts_for(w2, a2, params.shape, table)
-    return GofReport(
-        w2=w2,
-        a2=a2,
-        shape_used=params.shape,
-        verdicts=verdicts,
-        interpolated_criticals=criticals,
-    )
+    y = np.sort(np.atleast_1d(np.asarray(excesses, dtype=float)))
+    (report,) = gof_reports(y, np.zeros(1, dtype=np.intp), np.zeros(1), [params], table)
+    return report
+
+
+def gof_reports(xs, starts, thresholds, params, table: CriticalValueTable = CRITICAL_VALUE_TABLE) -> list:
+    """W²/A² reports of many fits whose excess samples are suffixes of one sorted sample.
+
+    ``xs`` is sorted ascending, and fit r (``params[r]``) was made on the
+    excesses ``xs[starts[r]:] - thresholds[r]``, which are sorted too. The
+    transforms of sorted excesses come out sorted, since the CDF is
+    monotone, and so are the rounded steps that compute it (a product,
+    log1p, a quotient and expm1). Fits are taken in blocks of
+    consecutive rows: each block computes its transforms, clipping and
+    logs as one 2-d array, one row per fit, right-aligned, with the
+    statistics' reductions made per row by np.sum over contiguous slices.
+    So each report is bitwise the one that :func:`cramer_von_mises` and
+    :func:`anderson_darling` give on the sorted, nonzero transforms.
+    Raises, for the first fit that has them, the errors those would.
+    """
+    xs = np.asarray(xs, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    thresholds = np.asarray(thresholds, dtype=float)
+    reports, r = [], 0
+    while r < len(params):
+        # A block takes rows no longer than its first and at least half as
+        # long, within BLOCK_ELEMENTS elements, so that its padding stays
+        # below half of it.
+        width = xs.size - starts[r]
+        end = r + 1
+        while (
+            end < len(params)
+            and (end + 1 - r) * width <= _kernels.BLOCK_ELEMENTS
+            and width >= xs.size - starts[end] >= width / 2
+        ):
+            end += 1
+        reports += _gof_block(xs[starts[r] :], starts[r:end] - starts[r], thresholds[r:end], params[r:end], table)
+        r = end
+    return reports
+
+
+def _gof_block(tail, offsets, thresholds, params, table) -> list:
+    """Reports of the fits whose excesses are ``tail[offsets[r]:] - thresholds[r]``, offsets ascending."""
+    width = tail.size
+    col = np.arange(width)
+    xi = np.array([p.shape for p in params])
+    sigma = np.array([p.scale for p in params])
+    y = tail - thresholds[:, None]
+    # a row whose transforms are all zero has n = 0 and raises below
+    with np.errstate(all="ignore"):
+        # gpd_cdf, one row per fit
+        t = (xi / sigma)[:, None] * y
+        z = np.log1p(t)
+        np.negative(z, out=z)
+        z /= xi[:, None]
+        np.expm1(z, out=z)
+        np.negative(z, out=z)
+        z[~(t > -1.0)] = 1.0
+        exponential = xi == 0.0
+        if exponential.any():
+            z[exponential] = -np.expm1(-y[exponential] / sigma[exponential, None])
+        z[y < 0.0] = 0.0
+        z[np.isnan(y)] = np.nan
+        z[col < offsets[:, None]] = 0.0
+        # Zero transforms (and the padding) lead each row; fit r keeps the
+        # n = width - first[r] transforms from first[r] on.
+        first = np.count_nonzero(z == 0.0, axis=1)
+        n = width - first
+        q = 2.0 * (col - first[:, None] + 1) - 1.0  # 2i - 1 for the kept transform i = 1..n
+        w_terms = (z - q / (2.0 * n)[:, None]) ** 2
+        clipped = np.clip(z, _Z_CLAMP, 1.0 - _Z_CLAMP)
+        log_tail = np.log(1.0 - clipped)
+        # log(1 - z) of the kept transforms in reverse order: kept column c
+        # pairs with first + width - 1 - c.
+        reverse = np.minimum((first + (width - 1))[:, None] - col, width - 1)
+        a_terms = q * (np.log(clipped) + np.take_along_axis(log_tail, reverse, axis=1))
+    reports = []
+    for r, p in enumerate(params):
+        a, count = int(first[r]), int(n[r])
+        if offsets[r] == width:
+            raise EmptySample("cannot transform an empty excess sample")
+        if count == 0:
+            raise EmptySample("all transformed values are zero")
+        w2 = float(np.sum(w_terms[r, a:]) + 1.0 / (12.0 * count))
+        if np.isnan(z[r, -1]):
+            raise BoundaryValue("A² input contains values at 0 or 1 after clamping")
+        a2 = float(-count - np.sum(a_terms[r, a:]) / count)
+        verdicts, criticals = verdicts_for(w2, a2, p.shape, table)
+        reports.append(
+            GofReport(w2=w2, a2=a2, shape_used=p.shape, verdicts=verdicts, interpolated_criticals=criticals)
+        )
+    return reports
 
 
 def require_alpha(alpha: float) -> float:

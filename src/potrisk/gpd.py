@@ -355,41 +355,43 @@ def fit_samples(samples, max_iterations: int = _MAX_ITERATIONS):
     ``samples`` is an iterable of nonempty 1-d arrays of positive, finite
     excesses. It is consumed one block at a time, and the fits are
     yielded one block at a time, so neither all samples nor all results
-    are held at once. A block takes consecutive samples while it holds
-    ``_kernels.BLOCK_ELEMENTS`` elements at its widest row: the largest
-    sample plus its leading zero, or the tau grid if that is wider. Each
-    block is searched in lockstep. Yields one entry per sample, in order:
-    its FitResult, or the DegenerateSample or NonConvergence that
-    :func:`fit_mle` would raise for it.
+    are held at once. A block takes up to ``BLOCK_ELEMENTS //
+    _GRID_POINTS`` (96) consecutive samples, however long, while their
+    zero-padded rows fit in the data buffer's 8 * ``BLOCK_ELEMENTS``
+    elements; a longer sample gets a block of its own. Each sample is
+    copied into the block as it arrives (see :class:`_kernels.Rows`),
+    and each block is searched in lockstep, so the tau grids, the bound
+    rounds and every drive step are paid once per block. Yields one entry
+    per sample, in order: its FitResult, or the DegenerateSample or
+    NonConvergence that :func:`fit_mle` would raise for it.
     """
     rows = _kernels.Rows()
-    block, width = [], 0
+    # The cap keeps a block's tau grids within BLOCK_ELEMENTS elements.
+    max_rows = _kernels.BLOCK_ELEMENTS // _GRID_POINTS
     for y in samples:
         y = np.ascontiguousarray(y, dtype=float)
-        row_width = max(y.size + 1, _GRID_POINTS)
-        if block and (len(block) + 1) * max(width, row_width) > _kernels.BLOCK_ELEMENTS:
-            yield from _fit_block(rows, block, max_iterations)
-            block, width = [], 0
-        block.append(y)
-        width = max(width, row_width)
-    if block:
-        yield from _fit_block(rows, block, max_iterations)
+        if rows.count and (rows.count >= max_rows or not rows.has_room(y.size)):
+            yield from _fit_block(rows, max_iterations)
+        rows.add(y)
+    if rows.count:
+        yield from _fit_block(rows, max_iterations)
 
 
-def _fit_block(rows, block, max_iterations) -> list:
+def _fit_block(rows, max_iterations) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
-    with np.errstate(over="ignore"):  # a row whose sums overflow stops in its search
-        stats = rows.load(block)
-        y_max = np.array([row.y_max for row in stats])
-        tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
-        grids = _tau_grids(np.array([row.mean for row in stats]), tau_mins)
-        values = rows.profile_nll_grid(grids)
+    stats = rows.load()
+    y_max = np.array([row.y_max for row in stats])
+    tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
+    grids = _tau_grids(np.array([row.mean for row in stats]), tau_mins)
+    values = rows.profile_nll_grid(grids)
     evaluated = ~np.isnan(values)
     searches = [
         _search(row, grid[keep], value[keep], max_iterations)
         for row, grid, value, keep in zip(stats, grids, values, evaluated)
     ]
-    return _kernels.drive(rows, searches)
+    results = _kernels.drive(rows, searches)
+    rows.clear()
+    return results
 
 
 def fit_mle(

@@ -7,7 +7,6 @@ before serialization, so reruns produce byte-identical files and every
 reported number can be recomputed by the library from the recorded inputs.
 """
 
-import csv
 import datetime
 import json
 import math
@@ -144,56 +143,37 @@ def trend_coefficients(returns: ReturnSeries) -> tuple[float, float, list[tuple[
 # -- CSV exports ---------------------------------------------------------------
 
 def write_curve_csv(curve: MeanExcessCurve, path) -> None:
+    columns = (curve.thresholds.tolist(), curve.mean_excesses.tolist(), curve.counts.tolist())
+    lines = [f"{u:.15g},{e:.15g},{int(c)}\n" for u, e, c in zip(*columns)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "mean_excess", "count"])
-        for u, e, c in zip(curve.thresholds, curve.mean_excesses, curve.counts):
-            writer.writerow([f"{u:.15g}", f"{e:.15g}", int(c)])
+        fh.write("u,mean_excess,count\n" + "".join(lines))
 
 
 def read_curve_csv(path) -> tuple[list[float], list[float], list[int]]:
-    us, means, counts = [], [], []
     reader = csv_rows(path)
     header = next(reader, None)
     if header is None or [c.strip().lower() for c in header] != ["u", "mean_excess", "count"]:
         raise ValidationError(f"{path}: expected header 'u,mean_excess,count', got {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            u, mean, count = float(row[0]), float(row[1]), int(row[2])
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed curve row {row}") from exc
-        if not (math.isfinite(u) and math.isfinite(mean)):
-            raise ValidationError(f"{path}:{lineno}: non-finite value in curve row {row}")
-        us.append(u)
-        means.append(mean)
-        counts.append(count)
+    us, means, counts = _read_columns(path, reader, "curve", [(0, float), (1, float), (2, int)])
     return us, means, counts
 
 
 def write_scan_csv(scan: ThresholdScan, path) -> None:
+    lines = ["u,xi,sigma,n_u,var,es,w2,a2,accepted_alphas\n"]
+    for e in scan.estimates:
+        gof = e.gof
+        es = "" if e.es is None else f"{e.es:.15g}"
+        tests = ",," if gof is None else f"{gof.w2:.15g},{gof.a2:.15g},"
+        accepted = "" if gof is None else ";".join(f"{a:g}" for a in gof.accepted_alphas())
+        lines.append(
+            f"{e.u:.15g},{e.params.shape:.15g},{e.params.scale:.15g},{e.n_u},{e.var:.15g},{es},{tests}{accepted}\n"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "xi", "sigma", "n_u", "var", "es", "w2", "a2", "accepted_alphas"])
-        for e in scan.estimates:
-            gof = e.gof
-            writer.writerow([
-                f"{e.u:.15g}",
-                f"{e.params.shape:.15g}",
-                f"{e.params.scale:.15g}",
-                e.n_u,
-                f"{e.var:.15g}",
-                "" if e.es is None else f"{e.es:.15g}",
-                "" if gof is None else f"{gof.w2:.15g}",
-                "" if gof is None else f"{gof.a2:.15g}",
-                "" if gof is None else ";".join(f"{a:g}" for a in gof.accepted_alphas()),
-            ])
+        fh.write("".join(lines))
 
 
 def read_scan_csv(path) -> tuple[list[float], list[float]]:
     """(u, var) pairs from a scan export, e.g. for plotting."""
-    us, vars_ = [], []
     reader = csv_rows(path)
     header = next(reader, None)
     if header is None or not header or header[0].strip().lower() != "u":
@@ -202,18 +182,29 @@ def read_scan_csv(path) -> tuple[list[float], list[float]]:
         var_idx = [c.strip().lower() for c in header].index("var")
     except ValueError as exc:
         raise ValidationError(f"{path}: scan export lacks a 'var' column") from exc
+    us, vars_ = _read_columns(path, reader, "scan", [(0, float), (var_idx, float)])
+    return us, vars_
+
+
+def _read_columns(path, reader, kind: str, columns) -> list[list]:
+    """The ``columns`` ((index, type) pairs) of the rows left in ``reader``, one list each.
+
+    Empty rows are skipped. A row that does not parse, or whose first two
+    (float) columns are not finite, names the file and line.
+    """
+    out = [[] for _ in columns]
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         try:
-            u, var = float(row[0]), float(row[var_idx])
+            values = [kind_of(row[i]) for i, kind_of in columns]
         except (ValueError, IndexError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed scan row {row}") from exc
-        if not (math.isfinite(u) and math.isfinite(var)):
-            raise ValidationError(f"{path}:{lineno}: non-finite value in scan row {row}")
-        us.append(u)
-        vars_.append(var)
-    return us, vars_
+            raise ValidationError(f"{path}:{lineno}: malformed {kind} row {row}") from exc
+        if not all(math.isfinite(v) for v in values[:2]):
+            raise ValidationError(f"{path}:{lineno}: non-finite value in {kind} row {row}")
+        for column, value in zip(out, values):
+            column.append(value)
+    return out
 
 
 # -- report assembly -----------------------------------------------------------

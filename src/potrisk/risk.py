@@ -24,14 +24,14 @@ from .errors import (
     ShapeAtOrAboveOne,
     ValidationError,
 )
-from .excess import candidate_thresholds
+from .excess import sorted_candidates
 from .gof import (
     ACCEPT,
     CRITICAL_VALUE_TABLE,
     CriticalValueTable,
     GofReport,
+    gof_reports,
     require_alpha,
-    test_gpd_fit,
 )
 from .gpd import DEFAULT_MIN_EXCEEDANCES, GpdParams, fit_samples
 
@@ -137,7 +137,9 @@ def scan_thresholds(
     contradicts ``regime``. Boundary optima are dropped too: there the
     likelihood is unbounded and the "fit" would only reflect the
     numerical feasibility margin. Goodness-of-fit reports are attached
-    for the heavy-tail regime, where the critical table applies.
+    for the heavy-tail regime, where the critical table applies; they are
+    computed together, by :func:`~potrisk.gof.gof_reports`, from the tail
+    sorted once.
     """
     if regime not in (HEAVY_TAIL, SHORT_TAIL):
         raise ValueError(f"unknown regime {regime!r}")
@@ -146,42 +148,40 @@ def scan_thresholds(
     x = np.asarray(tail, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValidationError("tail values must be finite")
-    candidates = candidate_thresholds(x, min_exceedances)
+    xs, candidates, counts = sorted_candidates(x, min_exceedances)
     if min_exceedances < 1:  # then the largest value is a candidate, with nothing above
         raise NoExceedances(f"no observations above threshold {candidates[-1]}")
 
-    def excesses(u):
-        return x[x > u] - u
-
-    fits = fit_samples(excesses(u) for u in candidates)
-    estimates = []
+    fits = fit_samples(x[x > u] - u for u in candidates)
+    survivors = []  # (candidate index, fit)
     fit_errors = 0
     not_converged = 0
     boundary_hits = 0
     wrong_sign = 0
-    for u, fit in zip(candidates, fits):
+    for i, fit in enumerate(fits):
         if isinstance(fit, (NonConvergence, DegenerateSample)):
             fit_errors += 1
-            continue
-        if not fit.converged:
+        elif not fit.converged:
             not_converged += 1
-            continue
-        if fit.boundary_hit:
+        elif fit.boundary_hit:
             boundary_hits += 1
-            continue
-        xi = fit.params.shape
-        if not _sign_matches(xi, regime):
+        elif not _sign_matches(fit.params.shape, regime):
             wrong_sign += 1
-            continue
-        exc = excesses(u)
-        var = value_at_risk(float(u), fit.params, x.size, exc.size, p)
-        es = None if xi >= 1.0 else expected_shortfall(var, float(u), fit.params)
-        gof = test_gpd_fit(exc, fit.params, gof_table) if regime == HEAVY_TAIL else None
+        else:
+            survivors.append((i, fit))
+    index = np.array([i for i, _ in survivors], dtype=np.intp)
+    params = [fit.params for _, fit in survivors]
+    gofs = [None] * len(survivors)
+    if regime == HEAVY_TAIL:
+        # the survivors' excesses are xs[x.size - n_u:] - u, sorted
+        gofs = gof_reports(xs, x.size - counts[index], candidates[index], params, gof_table)
+    estimates = []
+    for (i, fit), gof in zip(survivors, gofs):
+        u, n_u = float(candidates[i]), int(counts[i])
+        var = value_at_risk(u, fit.params, x.size, n_u, p)
+        es = None if fit.params.shape >= 1.0 else expected_shortfall(var, u, fit.params)
         estimates.append(
-            RiskEstimate(
-                u=float(u), params=fit.params, n=x.size, n_u=exc.size,
-                p=p, var=var, es=es, gof=gof,
-            )
+            RiskEstimate(u=u, params=fit.params, n=x.size, n_u=n_u, p=p, var=var, es=es, gof=gof)
         )
     diagnostics = ScanDiagnostics(
         candidates_total=int(candidates.size),

@@ -221,41 +221,18 @@ def csv_rows(path):
         raise ValidationError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
 
 
-def read_earnings_csv(path) -> EarningsSeries:
-    """Read a `date,revenue` CSV (ISO dates, plain decimal revenues)."""
-    dates = []
-    revenues = []
-    reader = csv_rows(path)
-    header = next(reader, None)
-    if header is None or [c.strip().lower() for c in header] != ["date", "revenue"]:
-        raise ValidationError(f"{path}: expected header 'date,revenue', got {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-        try:
-            dates.append(datetime.date.fromisoformat(row[0].strip()))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from exc
-        try:
-            revenues.append(float(row[1]))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: bad revenue {row[1]!r}") from exc
-    try:
-        return EarningsSeries(dates=tuple(dates), revenues=np.asarray(revenues))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+def _read_dated_csv(path, column: str, series, name_errors: bool = False):
+    """The ``series`` (EarningsSeries or ReturnSeries) of a `date,<column>` CSV.
 
-
-def read_returns_csv(path) -> ReturnSeries:
-    """Read a `date,return` CSV produced by :func:`write_returns_csv`."""
+    A row that does not parse names the file and line. With
+    ``name_errors``, the message also names the bad date or the bad value.
+    """
     dates = []
     values = []
     reader = csv_rows(path)
     header = next(reader, None)
-    if header is None or [c.strip().lower() for c in header] != ["date", "return"]:
-        raise ValidationError(f"{path}: expected header 'date,return', got {header}")
+    if header is None or [c.strip().lower() for c in header] != ["date", column]:
+        raise ValidationError(f"{path}: expected header 'date,{column}', got {header}")
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -263,19 +240,32 @@ def read_returns_csv(path) -> ReturnSeries:
             raise ValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
         try:
             dates.append(datetime.date.fromisoformat(row[0].strip()))
+        except ValueError as exc:
+            detail = f"bad date {row[0]!r}: {exc}" if name_errors else exc
+            raise ValidationError(f"{path}:{lineno}: {detail}") from exc
+        try:
             values.append(float(row[1]))
         except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            detail = f"bad {column} {row[1]!r}" if name_errors else exc
+            raise ValidationError(f"{path}:{lineno}: {detail}") from exc
     try:
-        return ReturnSeries(dates=tuple(dates), values=np.asarray(values))
+        return series(tuple(dates), np.asarray(values))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def read_earnings_csv(path) -> EarningsSeries:
+    """Read a `date,revenue` CSV (ISO dates, plain decimal revenues)."""
+    return _read_dated_csv(path, "revenue", EarningsSeries, name_errors=True)
+
+
+def read_returns_csv(path) -> ReturnSeries:
+    """Read a `date,return` CSV produced by :func:`write_returns_csv`."""
+    return _read_dated_csv(path, "return", ReturnSeries)
+
+
 def write_returns_csv(returns: ReturnSeries, path) -> None:
     """Write a `date,return` CSV with 15 significant digits."""
+    lines = [f"{d.isoformat()},{v:.15g}\n" for d, v in zip(returns.dates, returns.values.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "return"])
-        for d, v in zip(returns.dates, returns.values):
-            writer.writerow([d.isoformat(), f"{v:.15g}"])
+        fh.write("date,return\n" + "".join(lines))

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from potrisk.errors import BoundaryValue, EmptySample, UnknownAlphaLevel
+from potrisk.errors import BoundaryValue, EmptySample, PotriskError, UnknownAlphaLevel
 from potrisk.gof import (
     ALPHA_LEVELS,
     CRITICAL_VALUE_TABLE,
+    GofReport,
     anderson_darling,
     cramer_von_mises,
+    gof_reports,
     interpolate_criticals,
     require_alpha,
     transform_to_uniform,
@@ -174,3 +178,66 @@ class TestVerdicts:
         assert anderson_darling(transform_to_uniform(ya, a)) == pytest.approx(
             anderson_darling(transform_to_uniform(yb, b)), abs=1e-12
         )
+
+
+def _report_from_parts(excesses, params):
+    """The report as the statistics define it: sorted nonzero transforms, W², A², verdicts."""
+    z = transform_to_uniform(excesses, params)
+    z = z[z != 0.0]
+    if z.size == 0:
+        raise EmptySample("all transformed values are zero")
+    w2, a2 = cramer_von_mises(z), anderson_darling(z)
+    verdicts, criticals = verdicts_for(w2, a2, params.shape)
+    return GofReport(w2, a2, params.shape, verdicts, criticals)
+
+
+@st.composite
+def _suffix_fits(draw):
+    """A sorted sample and fits on excesses over some of its values, as a scan makes them.
+
+    Or over half those values, so that a row's excesses do not start at
+    its first value above the threshold. Tails are heavy, short or tied;
+    some hold excesses so small that
+    their transforms are zero and are dropped. Shapes include exactly 0
+    and negative ones (not_applicable); a scale of 1e300 zeroes more
+    transforms.
+    """
+    x = gpd_sample(GpdParams(draw(st.floats(-0.5, 0.6)), 1.0), draw(st.integers(2, 300)), draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = np.round(x, 1) + 0.05
+    if draw(st.booleans()):
+        x = np.concatenate([x, [5e-324, 1e-320, 1e-310]])
+    xs = np.sort(x)
+    picks = sorted(draw(st.lists(st.integers(-1, xs.size - 2), min_size=1, max_size=10)))
+    thresholds = np.array([0.0 if i < 0 else xs[i] for i in picks])
+    starts = np.searchsorted(xs, thresholds, side="right")
+    if draw(st.booleans()):  # excesses over a lower threshold than the values left out
+        thresholds = thresholds * 0.5
+    shapes = st.one_of(st.just(0.0), st.floats(-0.6, 0.6), st.floats(0.0, 0.3))
+    scales = st.one_of(st.floats(1e-3, 1e3), st.just(1e300))
+    params = [GpdParams(draw(shapes), draw(scales)) for _ in picks]
+    return xs, starts, thresholds, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_suffix_fits())
+def test_batched_reports_are_bitwise_those_of_the_statistics(case):
+    xs, starts, thresholds, params = case
+    want, error = [], None
+    for start, u, p in zip(starts, thresholds, params):
+        try:
+            want.append(_report_from_parts(xs[start:] - u, p))
+        except PotriskError as exc:
+            error = exc
+            break
+    if error is not None:
+        with pytest.raises(type(error), match=str(error)):
+            gof_reports(xs, starts, thresholds, params)
+        return
+    got = gof_reports(xs, starts, thresholds, params)
+    assert got == want
+    assert [(r.w2.hex(), r.a2.hex()) for r in got] == [(r.w2.hex(), r.a2.hex()) for r in want]
+    # the one-sample call, on the excesses in any order
+    rng = np.random.default_rng(0)
+    for start, u, p, report in zip(starts, thresholds, params, want):
+        assert gof_fit_report(rng.permutation(xs[start:] - u), p) == report

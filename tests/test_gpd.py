@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import genpareto
 
 from potrisk.errors import (
@@ -10,20 +13,27 @@ from potrisk.errors import (
     InvalidProbability,
     NoExceedances,
     NonConvergence,
+    PotriskError,
     TooFewExceedances,
     ValidationError,
 )
+from potrisk.excess import candidate_thresholds
 from potrisk.gpd import (
     ExcessSample,
     GpdParams,
     fit_mle,
+    fit_samples,
     gpd_cdf,
     gpd_log_likelihood,
     gpd_quantile,
     gpd_sample,
 )
+from potrisk.risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds
 
 from helpers import gpd_logpdf_direct, ks_distance
+
+# A numpy warning (an overflow, an invalid value) fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestParams:
@@ -258,6 +268,12 @@ class TestFitMle:
         with pytest.raises(NonConvergence, match="overflows"):
             fit_mle(ExcessSample(0.0, excesses, n=20))
 
+    def test_log_likelihood_of_huge_excesses(self):
+        # y*y overflows when the sample is loaded; the likelihood does not use it
+        y = np.array([1e200, 2e200, 3e200])
+        want = -3.0 * math.log(1e200) - 11.0 * float(np.log1p(0.1 * y / 1e200).sum())
+        assert gpd_log_likelihood(GpdParams(0.1, 1e200), y) == pytest.approx(want, rel=1e-14)
+
     def test_feasibility_at_optimum(self):
         sample = self._sample(-0.45, 1.0, 300, seed=21)
         fit = fit_mle(sample)
@@ -270,3 +286,39 @@ class TestFitMle:
         fit = fit_mle(sample)
         assert abs(fit.params.shape) < 0.05
         assert fit.params.scale == pytest.approx(2.0, rel=0.06)
+
+
+@st.composite
+def _tied_or_near_constant(draw):
+    """A tail of a few repeated values, or of values within 1e-15 to 1e-6 relative of each other."""
+    base = draw(st.floats(1e-6, 1e6))
+    size = draw(st.integers(12, 60))
+    if draw(st.booleans()):
+        levels = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4)))
+        which = draw(st.lists(st.integers(0, levels.size - 1), min_size=size, max_size=size))
+        return base * (1.0 + levels[which])
+    spread = draw(st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6]))
+    steps = np.array(draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size)), dtype=float)
+    return base * (1.0 + spread * steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail=_tied_or_near_constant())
+def test_fits_on_tied_and_near_constant_tails_are_sane(tail):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            candidates = candidate_thresholds(tail, 3)
+        except PotriskError:
+            return
+        for fit in fit_samples(tail[tail > u] - u for u in candidates):
+            if isinstance(fit, PotriskError):
+                continue
+            values = (fit.params.shape, fit.params.scale, fit.log_likelihood)
+            assert all(math.isfinite(v) for v in values), fit
+            assert fit.converged, fit
+        for regime in (HEAVY_TAIL, SHORT_TAIL):
+            try:
+                scan_thresholds(tail, regime=regime, min_exceedances=3)
+            except PotriskError:
+                pass

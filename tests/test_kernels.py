@@ -11,11 +11,21 @@ from potrisk.risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds
 
 import scalar_oracle
 
+# A numpy warning in the kernels (an overflow, an invalid value) fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _loaded(samples):
+    """A block holding ``samples``, and the Rows that load returns for it."""
+    rows = _kernels.Rows()
+    for y in samples:
+        rows.add(np.ascontiguousarray(y, dtype=float))
+    return rows, rows.load()
+
 
 def _block_values(kernel, cases):
     """Drive ``kernel(row_i, *args_i)`` for every (sample_i, args_i) in one block."""
-    rows = _kernels.Rows()
-    stats = rows.load([np.ascontiguousarray(y, dtype=float) for y, _ in cases])
+    rows, stats = _loaded([y for y, _ in cases])
     return _kernels.drive(rows, [kernel(row, *args) for row, (_, args) in zip(stats, cases)])
 
 
@@ -29,8 +39,7 @@ class TestRows:
 
     def test_sums_match_one_sample_numpy_bit_for_bit(self):
         samples = self._samples()
-        rows = _kernels.Rows()
-        rows.load(samples)
+        rows, _ = _loaded(samples)
         taus = self._taus(samples)
         l, w, d = rows.sums(taus, deriv=True)
         for i, y in enumerate(samples):
@@ -44,15 +53,14 @@ class TestRows:
 
     def test_row_constants(self):
         samples = self._samples()
-        stats = _kernels.Rows().load(samples)
+        _, stats = _loaded(samples)
         for row, y in zip(stats, samples):
             assert (row.n, row.mean, row.m2) == (y.size, y.mean(), np.mean(y * y))
             assert (row.y_max, row.y_min, row.total) == (y.max(), y.min(), y.sum())
 
     def test_keep_compacts_in_order(self):
         samples = self._samples()
-        rows = _kernels.Rows()
-        rows.load(samples)
+        rows, _ = _loaded(samples)
         taus = self._taus(samples)
         full = rows.sums(taus, deriv=False)[0]
         rows.keep([1, 3, 4])
@@ -154,20 +162,54 @@ class TestAgainstScalarOracle:
             assert scan_thresholds(tail, regime=regime, min_exceedances=min_exc).diagnostics == want_diag
 
 
-def test_one_row_blocks_give_the_same_scan(monkeypatch):
-    tail = gpd_sample(GpdParams(0.2, 1.0), 400, seed=9)
-    block_sizes = []
+# Scans whose blocks are cut by the row cap (390 candidates of up to 399
+# points) and by nothing (4 candidates of about 10,000 points each).
+CAPPED = (gpd_sample(GpdParams(0.2, 1.0), 400, seed=9), 10)
+LONG = (gpd_sample(GpdParams(0.2, 1.0), 10_009, seed=10), 10_005)
+
+
+def _block_sizes(monkeypatch) -> list:
+    """Record the row count of every block that Rows.load finishes from now on."""
+    sizes = []
     load = _kernels.Rows.load
 
-    def spy(self, samples):
-        block_sizes.append(len(samples))
-        return load(self, samples)
+    def spy(self):
+        loaded = load(self)
+        sizes.append(len(loaded))
+        return loaded
 
     monkeypatch.setattr(_kernels.Rows, "load", spy)
-    default = scan_thresholds(tail)
+    return sizes
+
+
+def test_a_block_takes_96_candidates_however_long(monkeypatch):
+    sizes = _block_sizes(monkeypatch)
+    tail, min_exc = LONG
+    scan_thresholds(tail, min_exceedances=min_exc)
+    assert sizes == [4]
+    sizes.clear()
+    tail, min_exc = CAPPED
+    scan_thresholds(tail, min_exceedances=min_exc)
+    assert sizes == [96, 96, 96, 96, 6]
+
+
+def test_the_data_buffer_caps_a_block_of_long_samples():
+    rows = _kernels.Rows()
+    sample = np.ones(_kernels.BLOCK_ELEMENTS)
+    for _ in range(7):
+        assert rows.has_room(sample.size)
+        rows.add(sample)
+    assert not rows.has_room(sample.size)
+    rows.clear()
+    assert rows.has_room(7 * _kernels.BLOCK_ELEMENTS)
+
+
+def test_one_row_blocks_give_the_same_scan(monkeypatch):
+    block_sizes = _block_sizes(monkeypatch)
+    default = [scan_thresholds(tail, min_exceedances=m) for tail, m in (CAPPED, LONG)]
     assert max(block_sizes) > 1
     block_sizes.clear()
     monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", 1)
-    one_row = scan_thresholds(tail)
+    one_row = [scan_thresholds(tail, min_exceedances=m) for tail, m in (CAPPED, LONG)]
     assert set(block_sizes) == {1}
     assert one_row == default

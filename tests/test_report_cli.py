@@ -11,15 +11,26 @@ import pytest
 from potrisk import bundled_data_path
 from potrisk.cli import main
 from potrisk.errors import TooFewObservations, ValidationError
+from potrisk.excess import MeanExcessCurve
+from potrisk.gof import test_gpd_fit as gof_report
 from potrisk.gpd import GpdParams, gpd_sample
 from potrisk.report import (
     AnalysisConfig,
     analyze,
     parse_period,
     trend_coefficients,
+    write_curve_csv,
+    write_scan_csv,
 )
-from potrisk.risk import value_at_risk, expected_shortfall
-from potrisk.series import read_returns_csv
+from potrisk.risk import (
+    HEAVY_TAIL,
+    RiskEstimate,
+    ScanDiagnostics,
+    ThresholdScan,
+    expected_shortfall,
+    value_at_risk,
+)
+from potrisk.series import ReturnSeries, read_returns_csv, write_returns_csv
 
 from helpers import weekly_returns
 
@@ -463,3 +474,60 @@ def test_malformed_input_exits_without_traceback(tmp_path, capsys, reader, case)
     # every case is an input error, so not only an exit code in {0, 1, 2}: 2
     assert code == 2, captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+class TestCsvWriters:
+    """The exports are the bytes csv.writer gives, row by row, on the same fields."""
+
+    VALUES = [-0.0, 1e-300, 1e300, 0.1, -2.5, 123456789.123456789, 5e-324]
+
+    @staticmethod
+    def _csv_writer_bytes(tmp_path, rows) -> bytes:
+        path = tmp_path / "want.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            for row in rows:
+                writer.writerow(row)
+        return path.read_bytes()
+
+    def test_returns(self, tmp_path):
+        dates = [datetime.date(2001, 1, 1) + datetime.timedelta(days=7 * i) for i in range(len(self.VALUES))]
+        returns = ReturnSeries(dates=tuple(dates), values=np.array(self.VALUES))
+        write_returns_csv(returns, tmp_path / "got.csv")
+        rows = [["date", "return"]] + [[d.isoformat(), f"{v:.15g}"] for d, v in zip(dates, returns.values)]
+        assert (tmp_path / "got.csv").read_bytes() == self._csv_writer_bytes(tmp_path, rows)
+
+    def test_curve(self, tmp_path):
+        values = np.array(self.VALUES)
+        curve = MeanExcessCurve(thresholds=values, mean_excesses=values[::-1], counts=np.arange(values.size) + 1)
+        write_curve_csv(curve, tmp_path / "got.csv")
+        rows = [["u", "mean_excess", "count"]] + [
+            [f"{u:.15g}", f"{e:.15g}", int(c)] for u, e, c in zip(curve.thresholds, curve.mean_excesses, curve.counts)
+        ]
+        assert (tmp_path / "got.csv").read_bytes() == self._csv_writer_bytes(tmp_path, rows)
+
+    def test_scan_with_empty_es_and_gof_cells(self, tmp_path):
+        params = GpdParams(0.2, 1e300)
+        gof = gof_report(gpd_sample(params, 50, seed=1), params)
+        estimates = tuple(
+            RiskEstimate(u=u, params=GpdParams(xi, 1e-300), n=100, n_u=10 + i, p=0.01, var=var, es=es, gof=g)
+            for i, (u, xi, var, es, g) in enumerate([
+                (-0.0, -0.0, 1e300, None, None),
+                (1e-300, 0.1, -0.0, 1e-300, gof),
+                (1e300, 1.5, 0.5, None, gof),
+                (0.25, -0.3, 2.0, 3.0, None),
+            ])
+        )
+        scan = ThresholdScan(estimates, 0, HEAVY_TAIL, ScanDiagnostics(4, 0, 0, 0, 0, 4))
+        write_scan_csv(scan, tmp_path / "got.csv")
+        rows = [["u", "xi", "sigma", "n_u", "var", "es", "w2", "a2", "accepted_alphas"]] + [
+            [
+                f"{e.u:.15g}", f"{e.params.shape:.15g}", f"{e.params.scale:.15g}", e.n_u, f"{e.var:.15g}",
+                "" if e.es is None else f"{e.es:.15g}",
+                "" if e.gof is None else f"{e.gof.w2:.15g}",
+                "" if e.gof is None else f"{e.gof.a2:.15g}",
+                "" if e.gof is None else ";".join(f"{a:g}" for a in e.gof.accepted_alphas()),
+            ]
+            for e in estimates
+        ]
+        assert (tmp_path / "got.csv").read_bytes() == self._csv_writer_bytes(tmp_path, rows)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potrisk.errors import (
     InvalidCounts,
@@ -269,3 +271,18 @@ class TestAlphaFilter:
         scan = _fake_scan([_fake_estimate(0.1, 1.0)])
         with pytest.raises(UnknownAlphaLevel):
             scan_with_alpha_filter(scan, 0.03)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(st.just(0.0), st.floats(-0.95, 0.95), st.floats(-1e-300, 1e-300)),
+    log_scale=st.floats(-300.0, 300.0),
+    n=st.integers(1, 10**6),
+    data=st.data(),
+)
+def test_var_does_not_increase_as_p_increases(shape, log_scale, n, data):
+    params = GpdParams(shape, 10.0 ** log_scale)
+    n_u = data.draw(st.integers(1, n))
+    u = data.draw(st.floats(0.0, 10.0))
+    p1, p2 = sorted(data.draw(st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=2, max_size=2)))
+    assert value_at_risk(u, params, n, n_u, p2) <= value_at_risk(u, params, n, n_u, p1)

@@ -93,7 +93,9 @@ _BLOCK_FAMILIES = {name: strategy for name, (strategy, _) in _FAMILIES.items()} 
 def test_the_lazy_grid_finds_the_full_grids_minimum_and_neighbours(family, data):
     samples = data.draw(st.lists(_BLOCK_FAMILIES[family], min_size=1, max_size=4))
     rows = _kernels.Rows()
-    rows.load(samples)
+    for y in samples:
+        rows.add(y)
+    rows.load()
     grids = _grids(samples)
     lazy = rows.profile_nll_grid(grids)
     for y, grid, values in zip(samples, grids, lazy):
@@ -195,9 +197,10 @@ def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
     rows, requests = [], {}  # every loaded Row in fit order; Row -> taus of its score requests
     load, deriv = _kernels.Rows.load, _kernels.profile_nll_deriv
 
-    def recording(self, samples):
-        rows.extend(load(self, samples))
-        return rows[-len(samples):]
+    def recording(self):
+        loaded = load(self)
+        rows.extend(loaded)
+        return loaded
 
     def counting(row, tau):
         requests.setdefault(row, []).append(tau)
