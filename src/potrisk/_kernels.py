@@ -15,9 +15,9 @@ one vectorized kernel call per step. A request asks for the row's sum of
 log1p(tau*y) at the row's own tau (or, for the derivative, for three such
 sums); the kernel coroutines below turn the sums into likelihood values
 with scalar arithmetic. :meth:`Rows.profile_nll_grid` does the same for a
-grid of taus per row, lazily: it evaluates a coarse subset, then only the
-points that a concavity bound cannot rule out as the row's minimum, and
-the minimum's neighbours.
+grid of taus per row, lazily: bounds from a few bins of each sorted sample
+rule out nearly every point as the row's minimum, so that it evaluates
+about three points per row, the minimum and its neighbours.
 
 Each row is stored after one leading zero and padded with zeros to the
 width of its row group; np.add.reduceat sums each row over exactly its own
@@ -67,15 +67,11 @@ BACKEND = "numpy"
 # (2-core Xeon VM, spread about 10%).
 BLOCK_ELEMENTS = 1 << 13
 
-# profile_nll_grid first evaluates every _GRID_STRIDE-th point of a row
-# and its last point. Strides of 6 and 8 evaluated more points in all, on
-# all three perfbench workloads: the bounds from a coarser start rule out
-# less.
-_GRID_STRIDE = 4
-
-# Rows per bound check of profile_nll_grid: about 2,000 grid points, a
-# quarter of a full block's, so that its temporaries stay near 0.3 MB.
-_BOUND_ROWS = 24
+# profile_nll_grid bounds k(tau) from bins of each sorted row of width w:
+# its top 1, 2, 4, ... values while a bin holds fewer than w/_BINS (they
+# decide k near the feasibility edge), then _BINS or fewer bins. 8 took
+# more time for the same grid points on all perfbench workloads.
+_BINS = 4
 
 _EPS = math.ulp(1.0)
 
@@ -143,6 +139,7 @@ class Rows:
     def __init__(self):
         self._y = self._t = self._w = np.empty(0)
         self._rows = []
+        self.passes = self.elements = 0  # calls of sums, elements computed in them
         self.clear()
 
     def clear(self) -> None:
@@ -223,49 +220,65 @@ class Rows:
         of a row, its position, and its nearest finite neighbours on each
         side are always evaluated, and are those of the full grid.
 
-        Every _GRID_STRIDE-th point and the last are evaluated first. Then
-        every other point is evaluated unless a bound proves its value
-        above the least value found, by more than the rounding of the
-        sums: k(tau) = mean(log1p(tau*y)) is concave with k(0) = 0 and
-        k'(0) = mean(y), so between two evaluated points k lies above
-        their chord, and it lies below the chords of the neighbouring
-        pairs extended and below tau*mean(y). Given k, the profile NLL
-        n*(log(k/tau) + k + 1) increases with k for tau > 0 and is concave
-        in k for tau < 0, so the bounds on k bound it from below. Last, the
-        least value's finite neighbours are evaluated until they are
-        known. Each round of evaluations costs one pass of :meth:`sums`
-        per point of its busiest row.
+        Every point first gets a floor under its computed value, from
+        bounds on k(tau) = mean(log1p(tau*y)) over bins of the row's sorted
+        sample (:meth:`_order_bins`, :func:`_bounds`). Round one evaluates
+        each row's point of least estimate, round two every point whose
+        floor is not above the least value found, and the last rounds the
+        least value's finite neighbours. A round costs one pass of
+        :meth:`sums` per point of its busiest row.
         """
         count, size = taus.shape
         n = np.array([row.n for row in self._rows], dtype=float)
         f = np.full(taus.shape, math.nan)
-        # k where the value is finite, padded with nan on both sides so that
-        # a missing neighbour (column -1 or size) reads as nan.
-        k = np.full((count, size + 2), math.nan)
         skip = np.zeros(taus.shape, dtype=bool)
         skip[:, 1:] = taus[:, 1:] == taus[:, :-1]
         for i, j in zip(*np.nonzero((taus == 0.0) & ~skip)):
             f[i, j] = self._rows[i].n * (math.log(self._rows[i].mean) + 1.0)
-            k[i, j + 1] = 0.0
-        column = np.arange(size)
-        todo = ((column % _GRID_STRIDE == 0) | (column == size - 1)) & (taus != 0.0) & ~skip
-        means = np.array([row.mean for row in self._rows])
+        bins = self._order_bins()
+        floor, guess = np.empty(taus.shape), np.empty(taus.shape)
+        step = max(1, BLOCK_ELEMENTS // (size * bins.shape[2]))
         with np.errstate(all="ignore"):
-            self._grid_values(taus, todo, n, k, f)
-            # The least value only falls as points are added, so a point
-            # that one bound check rules out stays ruled out. The check
-            # takes _BOUND_ROWS rows at a time, which bounds its memory.
-            todo = _neighbours_pending(f, skip)
-            for i in range(0, count, _BOUND_ROWS):
-                rows = slice(i, i + _BOUND_ROWS)
-                todo[rows] |= _not_ruled_out(taus[rows], n[rows], means[rows], k[rows], f[rows], skip[rows])
-            while todo.any():
-                self._grid_values(taus, todo, n, k, f)
-                todo = _neighbours_pending(f, skip)
+            for i in range(0, count, step):
+                rows = slice(i, i + step)
+                _, _, floor[rows], guess[rows] = _bounds(taus[rows], bins[:, rows], n[rows, None])
+            pending = np.isnan(f) & ~skip
+            best = np.argmin(np.where(pending & ~np.isnan(guess), guess, math.inf), axis=1)
+            self._grid_values(taus, pending & (np.arange(size) == best[:, None]), n, f)
+            least = np.min(np.where(np.isfinite(f), f, math.inf), axis=1)
+            self._grid_values(taus, np.isnan(f) & ~skip & ~(floor > least[:, None]), n, f)
+            while (todo := _neighbours_pending(f, skip)).any():
+                self._grid_values(taus, todo, n, f)
         return f
 
-    def _grid_values(self, taus, todo, n, k, f) -> None:
-        """Evaluate k and the profile NLL at the ``todo`` points, one pass per point of a row."""
+    def _order_bins(self) -> np.ndarray:
+        """The bins (see _BINS) of each row's order statistics: 5 x rows x bins, padded with zero bins.
+
+        A group's rows, sorted with their zeros first, share the bins of its
+        width, cut where their values start; the first bin, all zeros, adds
+        nothing and is dropped. Per bin: its count c, least and greatest
+        values a and b, the sum of y - a and the root of half the sum of (y - a)**2.
+        """
+        stops = [_bin_stops(g.width)[:-1] for g in self._groups]
+        bins = np.zeros((5, self.count, max(s.size for s in stops)))
+        for g, stop in zip(self._groups, stops):
+            rows, width = len(g.sizes), g.width
+            cuts = np.column_stack([np.tile(stop, (rows, 1)), width - np.asarray(g.sizes)])
+            cuts = (np.sort(cuts, axis=1) + np.arange(0, rows * width, width)[:, None]).ravel()
+            s = np.sort(g.y, axis=1).ravel()
+            counts = np.diff(cuts, append=s.size)
+            d = s - np.repeat(s[cuts], counts)
+            e = np.frexp(s[width - 1 :: width])[1]  # in units of 2**e no square overflows
+            squares = np.square(np.ldexp(d, -np.repeat(e, width)))
+            root = np.ldexp(np.sqrt(0.5 * np.add.reduceat(squares, cuts)), np.repeat(e, stop.size + 1))
+            table = counts, s[cuts], s[cuts + counts - 1], np.add.reduceat(d, cuts), root
+            bins[:, g.start : g.stop, : stop.size] = np.reshape(table, (5, rows, -1))[:, :, 1:]
+        return bins
+
+    def _grid_values(self, taus, todo, n, f) -> None:
+        """Evaluate the profile NLL at the ``todo`` points, one pass per point of a row."""
+        if not todo.any():
+            return
         rows, cols = np.nonzero(todo)
         counts = np.count_nonzero(todo, axis=1)
         slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -281,7 +294,6 @@ class Rows:
         r.fill(math.inf)
         r[ok] = n[ok] * (logs + kk[ok] + 1.0)
         f[rows, cols] = r
-        k[rows[ok], cols[ok] + 1] = kk[ok]
 
     def keep(self, positions) -> None:
         """Compact the block to the rows at ``positions`` (ascending), in order.
@@ -304,7 +316,7 @@ class Rows:
         self._build(groups)
 
     def sums(self, tau: np.ndarray, deriv: bool):
-        """Per-row sums at one tau per row.
+        """Per-row sums at one tau per row; a group whose taus are all 0 is not computed.
 
         Returns (l, None, None) with l the sums of log1p(tau*y), or with
         ``deriv`` (l, w, w - l) where w sums t/(1 + t) and the last sums
@@ -312,8 +324,15 @@ class Rows:
         """
         l = np.empty(self.count)
         w_sums, d_sums = (np.empty(self.count), np.empty(self.count)) if deriv else (None, None)
+        self.passes += 1
         for g in self._groups:
             rows = slice(g.start, g.stop)
+            if not tau[rows].any():  # every tau is +-0: log1p(tau*y) = t/(1 + t) = tau
+                l[rows] = tau[rows]
+                if deriv:
+                    w_sums[rows], d_sums[rows] = tau[rows], 0.0
+                continue
+            self.elements += g.t.size
             t = g.t
             np.multiply(g.y, tau[rows, None], out=t)
             if deriv:
@@ -328,54 +347,55 @@ class Rows:
         return l, w_sums, d_sums
 
 
-def _not_ruled_out(taus, n, means, k, f, skip) -> np.ndarray:
-    """The unevaluated grid points whose bound does not rule them out (see Rows.profile_nll_grid).
+def _bin_stops(n) -> np.ndarray:  # the bounds of the bins of n values, ascending from 0 to n
+    stops, size = [n], 1  # bin ends, from the top
+    while size < n / _BINS:
+        stops.append(stops[-1] - size)
+        size *= 2
+    parts = min(stops[-1], -(-stops[-1] * _BINS // n))
+    return np.array([stops[-1] * i // parts for i in range(parts)] + stops[::-1])
 
-    ``k`` holds k where ``f`` is finite, with a nan column on each side.
+
+def _bounds(taus, bins, n):
+    """Bounds on k = sum(log1p(tau*y))/n and on the profile NLL as computed, at each point of ``taus``.
+
+    ``bins`` come from :meth:`Rows._order_bins`, ``n`` holds the rows'
+    sizes. Over a bin [a, b], l(y) = log1p(tau*y) is concave, so it lies
+    above its chord; by Taylor's theorem at a it lies within
+    l(a) + l'(a)*(y - a) - q*(y - a)**2/2, q between the values of
+    -l'' = (tau/(1 + tau*y))**2 at a and b. Summed over a bin, the chord
+    and the larger Taylor form bound its sum from below, the other form
+    from above. Both are widened by 8(w + 4) ulps (w the row's width) of
+    the sum of the terms' sizes, a size being the larger of |l| and
+    |t/(1 + t)|, which is what a rounding of t = tau*y costs near t = -1.
+    Given k, the profile NLL n*(log(k/tau) + k + 1) increases with k for
+    tau > 0 and is concave in k for tau < 0, so its floor is its least
+    value at the two bounds, widened by the rounding of its terms.
+    Returns (k_lo, k_hi, floor, guess), guess the NLL at the middle of
+    the unwidened bounds.
     """
-    size = taus.shape[1]
-    column = np.arange(size)
-    known = np.isfinite(f)
-    # The nearest known points on each side of each unevaluated point j:
-    # a2 < a1 < j < b1 < b2, as columns (-1 or size where there is none).
-    a1 = np.maximum.accumulate(np.where(known, column, -1), axis=1).ravel()
-    b1 = np.minimum.accumulate(np.where(known, column, size)[:, ::-1], axis=1)[:, ::-1].ravel()
-    j = np.flatnonzero(np.isnan(f) & ~skip)
-    row = j // size
-    base = row * size
-    ja1, jb1 = a1[j], b1[j]
-    ja2 = np.where(ja1 > 0, a1[base + np.maximum(ja1 - 1, 0)], -1)
-    jb2 = np.where(jb1 < size - 1, b1[base + np.minimum(jb1 + 1, size - 1)], size)
-    padded = row * (size + 2) + 1
-    t_all, k_all = np.pad(taus, ((0, 0), (1, 1))).ravel(), k.ravel()
-    t = taus.ravel()[j]
-    n = n[row]
-    # A computed k is within about n ulps of its exact value (a sum of n
-    # terms of one sign), so every bound on k is widened by a multiple of
-    # that, relative to the terms that form it.
-    rel = 4.0 * (n + 4.0) * _EPS
-
-    def line(c1, c2):
-        t1, t2 = t_all[padded + c1], t_all[padded + c2]
-        w = (t - t1) / (t2 - t1)
-        lo, hi = (1.0 - w) * k_all[padded + c1], w * k_all[padded + c2]
-        return lo + hi, rel * (np.abs(lo) + np.abs(hi))
-
-    chord, err = line(ja1, jb1)
-    k_lo = chord - err
-    tangent = t * means[row]
-    k_hi = tangent + rel * np.abs(tangent)
-    for c1, c2 in ((ja2, ja1), (jb1, jb2)):
-        chord, err = line(c1, c2)
-        k_hi = np.fmin(k_hi, chord + err)
-    log_lo, log_hi = np.log(k_lo / t), np.log(k_hi / t)
+    # In units of a power of two near each row's largest value, which
+    # changes no rounding and keeps tau/(1 + tau*y) from overflowing.
+    e = np.frexp(bins[2].max(axis=1))[1][:, None]
+    c = bins[0].T[:, :, None]
+    a, b, d1, root = (np.ldexp(x, -e).T[:, :, None] for x in bins[1:])
+    t = np.ldexp(taus, e)[None]
+    ta, tb = t * a, t * b
+    la, lb = np.log1p(ta), np.log1p(tb)
+    ua, ub = (np.divide(t, x + 1.0, out=x) for x in (ta, tb))  # in place, as are the squares
+    qa, qb = (np.square(x, out=x) for x in (ua * root, ub * root))
+    slope = np.divide(d1, b - a, out=np.zeros(d1.shape), where=b > a)
+    base, first = c * la, ua * d1
+    lo = (base + np.maximum(slope * (lb - la), first - np.maximum(qa, qb))).sum(axis=0)
+    hi = (base + first - np.minimum(qa, qb)).sum(axis=0)
+    size = (c * np.maximum(lb, -b * ub)).sum(axis=0)
+    rel = 8.0 * (bins[0].sum(axis=1)[:, None] + 4.0) * _EPS
+    k_lo, k_hi, k_mid = (lo - rel * size) / n, (hi + rel * size) / n, (lo + hi) / (2.0 * n)
+    log_lo, log_hi = np.log(k_lo / taus), np.log(k_hi / taus)
     g_lo = n * (log_lo + k_lo + 1.0)
-    bound = np.where(t > 0.0, g_lo, np.minimum(g_lo, n * (log_hi + k_hi + 1.0)))
+    bound = np.where(taus > 0.0, g_lo, np.minimum(g_lo, n * (log_hi + k_hi + 1.0)))
     magnitude = n * (np.maximum(np.abs(log_lo) + np.abs(k_lo), np.abs(log_hi) + np.abs(k_hi)) + 1.0)
-    least = np.min(np.where(known, f, math.inf), axis=1)
-    todo = np.zeros(taus.shape, dtype=bool)
-    todo.ravel()[j] = ~(bound - least[row] > rel * magnitude)
-    return todo
+    return k_lo, k_hi, bound - rel * magnitude, n * (np.log(k_mid / taus) + k_mid + 1.0)
 
 
 def _neighbours_pending(f, skip) -> np.ndarray:

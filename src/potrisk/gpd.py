@@ -12,10 +12,10 @@ one-dimensional objective over tau = xi/sigma (see _kernels), as Grimshaw
 (1993) does: a coarse grid brackets the optimum, and a safeguarded
 false-position solve finds the root of the analytic derivative (the
 profile score) in that bracket to within 4 ulps. The grid is evaluated
-lazily, only where a concavity bound cannot rule a point out, with the
-same minimum and bracket as the full grid. Where the score does not
-change sign over the bracket and the grid's minimum is its feasibility
-edge, the fit is that edge, a boundary hit.
+lazily, where bounds from bins of the sorted sample cannot rule a point
+out, with the minimum and bracket of the full grid. Where the score does
+not change sign over the bracket and the grid's minimum is its
+feasibility edge, the fit is that edge, a boundary hit.
 
 :func:`fit_samples` fits many samples at once, as the threshold scan
 needs: it searches blocks of samples in lockstep, one search coroutine
@@ -360,7 +360,7 @@ def fit_samples(samples, max_iterations: int = _MAX_ITERATIONS):
     zero-padded rows fit in the data buffer's 8 * ``BLOCK_ELEMENTS``
     elements; a longer sample gets a block of its own. Each sample is
     copied into the block as it arrives (see :class:`_kernels.Rows`),
-    and each block is searched in lockstep, so the tau grids, the bound
+    and each block is searched in lockstep, so the tau grids, the grid
     rounds and every drive step are paid once per block. Yields one entry
     per sample, in order: its FitResult, or the DegenerateSample or
     NonConvergence that :func:`fit_mle` would raise for it.

@@ -58,9 +58,10 @@ def profile_nll_deriv_numpy(y: np.ndarray, tau: float) -> float:
 
     Equal to n * (k'/k - 1/tau + k'). The first two terms cancel
     catastrophically near tau = 0, so they are evaluated as
-    (tau*k' - k) / (tau*k) with the numerator accumulated per element,
-    where each term t/(1+t) - log1p(t) is O(t^2) and loses no accuracy.
-    Returns nan when tau is infeasible.
+    (tau*k' - k) / (tau*k) with the numerator accumulated per element.
+    Each term t/(1+t) - log1p(t) is O(t^2) but is formed as the difference
+    of two rounded O(t) values, so it loses about log10(1/|t|) digits near
+    tau = 0, as the kernel's does. Returns nan when tau is infeasible.
     """
     n = y.shape[0]
     if tau == 0.0:

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -50,6 +52,28 @@ class TestRows:
             assert w[i] == wt.sum()
             assert d[i] == (wt - lg).sum()
         assert rows.sums(taus, deriv=False)[0].tolist() == l.tolist()
+
+    def test_groups_whose_taus_are_all_zero_are_not_computed(self):
+        samples = self._samples()  # groups: row 0, row 1, rows 2-4
+        rows, _ = _loaded(samples)
+        taus = np.array([0.5, 0.0, -0.0, 0.0, -0.0])
+        l, w, d = rows.sums(taus, deriv=True)
+        for i, y in enumerate(samples):
+            t = taus[i] * np.concatenate([[0.0], y])  # with the row's leading zero
+            lg = np.log1p(t)
+            wt = t / (1.0 + t)
+            # summed in order, as reduceat sums a computed row (the sign of a zero shows)
+            for got, terms in ((l[i], lg), (w[i], wt), (d[i], wt - lg)):
+                assert got.hex() == functools.reduce(operator.add, terms.tolist()).hex()
+        assert (rows.passes, rows.elements) == (1, 2)
+
+    def test_bins_hold_every_value_and_keep_it_apart_from_the_zeros(self):
+        samples = self._samples()  # rows 3 and 4 are shorter than their group's first row
+        rows, _ = _loaded(samples)
+        c, a, b, _, _ = rows._order_bins()
+        assert ((a > 0.0) | (b == 0.0))[c > 0].all()
+        assert np.where(a > 0.0, c, 0.0).sum(axis=1).tolist() == [y.size for y in samples]
+        assert b.max(axis=1).tolist() == [y.max() for y in samples]
 
     def test_row_constants(self):
         samples = self._samples()

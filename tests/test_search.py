@@ -3,10 +3,10 @@
 The search evaluates the tau grid lazily (``_kernels.Rows.profile_nll_grid``)
 and solves for the root of the profile score from the grid's bracket
 (``gpd._solve_score``). Hypothesis draws heavy, short and tied tails and
-checks the lazy grid against the full grid, and every candidate fit of a
-scan against the quantities the search is meant to optimize;
-deterministic tests on the bundled data count the grid points and score
-evaluations per fit.
+checks the lazy grid against the full grid, its bounds against the values
+they bound, and every candidate fit of a scan against the quantities the
+search is meant to optimize; deterministic tests on the bundled data
+count the grid points and score evaluations per fit.
 """
 
 import math
@@ -110,6 +110,82 @@ def test_the_lazy_grid_finds_the_full_grids_minimum_and_neighbours(family, data)
         )
 
 
+def test_the_lazy_grid_does_not_depend_on_its_first_guess(monkeypatch):
+    bounds = _kernels._bounds
+
+    def worst_first(taus, bins, n):
+        k_lo, k_hi, floor, guess = bounds(taus, bins, n)
+        return k_lo, k_hi, floor, -guess  # the first round takes the worst estimate
+
+    monkeypatch.setattr(_kernels, "_bounds", worst_first)
+    # The profiles of the last two have two local minima, the grid's edge
+    # and an interior point; a walk from a poor first guess stops at one.
+    cases = ((0.4, 200, 7), (-1.0, 30, 8), (-1.0, 100, 8))
+    samples = [gpd_sample(GpdParams(xi, 1.0), n, seed) for xi, n, seed in cases]
+    rows = _kernels.Rows()
+    for y in samples:
+        rows.add(y)
+    rows.load()
+    grids = _grids(samples)
+    for y, grid, values in zip(samples, grids, rows.profile_nll_grid(grids)):
+        evaluated = ~np.isnan(values)
+        first = np.unique(grid, return_index=True)[1]
+        full = scalar_oracle.profile_nll_grid_numpy(y, grid[first])
+        lazy = _minimum_and_neighbours(grid[evaluated], values[evaluated])
+        assert lazy == _minimum_and_neighbours(grid[first], full)
+
+
+def _check_bounds(samples):
+    """In one block, the bounds on k hold at every non-zero grid point, and the floor lies under the value."""
+    rows = _kernels.Rows()
+    for y in samples:
+        rows.add(y)
+    rows.load()
+    grids = _grids(samples)
+    n = np.array([[float(y.size)] for y in samples])
+    with np.errstate(all="ignore"):
+        k_lo, k_hi, floor, _ = _kernels._bounds(grids, rows._order_bins(), n)
+    for i, (y, grid) in enumerate(zip(samples, grids)):
+        values = scalar_oracle.profile_nll_grid_numpy(y, grid)
+        for j, tau in enumerate(grid):
+            with np.errstate(over="ignore"):
+                k = math.fsum(np.log1p(tau * y).tolist()) / y.size
+            if tau == 0.0 or not math.isfinite(k):
+                continue  # tau = 0 is evaluated directly; an overflowing tau has no finite value
+            assert k_lo[i, j] <= k <= k_hi[i, j], (y.size, tau, k_lo[i, j], k, k_hi[i, j])
+            if math.isfinite(values[j]):
+                assert not floor[i, j] > values[j], (y.size, tau, floor[i, j], values[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_BLOCK_FAMILIES)),
+    c=st.sampled_from([1e-300, 1e-100, 1.0, 1e100, 1e300]),
+    data=st.data(),
+)
+def test_the_bin_bounds_hold_at_every_grid_point(family, c, data):
+    samples = [y * c for y in data.draw(st.lists(_BLOCK_FAMILIES[family], min_size=1, max_size=4))]
+    if all(np.all(y > 0.0) and np.all(np.isfinite(y)) for y in samples):
+        _check_bounds(samples)
+
+
+@pytest.mark.parametrize("y", [
+    # after the bin of the leading zero, bins of 1, 1, 1, 2 and 1 values
+    pytest.param(np.array([0.05, 0.15, 0.35, 0.35, 0.85]), id="5_tied"),
+    pytest.param(np.array([1.0, 1.5, 4.0]) * 1e-100, id="3_small"),
+    pytest.param(np.array([1.0, 1.5, 4.0]) * 1e100, id="3_large"),
+])
+def test_the_bin_bounds_hold_where_every_bin_holds_one_value(y):
+    # The bounds equal k and the NLL up to rounding, so only their
+    # widening keeps them on the right side.
+    rows = _kernels.Rows()
+    rows.add(y)
+    rows.load()
+    c, a, b = rows._order_bins()[:3]
+    assert (a == b)[c > 0].all()
+    _check_bounds([y])
+
+
 @settings(max_examples=25, deadline=None)
 @given(family=st.sampled_from(sorted(_FAMILIES)), min_exceedances=st.sampled_from([3, 10]), data=st.data())
 def test_every_fit_is_a_score_root_at_least_as_likely_as_the_grid(family, min_exceedances, data):
@@ -177,20 +253,22 @@ def _plain_bisection_evaluations(lo, hi, root):
     return count
 
 
-def test_grid_points_evaluated_per_fit_on_the_bundled_data(monkeypatch):
+def test_grid_points_evaluated_per_fit_on_the_bundled_data():
     evaluated = []  # per fit: the non-zero grid points whose value was evaluated
-    grid = _kernels.Rows.profile_nll_grid
-
-    def counting(self, taus):
-        values = grid(self, taus)
-        evaluated.extend(np.count_nonzero(~np.isnan(values) & (taus != 0.0), axis=1).tolist())
-        return values
-
-    monkeypatch.setattr(_kernels.Rows, "profile_nll_grid", counting)
-    fits = [fit for tail, m in _bundled_tails() for _, fit in _candidate_fits(tail, m)]
-    assert len(evaluated) == len(fits) == 1416
-    # the full grid has 84 non-zero points
-    assert statistics.mean(evaluated) <= 42
+    for tail, m in _bundled_tails():
+        for u in candidate_thresholds(tail, m):
+            y = tail[tail > u] - u
+            rows = _kernels.Rows()
+            rows.add(y)
+            rows.load()
+            rows.profile_nll_grid(_grids([y]))
+            # one row: each pass of the kernel evaluates one grid point
+            assert rows.elements == rows.passes * (y.size + 1)
+            evaluated.append(rows.passes)
+    assert len(evaluated) == 1416
+    # the full grid has 84 non-zero points; an interior minimum needs 3
+    assert statistics.mean(evaluated) <= 4
+    assert max(evaluated) <= 6
 
 
 def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
