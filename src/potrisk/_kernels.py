@@ -43,6 +43,7 @@ __all__ = [
     "gpd_nll",
     "profile_nll",
     "profile_nll_deriv",
+    "profile_nll_from_sum",
 ]
 
 # The kernels are numpy only; perfbench records this in its provenance.
@@ -427,12 +428,18 @@ def profile_nll(row: Row, tau: float):
     A coroutine: it yields (SUM, tau) when it needs the row's sum of
     log1p(tau*y). Since y > 0, min(tau*y) is tau*y_max for tau < 0.
     """
+    if tau * row.y_max <= -1.0:
+        return math.inf
+    l = 0.0 if tau == 0.0 else (yield SUM, tau)
+    return profile_nll_from_sum(row, tau, l)
+
+
+def profile_nll_from_sum(row: Row, tau: float, l: float) -> float:
+    """:func:`profile_nll` at a feasible ``tau``, given the row's sum ``l`` of log1p(tau*y)."""
     n = row.n
     if tau == 0.0:
         return n * (math.log(row.mean) + 1.0)
-    if tau * row.y_max <= -1.0:
-        return math.inf
-    k = (yield SUM, tau) / n
+    k = l / n
     r = k / tau
     if not (r > 0.0) or not math.isfinite(r):
         return math.inf
@@ -447,14 +454,17 @@ def profile_nll_deriv(row: Row, tau: float):
     (tau*k' - k) / (tau*k) with the numerator accumulated per element.
     Each term t/(1+t) - log1p(t) is O(t^2) but is formed as the difference
     of two rounded O(t) values, so it loses about log10(1/|t|) digits near
-    tau = 0 (ROADMAP item 3). Returns nan when tau is infeasible.
+    tau = 0 (ROADMAP item 3). Returns (derivative, l), l the row's sum of
+    log1p(tau*y) (0 at tau = 0), from which :func:`profile_nll_from_sum`
+    gives the profile NLL at tau without another pass; (nan, nan) when
+    tau is infeasible.
     """
     n = row.n
     if tau == 0.0:
         m1 = row.mean
-        return n * (m1 - row.m2 / (2.0 * m1))
+        return n * (m1 - row.m2 / (2.0 * m1)), 0.0
     if tau * row.y_max <= -1.0:
-        return math.nan
+        return math.nan, math.nan
     l, w, d = yield DERIV, tau
     k = l / n
     kp = (w / n) / tau
@@ -462,7 +472,7 @@ def profile_nll_deriv(row: Row, tau: float):
         g = (d / n) / (tau * k)
     except ZeroDivisionError:  # tau*k underflows for a subnormal tau
         g = np.float64(d / n) / (tau * k)
-    return n * (g + kp)
+    return n * (g + kp), l
 
 
 def gpd_nll(row: Row, xi: float, sigma: float):

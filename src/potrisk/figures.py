@@ -4,13 +4,16 @@ Hand-rolled SVG keeps the output deterministic and audit-friendly: every
 data marker carries its original value in ``data-x``/``data-y`` attributes
 at full precision, so a figure can be parsed back and checked against the
 numbers it claims to show. Screen coordinates are an affine map of data
-coordinates; nothing is ever resampled.
+coordinates; nothing is ever resampled. Polyline points and markers are
+formatted while the figure is written, a chunk of points at a time, so a
+figure of any length holds one chunk's text at once.
 """
 
+import itertools
 import math
 
 from .errors import ValidationError
-from .series import BoxPlotSummary
+from .series import BoxPlotSummary, format_chunks
 
 __all__ = [
     "box_figure",
@@ -61,7 +64,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 class _Canvas:
-    """Linear data-to-screen mapping plus SVG element accumulation."""
+    """Linear data-to-screen mapping plus SVG element accumulation.
+
+    ``parts`` holds the body's elements in order, one per line: strings,
+    and for :meth:`polyline` and :meth:`markers` iterators of text that
+    is formatted as :meth:`write` reads it.
+    """
 
     def __init__(self, xlim, ylim, title, xlabel, ylabel):
         xlo, xhi = xlim
@@ -105,36 +113,48 @@ class _Canvas:
         )
 
     def polyline(self, xs, ys, cls="line"):
-        pts = " ".join(f"{_fmt(self.sx(x))},{_fmt(self.sy(y))}" for x, y in zip(xs, ys))
-        self.parts.append(f'<polyline class="{cls}" points="{pts}"/>')
+        """A polyline through the points of the iterables ``xs`` and ``ys``, read when the figure is written."""
+        points = format_chunks("{:.12g},{:.12g}", ((self.sx(x), self.sy(y)) for x, y in zip(xs, ys)), " ")
+        self.parts.append(itertools.chain([f'<polyline class="{cls}" points="'], points, ['"/>']))
 
     def markers(self, xs, ys, radius=3.0):
-        for x, y in zip(xs, ys):
-            self.parts.append(
-                f'<circle class="marker" cx="{_fmt(self.sx(x))}" cy="{_fmt(self.sy(y))}" '
-                f'r="{radius}" data-x="{_fmt(x)}" data-y="{_fmt(y)}"/>'
-            )
+        """One marker per point of the nonempty iterables ``xs`` and ``ys``, read when the figure is written."""
+        item = (
+            '<circle class="marker" cx="{:.12g}" cy="{:.12g}" '
+            f'r="{radius}" data-x="{{:.12g}}" data-y="{{:.12g}}"/>'
+        )
+        self.parts.append(format_chunks(item, ((self.sx(x), self.sy(y), x, y) for x, y in zip(xs, ys)), "\n"))
 
     def write(self, path):
-        body = "\n".join(self.parts)
-        svg = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n<style>{_STYLE}</style>\n{body}\n</svg>\n'
-        )
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+            fh.write(
+                f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+                f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n<style>{_STYLE}</style>\n'
+            )
+            for i, part in enumerate(self.parts):
+                if i:
+                    fh.write("\n")
+                if isinstance(part, str):
+                    fh.write(part)
+                else:
+                    fh.writelines(part)
+            fh.write("\n</svg>\n")
 
 
 def scatter_figure(xs, ys, path, title, xlabel, ylabel, connect=True):
-    """Markers (optionally connected) for a generic x-y curve."""
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if not xs or len(xs) != len(ys):
+    """Markers (optionally connected) for a generic x-y curve.
+
+    ``xs`` and ``ys`` are sequences of numbers. They are not copied: each
+    value is taken as a float as the figure is written.
+    """
+    if not len(xs) or len(xs) != len(ys):
         raise ValidationError("figure requires matching, nonempty x and y values")
-    canvas = _Canvas((min(xs), max(xs)), (min(ys), max(ys)), title, xlabel, ylabel)
+    xlim = min(map(float, xs)), max(map(float, xs))
+    ylim = min(map(float, ys)), max(map(float, ys))
+    canvas = _Canvas(xlim, ylim, title, xlabel, ylabel)
     if connect and len(xs) > 1:
-        canvas.polyline(xs, ys)
-    canvas.markers(xs, ys)
+        canvas.polyline(map(float, xs), map(float, ys))
+    canvas.markers(map(float, xs), map(float, ys))
     canvas.write(path)
 
 

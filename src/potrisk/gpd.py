@@ -203,10 +203,13 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
     evaluation skips. A row whose excess sum overflowed (its search stops)
     gets mean 1.
     """
-    s = 1.0 / np.where(np.isfinite(means), means, 1.0)
-    near_edge = tau_mins[:, None] * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
-    neg_mid = -np.geomspace(1e-8 * s, 0.9 * np.abs(tau_mins), 25, axis=1)
-    pos = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
+    # A mean below about 1e-300 makes 1e8*s (or s itself) infinite; those
+    # points are non-finite and the search drops them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 1.0 / np.where(np.isfinite(means), means, 1.0)
+        near_edge = tau_mins[:, None] * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
+        neg_mid = -np.geomspace(1e-8 * s, 0.9 * np.abs(tau_mins), 25, axis=1)
+        pos = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
     zero = np.zeros((means.size, 1))
     grid = np.concatenate([tau_mins[:, None], near_edge, neg_mid, zero, pos], axis=1)
     grid.sort(axis=1)
@@ -226,14 +229,16 @@ def _solve_score(row, a, b, f_best, max_iterations, first=math.nan):
     forced when three secant steps have not halved the bracket. Stops when
     the bracket is within 4 ulps or the score is exactly 0.
 
-    Returns (root, converged), converged False after ``max_iterations``
-    steps, if the profile NLL at the root is within slack of ``f_best``;
-    None if it is not, or if the score does not change sign over [a, b]
-    (a boundary optimum) or is not finite inside it.
+    Returns (root, l, converged), l the row's sum of log1p(root*y) and
+    converged False after ``max_iterations`` steps, if the profile NLL at
+    the root is within slack of ``f_best``; None if it is not, or if the
+    score does not change sign over [a, b] (a boundary optimum) or is not
+    finite inside it. The root is an endpoint whose score was evaluated,
+    so its NLL comes from the sum kept with that score.
     """
     deriv = _kernels.profile_nll_deriv
-    fa = yield from deriv(row, a)
-    fb = yield from deriv(row, b)
+    fa, la = yield from deriv(row, a)
+    fb, lb = yield from deriv(row, b)
     if not (fa < 0.0 <= fb < math.inf):
         return None
     ga, gb = fa, fb  # the scores the secant uses, scaled while an endpoint is kept
@@ -255,23 +260,23 @@ def _solve_score(row, a, b, f_best, max_iterations, first=math.nan):
             c = b - tol if not c < b - tol else max(c, a + tol)
             first = math.nan
             steps += 1
-        fc = yield from deriv(row, c)
+        fc, lc = yield from deriv(row, c)
         if not math.isfinite(fc):
             return None
         if fc < 0.0:
             if newest < 0:
                 m = 1.0 - fc / fa
                 gb *= m if m > 0.0 else 0.5
-            a, fa, ga, newest = c, fc, fc, -1
+            a, fa, ga, la, newest = c, fc, fc, lc, -1
         else:
             if newest > 0:
                 m = 1.0 - fc / fb
                 ga *= m if m > 0.0 else 0.5
-            b, fb, gb, newest = c, fc, fc, 1
-    root = a if -fa < fb else b
-    f = yield from _kernels.profile_nll(row, root)
+            b, fb, gb, lb, newest = c, fc, fc, lc, 1
+    root, l = (a, la) if -fa < fb else (b, lb)
+    f = _kernels.profile_nll_from_sum(row, root, l)
     if math.isfinite(f) and f <= f_best + 1e-6 * (1.0 + abs(f_best)):
-        return root, converged
+        return root, l, converged
     return None
 
 
@@ -322,30 +327,31 @@ def _search(row, grid, values, max_iterations):
         first = _vertex(*grid[best - 1 : best + 2].tolist(), *values[best - 1 : best + 2].tolist())
     root = yield from _solve_score(row, lo, hi, float(values[best]), max_iterations, first)
     if root is not None:
-        tau_hat, converged = root
-    elif best > 0:
-        # No acceptable root in the bracket, yet its best point is inside.
-        converged = False
-    # Otherwise the best point is the grid's left end, its feasibility
-    # edge, and the fit is that edge: a boundary hit.
+        tau_hat, l, converged = root
+    else:
+        if best > 0:
+            # No acceptable root in the bracket, yet its best point is inside.
+            converged = False
+        # Otherwise the best point is the grid's left end, its feasibility
+        # edge, and the fit is that edge: a boundary hit.
+        l = 0.0 if tau_hat == 0.0 else (yield _kernels.SUM, tau_hat)
 
     if tau_hat == 0.0:
         xi_hat = 0.0
         sigma_hat = row.mean
     else:
-        xi_hat = (yield _kernels.SUM, tau_hat) / row.n
+        xi_hat = l / row.n
         sigma_hat = xi_hat / tau_hat
     if not (sigma_hat > 0.0) or not math.isfinite(sigma_hat):
         raise NonConvergence(f"optimizer produced an invalid scale {sigma_hat}")
 
-    params = GpdParams(shape=xi_hat, scale=sigma_hat)
-    boundary_hit = (1.0 + tau_hat * row.y_max) < _BOUNDARY_MARGIN
-    nll_params = yield from _kernels.gpd_nll(row, params.shape, params.scale)
+    # At (xi_hat, sigma_hat) = (k, k/tau) the log-likelihood is minus the
+    # profile NLL at tau_hat, which the sum l gives without another pass.
     return FitResult(
-        params=params,
-        log_likelihood=-nll_params,
+        params=GpdParams(shape=xi_hat, scale=sigma_hat),
+        log_likelihood=-_kernels.profile_nll_from_sum(row, tau_hat, l),
         converged=converged,
-        boundary_hit=boundary_hit,
+        boundary_hit=(1.0 + tau_hat * row.y_max) < _BOUNDARY_MARGIN,
     )
 
 
@@ -381,7 +387,8 @@ def _fit_block(rows, max_iterations) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
     stats = rows.load()
     y_max = np.array([row.y_max for row in stats])
-    tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
+    with np.errstate(over="ignore"):  # -inf for a subnormal maximum
+        tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
     grids = _tau_grids(np.array([row.mean for row in stats]), tau_mins)
     values = rows.profile_nll_grid(grids)
     evaluated = ~np.isnan(values)

@@ -40,10 +40,12 @@ from .series import (
     box_plot,
     compute_returns,
     csv_rows,
+    python_values,
     read_earnings_csv,
     split_by_period,
     split_by_sign,
     write_returns_csv,
+    write_rows,
 )
 
 __all__ = [
@@ -143,10 +145,9 @@ def trend_coefficients(returns: ReturnSeries) -> tuple[float, float, list[tuple[
 # -- CSV exports ---------------------------------------------------------------
 
 def write_curve_csv(curve: MeanExcessCurve, path) -> None:
-    columns = (curve.thresholds.tolist(), curve.mean_excesses.tolist(), curve.counts.tolist())
-    lines = [f"{u:.15g},{e:.15g},{int(c)}\n" for u, e, c in zip(*columns)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("u,mean_excess,count\n" + "".join(lines))
+    columns = (python_values(curve.thresholds), python_values(curve.mean_excesses), python_values(curve.counts))
+    rows = ((u, e, int(c)) for u, e, c in zip(*columns))
+    write_rows(path, "u,mean_excess,count\n", "{:.15g},{:.15g},{}\n", rows)
 
 
 def read_curve_csv(path) -> tuple[list[float], list[float], list[int]]:
@@ -159,17 +160,16 @@ def read_curve_csv(path) -> tuple[list[float], list[float], list[int]]:
 
 
 def write_scan_csv(scan: ThresholdScan, path) -> None:
-    lines = ["u,xi,sigma,n_u,var,es,w2,a2,accepted_alphas\n"]
-    for e in scan.estimates:
-        gof = e.gof
-        es = "" if e.es is None else f"{e.es:.15g}"
-        tests = ",," if gof is None else f"{gof.w2:.15g},{gof.a2:.15g},"
-        accepted = "" if gof is None else ";".join(f"{a:g}" for a in gof.accepted_alphas())
-        lines.append(
-            f"{e.u:.15g},{e.params.shape:.15g},{e.params.scale:.15g},{e.n_u},{e.var:.15g},{es},{tests}{accepted}\n"
-        )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    header = "u,xi,sigma,n_u,var,es,w2,a2,accepted_alphas\n"
+    write_rows(path, header, "{:.15g},{:.15g},{:.15g},{},{:.15g},{},{}{}\n", map(_scan_row, scan.estimates))
+
+
+def _scan_row(e: RiskEstimate) -> tuple:
+    gof = e.gof
+    es = "" if e.es is None else f"{e.es:.15g}"
+    tests = ",," if gof is None else f"{gof.w2:.15g},{gof.a2:.15g},"
+    accepted = "" if gof is None else ";".join(f"{a:g}" for a in gof.accepted_alphas())
+    return e.u, e.params.shape, e.params.scale, e.n_u, e.var, es, tests, accepted
 
 
 def read_scan_csv(path) -> tuple[list[float], list[float]]:

@@ -8,6 +8,7 @@ positive threshold.
 
 import csv
 import datetime
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +34,11 @@ __all__ = [
     "split_by_sign",
     "write_returns_csv",
 ]
+
+# Rows per chunk of an export. Each chunk is formatted by one str.format
+# call and written before the next is taken, so an export holds one chunk's
+# text at a time (well under 1 MB), however many rows it has.
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -266,6 +272,32 @@ def read_returns_csv(path) -> ReturnSeries:
 
 def write_returns_csv(returns: ReturnSeries, path) -> None:
     """Write a `date,return` CSV with 15 significant digits."""
-    lines = [f"{d.isoformat()},{v:.15g}\n" for d, v in zip(returns.dates, returns.values.tolist())]
+    rows = ((d.isoformat(), v) for d, v in zip(returns.dates, python_values(returns.values)))
+    write_rows(path, "date,return\n", "{},{:.15g}\n", rows)
+
+
+def python_values(values: np.ndarray):
+    """The elements of a 1-d array as Python numbers, converted one chunk at a time."""
+    for start in range(0, values.size, CHUNK_ROWS):
+        yield from values[start : start + CHUNK_ROWS].tolist()
+
+
+def format_chunks(line: str, rows, sep: str = ""):
+    """``line`` formatted with each tuple of ``rows`` and joined by ``sep``, as one string per CHUNK_ROWS rows.
+
+    ``line`` holds one replacement field per value of a row. Each chunk is
+    one str.format call of ``line`` repeated, so the text held at once
+    does not grow with the number of rows.
+    """
+    rows = iter(rows)
+    lead = ""
+    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+        yield lead + sep.join([line] * len(chunk)).format(*itertools.chain.from_iterable(chunk))
+        lead = sep
+
+
+def write_rows(path, header: str, line: str, rows) -> None:
+    """Write ``header``, then ``line`` formatted with each tuple of ``rows``, to a UTF-8 file, a chunk at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("date,return\n" + "".join(lines))
+        fh.write(header)
+        fh.writelines(format_chunks(line, rows))

@@ -146,7 +146,8 @@ def _check_bounds(samples):
     with np.errstate(all="ignore"):
         k_lo, k_hi, floor, _ = _kernels._bounds(grids, rows._order_bins(), n)
     for i, (y, grid) in enumerate(zip(samples, grids)):
-        values = scalar_oracle.profile_nll_grid_numpy(y, grid)
+        with np.errstate(invalid="ignore"):  # an infinite grid point (mean below ~1e-300) makes k/tau inf/inf
+            values = scalar_oracle.profile_nll_grid_numpy(y, grid)
         for j, tau in enumerate(grid):
             with np.errstate(over="ignore"):
                 k = math.fsum(np.log1p(tau * y).tolist()) / y.size
@@ -193,15 +194,12 @@ def test_every_fit_is_a_score_root_at_least_as_likely_as_the_grid(family, min_ex
     for y, fit in _candidate_fits(tail, min_exceedances):
         if isinstance(fit, Exception):
             continue
-        if fit.boundary_hit:
-            # the likelihood is unbounded at the feasibility edge, and its
-            # value there hangs on the last bits of shape/scale
-            continue
         values = _grid_nll(y)
         grid_best = -values[np.isfinite(values)].min()
         assert fit.log_likelihood >= grid_best - 1e-9, (y.size, fit, grid_best)
         tau = fit.params.shape / fit.params.scale
-        if tau == 0.0:
+        if tau == 0.0 or fit.boundary_hit:
+            # the score need not vanish at the feasibility edge
             continue
         score, scale = _score(y, tau)
         # The score kernel forms each O(t^2) term t/(1+t) - log1p(t) as a
@@ -273,7 +271,8 @@ def test_grid_points_evaluated_per_fit_on_the_bundled_data():
 
 def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
     rows, requests = [], {}  # every loaded Row in fit order; Row -> taus of its score requests
-    load, deriv = _kernels.Rows.load, _kernels.profile_nll_deriv
+    kinds = {}  # Row -> the kinds of the kernel requests of its search, in order
+    load, deriv, search = _kernels.Rows.load, _kernels.profile_nll_deriv, gpd._search
 
     def recording(self):
         loaded = load(self)
@@ -284,8 +283,19 @@ def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
         requests.setdefault(row, []).append(tau)
         return (yield from deriv(row, tau))
 
+    def logged(row, *args):
+        log, coroutine, value = kinds.setdefault(row, []), search(row, *args), None
+        while True:
+            try:
+                request = coroutine.send(value)
+            except StopIteration as stop:
+                return stop.value
+            log.append(request[0])
+            value = yield request
+
     monkeypatch.setattr(_kernels.Rows, "load", recording)
     monkeypatch.setattr(_kernels, "profile_nll_deriv", counting)
+    monkeypatch.setattr(gpd, "_search", logged)
     fits = [fit for tail, m in _bundled_tails() for _, fit in _candidate_fits(tail, m)]
     assert len(fits) == len(rows) == 1416
     counts, plain = [], []
@@ -294,6 +304,10 @@ def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
             continue
         taus = requests[row]
         counts.append(len(taus))
+        # After the score solve a fit with a root makes no kernel pass, and
+        # one without a root makes one, for the shape at its grid point.
+        after = kinds[row][kinds[row].index(_kernels.DERIV) :].count(_kernels.SUM)
+        assert after == (0 if fit.converged and not fit.boundary_hit else 1), (row.n, fit)
         if not fit.boundary_hit:
             # the first two requests are the grid bracket's endpoints
             plain.append(_plain_bisection_evaluations(*taus[:2], fit.params.shape / fit.params.scale))
