@@ -39,8 +39,6 @@ __all__ = [
     "Row",
     "Rows",
     "drive",
-    "evaluate",
-    "gpd_nll",
     "profile_nll",
     "profile_nll_deriv",
     "profile_nll_from_sum",
@@ -475,19 +473,6 @@ def profile_nll_deriv(row: Row, tau: float):
     return n * (g + kp), l
 
 
-def gpd_nll(row: Row, xi: float, sigma: float):
-    """Negative GPD log-likelihood at (xi, sigma), +inf when infeasible (a coroutine)."""
-    n = row.n
-    if not (sigma > 0.0):
-        return math.inf
-    if xi == 0.0:
-        return n * math.log(sigma) + row.total / sigma
-    c = xi / sigma
-    if c * row.y_max <= -1.0:
-        return math.inf
-    return n * math.log(sigma) + (1.0 + 1.0 / xi) * (yield SUM, c)
-
-
 def drive(rows: Rows, searches: list) -> list:
     """Run one coroutine per row of ``rows`` in lockstep.
 
@@ -536,12 +521,3 @@ def drive(rows: Rows, searches: list) -> list:
                     still.append(entry)
             live = still
     return results
-
-
-def evaluate(kernel, y, *args):
-    """Value of one kernel coroutine on one sample, e.g. evaluate(profile_nll, y, tau)."""
-    rows = Rows()
-    rows.add(np.ascontiguousarray(y, dtype=float))
-    (row,) = rows.load()
-    (value,) = drive(rows, [kernel(row, *args)])
-    return value

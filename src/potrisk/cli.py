@@ -5,19 +5,24 @@ Exit codes: 0 success, 1 internal error, 2 input/validation error.
 """
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import figures, report
 from .errors import NonConvergence, NoSurvivingCandidates, NotApplicable, ValidationError
 from .gof import table_rows
 from .gpd import GpdParams, gpd_sample
 from .risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds, scan_with_alpha_filter
-from .series import box_plot, compute_returns, read_earnings_csv, read_returns_csv, write_returns_csv
+from .series import (
+    box_plot,
+    compute_returns,
+    python_values,
+    read_earnings_csv,
+    read_returns_csv,
+    split_by_sign,
+    write_returns_csv,
+    write_rows,
+)
 
 
 def _add_common(parser, *, fmt=False):
@@ -108,14 +113,11 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_scan(args) -> None:
-    returns = read_returns_csv(args.input)
-    vals = returns.values
+    split = split_by_sign(read_returns_csv(args.input))
     if args.tail == "positive":
-        tail = vals[vals > 0.0]
-        regime = HEAVY_TAIL
+        tail, regime = split.positive.values, HEAVY_TAIL
     else:
-        tail = -vals[vals < 0.0]
-        regime = SHORT_TAIL
+        tail, regime = split.negative.values, SHORT_TAIL
     scan = scan_thresholds(tail, p=args.p, regime=regime, min_exceedances=args.min_exceedances)
     filtered = None
     if args.alpha is not None:
@@ -126,9 +128,7 @@ def _cmd_scan(args) -> None:
         report.write_scan_csv(scan, out)
     else:
         out = args.out_dir / f"scan_{args.tail}.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report.scan_dict(scan, filtered), fh, indent=2)
-            fh.write("\n")
+        report.write_json(report.scan_dict(scan, filtered), out)
     print(f"wrote {out}")
 
 
@@ -162,22 +162,14 @@ def _cmd_simulate(args) -> None:
     samples = gpd_sample(params, args.count, args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "samples.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value"])
-        for v in np.atleast_1d(samples):
-            writer.writerow([repr(float(v))])
+    write_rows(out, "value\n", "{!r}\n", ((v,) for v in python_values(samples)))
     print(f"wrote {out}")
 
 
 def _cmd_gof_table(args) -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "gof_table.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["xi", "alpha", "w2", "a2"])
-        for xi, alpha, w2, a2 in table_rows():
-            writer.writerow([f"{xi:g}", f"{alpha:g}", f"{w2:g}", f"{a2:g}"])
+    write_rows(out, "xi,alpha,w2,a2\n", "{:g},{:g},{:g},{:g}\n", table_rows())
     print(f"wrote {out}")
 
 
@@ -187,23 +179,10 @@ def _cmd_trend(args) -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         out = args.out_dir / "trend.csv"
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["year", "mean_return"])
-            for year, mean in yearly:
-                writer.writerow([year, f"{mean:.15g}"])
+        write_rows(out, "year,mean_return\n", "{},{:.15g}\n", yearly)
     else:
         out = args.out_dir / "trend.json"
-        doc = {
-            "slope": report._round12(slope),
-            "intercept": report._round12(intercept),
-            "yearly_means": [
-                {"year": year, "mean": report._round12(mean)} for year, mean in yearly
-            ],
-        }
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        report.write_json(report.trend_dict(slope, intercept, yearly), out)
     print(f"wrote {out}")
 
 

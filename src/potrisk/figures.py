@@ -45,10 +45,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -112,16 +112,16 @@ class _Canvas:
             f'transform="rotate(-90 16 {_HEIGHT // 2})">{ylabel}</text>'
         )
 
-    def polyline(self, xs, ys, cls="line"):
+    def polyline(self, xs, ys):
         """A polyline through the points of the iterables ``xs`` and ``ys``, read when the figure is written."""
         points = format_chunks("{:.12g},{:.12g}", ((self.sx(x), self.sy(y)) for x, y in zip(xs, ys)), " ")
-        self.parts.append(itertools.chain([f'<polyline class="{cls}" points="'], points, ['"/>']))
+        self.parts.append(itertools.chain(['<polyline class="line" points="'], points, ['"/>']))
 
-    def markers(self, xs, ys, radius=3.0):
+    def markers(self, xs, ys):
         """One marker per point of the nonempty iterables ``xs`` and ``ys``, read when the figure is written."""
         item = (
             '<circle class="marker" cx="{:.12g}" cy="{:.12g}" '
-            f'r="{radius}" data-x="{{:.12g}}" data-y="{{:.12g}}"/>'
+            'r="3.0" data-x="{:.12g}" data-y="{:.12g}"/>'
         )
         self.parts.append(format_chunks(item, ((self.sx(x), self.sy(y), x, y) for x, y in zip(xs, ys)), "\n"))
 
@@ -141,8 +141,8 @@ class _Canvas:
             fh.write("\n</svg>\n")
 
 
-def scatter_figure(xs, ys, path, title, xlabel, ylabel, connect=True):
-    """Markers (optionally connected) for a generic x-y curve.
+def scatter_figure(xs, ys, path, title, xlabel, ylabel):
+    """Markers for a generic x-y curve, joined by a polyline when there are two or more.
 
     ``xs`` and ``ys`` are sequences of numbers. They are not copied: each
     value is taken as a float as the figure is written.
@@ -152,13 +152,13 @@ def scatter_figure(xs, ys, path, title, xlabel, ylabel, connect=True):
     xlim = min(map(float, xs)), max(map(float, xs))
     ylim = min(map(float, ys)), max(map(float, ys))
     canvas = _Canvas(xlim, ylim, title, xlabel, ylabel)
-    if connect and len(xs) > 1:
+    if len(xs) > 1:
         canvas.polyline(map(float, xs), map(float, ys))
     canvas.markers(map(float, xs), map(float, ys))
     canvas.write(path)
 
 
-def trend_figure(years, means, slope, intercept, path, title="Yearly average returns"):
+def trend_figure(years, means, slope, intercept, path):
     """Yearly mean returns with their least-squares trend line.
 
     The trend line's slope and intercept (per year index, first year = 0)
@@ -171,7 +171,7 @@ def trend_figure(years, means, slope, intercept, path, title="Yearly average ret
     y_fit = [intercept + slope * i for i in range(len(years))]
     lo = min(means + y_fit)
     hi = max(means + y_fit)
-    canvas = _Canvas((years[0], years[-1]), (lo, hi), title, "year", "mean return")
+    canvas = _Canvas((years[0], years[-1]), (lo, hi), "Yearly average returns", "year", "mean return")
     canvas.polyline(years, means)
     x1, x2 = years[0], years[-1]
     canvas.parts.append(
@@ -183,7 +183,7 @@ def trend_figure(years, means, slope, intercept, path, title="Yearly average ret
     canvas.write(path)
 
 
-def box_figure(summary: BoxPlotSummary, path, title="Return distribution"):
+def box_figure(summary: BoxPlotSummary, path):
     """Single box-and-whisker figure with min/max outlier markers.
 
     The box group carries the five summary numbers as data attributes.
@@ -194,7 +194,7 @@ def box_figure(summary: BoxPlotSummary, path, title="Return distribution"):
     if summary.max_outlier is not None:
         values.append(summary.max_outlier)
     lo, hi = min(values), max(values)
-    canvas = _Canvas((0.0, 2.0), (lo, hi), title, "", "return")
+    canvas = _Canvas((0.0, 2.0), (lo, hi), "Return distribution", "", "return")
     cx, half = 1.0, 0.3
     sx1, sx2 = canvas.sx(cx - half), canvas.sx(cx + half)
     scx = canvas.sx(cx)

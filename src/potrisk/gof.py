@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BoundaryValue, EmptySample, UnknownAlphaLevel
-from .gpd import GpdParams, gpd_cdf
+from .gpd import GpdParams, gpd_cdf, gpd_cdf_rows
 
 __all__ = [
     "ALPHA_LEVELS",
@@ -47,10 +47,6 @@ class CriticalValueTable:
     alphas: tuple[float, ...]
     w2: tuple[tuple[float, ...], ...]
     a2: tuple[tuple[float, ...], ...]
-
-    def row(self, shape: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        i = self.shapes.index(shape)
-        return self.w2[i], self.a2[i]
 
 
 CRITICAL_VALUE_TABLE = CriticalValueTable(
@@ -124,14 +120,13 @@ def anderson_darling(z) -> float:
     return float(-n - s / n)
 
 
-def interpolate_criticals(
-    shape: float, table: CriticalValueTable = CRITICAL_VALUE_TABLE
-) -> dict[float, tuple[float, float]]:
+def interpolate_criticals(shape: float) -> dict[float, tuple[float, float]]:
     """Critical values at ``shape``, linearly interpolated between table rows.
 
     Defined for shapes within the table's coverage only; extrapolation is
     refused and returns an empty mapping.
     """
+    table = CRITICAL_VALUE_TABLE
     shapes = table.shapes
     if shape < shapes[0] or shape > shapes[-1]:
         return {}
@@ -147,20 +142,15 @@ def interpolate_criticals(
     return out
 
 
-def verdicts_for(
-    w2: float,
-    a2: float,
-    shape: float,
-    table: CriticalValueTable = CRITICAL_VALUE_TABLE,
-) -> tuple[dict[float, str], dict[float, tuple[float, float]]]:
+def verdicts_for(w2: float, a2: float, shape: float) -> tuple[dict[float, str], dict[float, tuple[float, float]]]:
     """Per-alpha verdicts for given statistics at a fitted shape.
 
     Accept at a level when neither statistic exceeds its interpolated
     critical value; not_applicable at every level outside table coverage.
     """
-    criticals = interpolate_criticals(shape, table)
+    criticals = interpolate_criticals(shape)
     verdicts = {}
-    for alpha in table.alphas:
+    for alpha in ALPHA_LEVELS:
         if not criticals:
             verdicts[alpha] = NOT_APPLICABLE
         else:
@@ -169,22 +159,18 @@ def verdicts_for(
     return verdicts, criticals
 
 
-def test_gpd_fit(
-    excesses,
-    params: GpdParams,
-    table: CriticalValueTable = CRITICAL_VALUE_TABLE,
-) -> GofReport:
+def test_gpd_fit(excesses, params: GpdParams) -> GofReport:
     """W²/A² report for a fitted GPD on its excess sample.
 
     Zero-valued transforms are dropped before both statistics. The
     one-sample case of :func:`gof_reports`.
     """
     y = np.sort(np.atleast_1d(np.asarray(excesses, dtype=float)))
-    (report,) = gof_reports(y, np.zeros(1, dtype=np.intp), np.zeros(1), [params], table)
+    (report,) = gof_reports(y, np.zeros(1, dtype=np.intp), np.zeros(1), [params])
     return report
 
 
-def gof_reports(xs, starts, thresholds, params, table: CriticalValueTable = CRITICAL_VALUE_TABLE) -> list:
+def gof_reports(xs, starts, thresholds, params) -> list:
     """W²/A² reports of many fits whose excess samples are suffixes of one sorted sample.
 
     ``xs`` is sorted ascending, and fit r (``params[r]``) was made on the
@@ -215,33 +201,20 @@ def gof_reports(xs, starts, thresholds, params, table: CriticalValueTable = CRIT
             and width >= xs.size - starts[end] >= width / 2
         ):
             end += 1
-        reports += _gof_block(xs[starts[r] :], starts[r:end] - starts[r], thresholds[r:end], params[r:end], table)
+        reports += _gof_block(xs[starts[r] :], starts[r:end] - starts[r], thresholds[r:end], params[r:end])
         r = end
     return reports
 
 
-def _gof_block(tail, offsets, thresholds, params, table) -> list:
+def _gof_block(tail, offsets, thresholds, params) -> list:
     """Reports of the fits whose excesses are ``tail[offsets[r]:] - thresholds[r]``, offsets ascending."""
     width = tail.size
     col = np.arange(width)
     xi = np.array([p.shape for p in params])
     sigma = np.array([p.scale for p in params])
-    y = tail - thresholds[:, None]
+    z = gpd_cdf_rows(xi, sigma, tail - thresholds[:, None])
     # a row whose transforms are all zero has n = 0 and raises below
     with np.errstate(all="ignore"):
-        # gpd_cdf, one row per fit
-        t = (xi / sigma)[:, None] * y
-        z = np.log1p(t)
-        np.negative(z, out=z)
-        z /= xi[:, None]
-        np.expm1(z, out=z)
-        np.negative(z, out=z)
-        z[~(t > -1.0)] = 1.0
-        exponential = xi == 0.0
-        if exponential.any():
-            z[exponential] = -np.expm1(-y[exponential] / sigma[exponential, None])
-        z[y < 0.0] = 0.0
-        z[np.isnan(y)] = np.nan
         z[col < offsets[:, None]] = 0.0
         # Zero transforms (and the padding) lead each row; fit r keeps the
         # n = width - first[r] transforms from first[r] on.
@@ -266,7 +239,7 @@ def _gof_block(tail, offsets, thresholds, params, table) -> list:
         if np.isnan(z[r, -1]):
             raise BoundaryValue("A² input contains values at 0 or 1 after clamping")
         a2 = float(-count - np.sum(a_terms[r, a:]) / count)
-        verdicts, criticals = verdicts_for(w2, a2, p.shape, table)
+        verdicts, criticals = verdicts_for(w2, a2, p.shape)
         reports.append(
             GofReport(w2=w2, a2=a2, shape_used=p.shape, verdicts=verdicts, interpolated_criticals=criticals)
         )
@@ -281,8 +254,9 @@ def require_alpha(alpha: float) -> float:
     raise UnknownAlphaLevel(f"alpha must be one of {ALPHA_LEVELS}, got {alpha}")
 
 
-def table_rows(table: CriticalValueTable = CRITICAL_VALUE_TABLE):
-    """Iterate (shape, alpha, w2, a2) rows, e.g. for CSV export."""
+def table_rows():
+    """Iterate the (shape, alpha, w2, a2) rows of the critical-value table, e.g. for CSV export."""
+    table = CRITICAL_VALUE_TABLE
     for i, shape in enumerate(table.shapes):
         for j, alpha in enumerate(table.alphas):
             yield shape, alpha, table.w2[i][j], table.a2[i][j]

@@ -48,6 +48,7 @@ __all__ = [
     "fit_mle",
     "fit_samples",
     "gpd_cdf",
+    "gpd_cdf_rows",
     "gpd_log_likelihood",
     "gpd_quantile",
     "gpd_sample",
@@ -142,22 +143,33 @@ def gpd_cdf(params: GpdParams, y):
 
     Continuous in the shape at 0 (exponential limit). Values beyond the
     upper support endpoint of a negative-shape distribution map to 1;
-    negative arguments map to 0.
+    negative arguments map to 0. The one-row case of :func:`gpd_cdf_rows`.
     """
     y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
-    xi, sigma = params.shape, params.scale
-    if xi == 0.0:
-        out = -np.expm1(-y_arr / sigma)
-    else:
-        t = (xi / sigma) * y_arr
-        out = np.ones_like(y_arr)
-        inside = t > -1.0
-        out[inside] = -np.expm1(-np.log1p(t[inside]) / xi)
-    out = np.where(y_arr < 0.0, 0.0, out)
-    out = np.where(np.isnan(y_arr), np.nan, out)
-    return float(out[0]) if scalar else out
+    out = gpd_cdf_rows(np.array([params.shape]), np.array([params.scale]), y_arr.reshape(1, -1))
+    return float(out[0, 0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
+
+
+def gpd_cdf_rows(xi: np.ndarray, sigma: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`gpd_cdf` of each row of the 2-d ``y`` under shape ``xi[r]`` and scale ``sigma[r]``.
+
+    The steps after the first run in place on the result, so that a call
+    holds two arrays the size of ``y``: the result and tau*y.
+    """
+    with np.errstate(all="ignore"):  # the shape-0 and out-of-support entries are set afterwards
+        t = (xi / sigma)[:, None] * y
+        z = np.log1p(t)
+        np.negative(z, out=z)
+        z /= xi[:, None]
+        np.expm1(z, out=z)
+        np.negative(z, out=z)
+        z[~(t > -1.0)] = 1.0
+        exponential = xi == 0.0
+        if exponential.any():
+            z[exponential] = -np.expm1(-y[exponential] / sigma[exponential, None])
+    z[y < 0.0] = 0.0
+    z[np.isnan(y)] = np.nan
+    return z
 
 
 def gpd_quantile(params: GpdParams, q):
@@ -184,7 +196,15 @@ def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
 
 def gpd_log_likelihood(params: GpdParams, excesses) -> float:
     """Log-likelihood of ``excesses`` under ``params`` (-inf when infeasible)."""
-    return -_kernels.evaluate(_kernels.gpd_nll, excesses, params.shape, params.scale)
+    y = np.asarray(excesses, dtype=float)
+    xi, sigma = params.shape, params.scale
+    with np.errstate(over="ignore"):  # an overflowing product or sum is inf
+        if xi == 0.0:
+            return -(y.size * math.log(sigma) + float(y.sum()) / sigma)
+        t = (xi / sigma) * y
+        if np.min(t) <= -1.0:
+            return -math.inf
+        return -(y.size * math.log(sigma) + (1.0 + 1.0 / xi) * float(np.log1p(t).sum()))
 
 
 # -- maximum likelihood fit ---------------------------------------------------
@@ -216,7 +236,7 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _solve_score(row, a, b, f_best, max_iterations, first=math.nan):
+def _solve_score(row, a, b, f_best, first=math.nan):
     """Root of the profile NLL derivative (the score) in [a, b] (a coroutine).
 
     Comparing objective values cannot localize a minimum better than the
@@ -230,7 +250,7 @@ def _solve_score(row, a, b, f_best, max_iterations, first=math.nan):
     the bracket is within 4 ulps or the score is exactly 0.
 
     Returns (root, l, converged), l the row's sum of log1p(root*y) and
-    converged False after ``max_iterations`` steps, if the profile NLL at
+    converged False after ``_MAX_ITERATIONS`` steps, if the profile NLL at
     the root is within slack of ``f_best``; None if it is not, or if the
     score does not change sign over [a, b] (a boundary optimum) or is not
     finite inside it. The root is an endpoint whose score was evaluated,
@@ -245,7 +265,7 @@ def _solve_score(row, a, b, f_best, max_iterations, first=math.nan):
     newest = 0  # the endpoint the last step replaced: -1 a, +1 b, 0 neither
     width, steps = b - a, 0  # bracket width at the last check, secant steps since
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         tol = 2.0 * math.ulp(max(abs(a), abs(b)))
         if fb == 0.0 or b - a <= 2.0 * tol:
             converged = True
@@ -289,7 +309,7 @@ def _vertex(x0, x1, x2, f0, f1, f2) -> float:
     return 0.5 * (x0 + x1) - d1 / (2.0 * curvature)
 
 
-def _search(row, grid, values, max_iterations):
+def _search(row, grid, values):
     """Maximum-likelihood fit of one row (a coroutine returning a FitResult).
 
     ``grid`` holds the row's tau grid points that the lazy grid evaluated
@@ -325,7 +345,7 @@ def _search(row, grid, values, max_iterations):
     first = math.nan
     if 0 < best < grid.size - 1:
         first = _vertex(*grid[best - 1 : best + 2].tolist(), *values[best - 1 : best + 2].tolist())
-    root = yield from _solve_score(row, lo, hi, float(values[best]), max_iterations, first)
+    root = yield from _solve_score(row, lo, hi, float(values[best]), first)
     if root is not None:
         tau_hat, l, converged = root
     else:
@@ -355,7 +375,7 @@ def _search(row, grid, values, max_iterations):
     )
 
 
-def fit_samples(samples, max_iterations: int = _MAX_ITERATIONS):
+def fit_samples(samples):
     """Maximum-likelihood GPD fits of many excess samples, searched together.
 
     ``samples`` is an iterable of nonempty 1-d arrays of positive, finite
@@ -377,13 +397,13 @@ def fit_samples(samples, max_iterations: int = _MAX_ITERATIONS):
     for y in samples:
         y = np.ascontiguousarray(y, dtype=float)
         if rows.count and (rows.count >= max_rows or not rows.has_room(y.size)):
-            yield from _fit_block(rows, max_iterations)
+            yield from _fit_block(rows)
         rows.add(y)
     if rows.count:
-        yield from _fit_block(rows, max_iterations)
+        yield from _fit_block(rows)
 
 
-def _fit_block(rows, max_iterations) -> list:
+def _fit_block(rows) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
     stats = rows.load()
     y_max = np.array([row.y_max for row in stats])
@@ -393,7 +413,7 @@ def _fit_block(rows, max_iterations) -> list:
     values = rows.profile_nll_grid(grids)
     evaluated = ~np.isnan(values)
     searches = [
-        _search(row, grid[keep], value[keep], max_iterations)
+        _search(row, grid[keep], value[keep])
         for row, grid, value, keep in zip(stats, grids, values, evaluated)
     ]
     results = _kernels.drive(rows, searches)
@@ -401,11 +421,7 @@ def _fit_block(rows, max_iterations) -> list:
     return results
 
 
-def fit_mle(
-    sample: ExcessSample,
-    min_exceedances: int = DEFAULT_MIN_EXCEEDANCES,
-    max_iterations: int = _MAX_ITERATIONS,
-) -> FitResult:
+def fit_mle(sample: ExcessSample, min_exceedances: int = DEFAULT_MIN_EXCEEDANCES) -> FitResult:
     """Maximum-likelihood GPD fit to an excess sample.
 
     Raises TooFewExceedances below ``min_exceedances`` points,
@@ -417,7 +433,7 @@ def fit_mle(
         raise TooFewExceedances(
             f"{sample.n_u} exceedances below the minimum fit size {min_exceedances}"
         )
-    (result,) = fit_samples([sample.excesses], max_iterations)
+    (result,) = fit_samples([sample.excesses])
     if isinstance(result, PotriskError):
         raise result
     return result

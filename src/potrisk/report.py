@@ -57,7 +57,9 @@ __all__ = [
     "read_scan_csv",
     "scan_dict",
     "trend_coefficients",
+    "trend_dict",
     "write_curve_csv",
+    "write_json",
     "write_scan_csv",
 ]
 
@@ -142,6 +144,15 @@ def trend_coefficients(returns: ReturnSeries) -> tuple[float, float, list[tuple[
     return slope, intercept, list(zip(years, means))
 
 
+def trend_dict(slope: float, intercept: float, yearly) -> dict:
+    """JSON-ready form of :func:`trend_coefficients`' result."""
+    return {
+        "slope": _round12(slope),
+        "intercept": _round12(intercept),
+        "yearly_means": [{"year": year, "mean": _round12(mean)} for year, mean in yearly],
+    }
+
+
 # -- CSV exports ---------------------------------------------------------------
 
 def write_curve_csv(curve: MeanExcessCurve, path) -> None:
@@ -208,6 +219,13 @@ def _read_columns(path, reader, kind: str, columns) -> list[list]:
 
 
 # -- report assembly -----------------------------------------------------------
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` as UTF-8 JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
 
 def scan_dict(scan: ThresholdScan, alpha_filtered: RiskEstimate | None = None) -> dict:
     """JSON-ready mirror of a ThresholdScan (estimates ordered by threshold)."""
@@ -348,7 +366,5 @@ def analyze(config: AnalysisConfig) -> dict:
         "n_returns": len(returns),
         "periods": periods_out,
     }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(report, out_dir / "report.json")
     return report

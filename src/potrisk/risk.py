@@ -25,14 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .excess import sorted_candidates
-from .gof import (
-    ACCEPT,
-    CRITICAL_VALUE_TABLE,
-    CriticalValueTable,
-    GofReport,
-    gof_reports,
-    require_alpha,
-)
+from .gof import ACCEPT, GofReport, gof_reports, require_alpha
 from .gpd import DEFAULT_MIN_EXCEEDANCES, GpdParams, fit_samples
 
 __all__ = [
@@ -126,7 +119,6 @@ def scan_thresholds(
     p: float = 0.01,
     regime: str = HEAVY_TAIL,
     min_exceedances: int = DEFAULT_MIN_EXCEEDANCES,
-    gof_table: CriticalValueTable = CRITICAL_VALUE_TABLE,
 ) -> ThresholdScan:
     """Fit every candidate threshold and select the maximal-VaR estimate.
 
@@ -174,7 +166,7 @@ def scan_thresholds(
     gofs = [None] * len(survivors)
     if regime == HEAVY_TAIL:
         # the survivors' excesses are xs[x.size - n_u:] - u, sorted
-        gofs = gof_reports(xs, x.size - counts[index], candidates[index], params, gof_table)
+        gofs = gof_reports(xs, x.size - counts[index], candidates[index], params)
     estimates = []
     for (i, fit), gof in zip(survivors, gofs):
         u, n_u = float(candidates[i]), int(counts[i])

@@ -227,11 +227,11 @@ def csv_rows(path):
         raise ValidationError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
 
 
-def _read_dated_csv(path, column: str, series, name_errors: bool = False):
+def _read_dated_csv(path, column: str, series):
     """The ``series`` (EarningsSeries or ReturnSeries) of a `date,<column>` CSV.
 
-    A row that does not parse names the file and line. With
-    ``name_errors``, the message also names the bad date or the bad value.
+    A row that does not parse names the file, the line, and the bad date
+    or the bad value.
     """
     dates = []
     values = []
@@ -247,13 +247,11 @@ def _read_dated_csv(path, column: str, series, name_errors: bool = False):
         try:
             dates.append(datetime.date.fromisoformat(row[0].strip()))
         except ValueError as exc:
-            detail = f"bad date {row[0]!r}: {exc}" if name_errors else exc
-            raise ValidationError(f"{path}:{lineno}: {detail}") from exc
+            raise ValidationError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from exc
         try:
             values.append(float(row[1]))
         except ValueError as exc:
-            detail = f"bad {column} {row[1]!r}" if name_errors else exc
-            raise ValidationError(f"{path}:{lineno}: {detail}") from exc
+            raise ValidationError(f"{path}:{lineno}: bad {column} {row[1]!r}") from exc
     try:
         return series(tuple(dates), np.asarray(values))
     except ValidationError as exc:
@@ -262,7 +260,7 @@ def _read_dated_csv(path, column: str, series, name_errors: bool = False):
 
 def read_earnings_csv(path) -> EarningsSeries:
     """Read a `date,revenue` CSV (ISO dates, plain decimal revenues)."""
-    return _read_dated_csv(path, "revenue", EarningsSeries, name_errors=True)
+    return _read_dated_csv(path, "revenue", EarningsSeries)
 
 
 def read_returns_csv(path) -> ReturnSeries:

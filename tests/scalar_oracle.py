@@ -16,7 +16,7 @@ import numpy as np
 
 from potrisk.errors import DegenerateSample, NonConvergence, TooFewExceedances
 from potrisk.excess import candidate_thresholds
-from potrisk.gof import CRITICAL_VALUE_TABLE, test_gpd_fit
+from potrisk.gof import test_gpd_fit
 from potrisk.gpd import (
     DEFAULT_MIN_EXCEEDANCES,
     ExcessSample,
@@ -265,8 +265,7 @@ def fit_mle(
     )
 
 
-def scan(tail, p=0.01, regime=HEAVY_TAIL, min_exceedances=DEFAULT_MIN_EXCEEDANCES,
-         gof_table=CRITICAL_VALUE_TABLE):
+def scan(tail, p=0.01, regime=HEAVY_TAIL, min_exceedances=DEFAULT_MIN_EXCEEDANCES):
     """The scan's loop over candidates; returns (estimates, diagnostics, fits).
 
     ``fits`` holds each candidate's FitResult, or the error its fit raised.
@@ -300,7 +299,7 @@ def scan(tail, p=0.01, regime=HEAVY_TAIL, min_exceedances=DEFAULT_MIN_EXCEEDANCE
             continue
         var = value_at_risk(float(u), fit.params, sample.n, sample.n_u, p)
         es = None if xi >= 1.0 else expected_shortfall(var, float(u), fit.params)
-        gof = test_gpd_fit(sample.excesses, fit.params, gof_table) if regime == HEAVY_TAIL else None
+        gof = test_gpd_fit(sample.excesses, fit.params) if regime == HEAVY_TAIL else None
         estimates.append(
             RiskEstimate(
                 u=float(u), params=fit.params, n=sample.n, n_u=sample.n_u,

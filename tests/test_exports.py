@@ -1,26 +1,32 @@
 """The chunked export writers: the same bytes as one formatted line per row, in bounded memory.
 
-The row exports (returns, mean-excess curves, VaR scans) and the figures
-are written a chunk of ``series.CHUNK_ROWS`` rows at a time. The
-references below format them the way the writers did before, one line
-(or one SVG element) per row, joined into one string; the tests compare
-bytes around the chunk boundaries.
+The row exports (returns, mean-excess curves, VaR scans, and the
+simulate, gof-table and trend outputs) and the figures are written a
+chunk of ``series.CHUNK_ROWS`` rows at a time. The references below
+format them the way the writers did before, one line (or one SVG element)
+per row, joined into one string, or with csv.writer and json.dump; the
+tests compare bytes around the chunk boundaries.
 """
 
+import csv
 import dataclasses
 import datetime
 import functools
+import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from potrisk import figures
+from potrisk.cli import main
 from potrisk.excess import MeanExcessCurve
+from potrisk.gof import table_rows
 from potrisk.gpd import GpdParams, gpd_sample
-from potrisk.report import read_curve_csv, write_curve_csv, write_scan_csv
+from potrisk.report import read_curve_csv, trend_coefficients, write_curve_csv, write_scan_csv
 from potrisk.risk import HEAVY_TAIL, scan_thresholds
-from potrisk.series import CHUNK_ROWS, ReturnSeries, box_plot, write_returns_csv
+from potrisk.series import CHUNK_ROWS, ReturnSeries, box_plot, read_returns_csv, write_returns_csv
 
 from helpers import weekly_returns
 
@@ -88,17 +94,17 @@ def _scan_text(scan):
 class _JoinedCanvas(figures._Canvas):
     """The canvas with every element formatted when it is added, and the SVG joined into one string."""
 
-    def polyline(self, xs, ys, cls="line"):
+    def polyline(self, xs, ys):
         fmt = figures._fmt
         pts = " ".join(f"{fmt(self.sx(x))},{fmt(self.sy(y))}" for x, y in zip(xs, ys))
-        self.parts.append(f'<polyline class="{cls}" points="{pts}"/>')
+        self.parts.append(f'<polyline class="line" points="{pts}"/>')
 
-    def markers(self, xs, ys, radius=3.0):
+    def markers(self, xs, ys):
         fmt = figures._fmt
         for x, y in zip(xs, ys):
             self.parts.append(
                 f'<circle class="marker" cx="{fmt(self.sx(x))}" cy="{fmt(self.sy(y))}" '
-                f'r="{radius}" data-x="{fmt(x)}" data-y="{fmt(y)}"/>'
+                f'r="3.0" data-x="{fmt(x)}" data-y="{fmt(y)}"/>'
             )
 
     def write(self, path):
@@ -143,13 +149,11 @@ def test_the_scan_csv_is_byte_identical(tmp_path, size):
     assert (tmp_path / "s.csv").read_bytes() == _scan_text(scan).encode()
 
 
-@pytest.mark.parametrize("connect", [True, False])
-@pytest.mark.parametrize("size", SIZES)
-def test_the_scatter_figure_is_byte_identical(monkeypatch, tmp_path, size, connect):
+# "-True": the markers are connected, as in every scatter figure.
+@pytest.mark.parametrize("size", SIZES, ids=[f"{size}-True" for size in SIZES])
+def test_the_scatter_figure_is_byte_identical(monkeypatch, tmp_path, size):
     xs, ys = np.cumsum(np.abs(_values(size, 6))).tolist(), _values(size, 7).tolist()
-    assert _same_figure(
-        monkeypatch, tmp_path, lambda path: figures.scatter_figure(xs, ys, path, "t", "x", "y", connect)
-    )
+    assert _same_figure(monkeypatch, tmp_path, lambda path: figures.scatter_figure(xs, ys, path, "t", "x", "y"))
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -163,6 +167,49 @@ def test_the_trend_figure_is_byte_identical(monkeypatch, tmp_path, size):
 def test_the_box_figure_is_byte_identical(monkeypatch, tmp_path, values):
     summary = box_plot(weekly_returns(values))
     assert _same_figure(monkeypatch, tmp_path, lambda path: figures.box_figure(summary, path))
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("count", [1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_the_simulate_csv_is_byte_identical(tmp_path, count):
+    assert main(["simulate", "--shape", "0.2", "--scale", "1.5", "--count", str(count), "--seed", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    rows = [["value"]] + [[repr(float(v))] for v in gpd_sample(GpdParams(0.2, 1.5), count, 5)]
+    assert (tmp_path / "samples.csv").read_bytes() == _csv_text(rows).encode()
+
+
+def test_the_gof_table_csv_is_byte_identical(tmp_path):
+    assert main(["gof-table", "--out-dir", str(tmp_path)]) == 0
+    rows = [["xi", "alpha", "w2", "a2"]] + [[f"{v:g}" for v in row] for row in table_rows()]
+    assert (tmp_path / "gof_table.csv").read_bytes() == _csv_text(rows).encode()
+
+
+@pytest.mark.parametrize("years", [2, CHUNK_ROWS + 1])
+def test_the_trend_exports_are_byte_identical(tmp_path, years):
+    # two returns a year, from the year 1000 on
+    dates = [datetime.date(1000 + i // 2, 1 + 6 * (i % 2), 1) for i in range(2 * years)]
+    write_returns_csv(ReturnSeries(tuple(dates), _values(2 * years, 9)), tmp_path / "returns.csv")
+    for fmt in ("csv", "json"):
+        assert main(["trend", "--input", str(tmp_path / "returns.csv"), "--format", fmt,
+                     "--out-dir", str(tmp_path)]) == 0
+    slope, intercept, yearly = trend_coefficients(read_returns_csv(tmp_path / "returns.csv"))
+    assert len(yearly) == years
+    rows = [["year", "mean_return"]] + [[year, f"{mean:.15g}"] for year, mean in yearly]
+    assert (tmp_path / "trend.csv").read_bytes() == _csv_text(rows).encode()
+    def r12(x):
+        return float(f"{x:.12g}")
+
+    doc = {
+        "slope": r12(slope),
+        "intercept": r12(intercept),
+        "yearly_means": [{"year": year, "mean": r12(mean)} for year, mean in yearly],
+    }
+    assert (tmp_path / "trend.json").read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def test_a_long_curve_and_its_figure_are_written_in_bounded_memory(tmp_path):

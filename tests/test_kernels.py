@@ -8,7 +8,7 @@ import pytest
 from potrisk import _kernels
 from potrisk.errors import NoSurvivingCandidates
 from potrisk.excess import candidate_thresholds
-from potrisk.gpd import GpdParams, fit_samples, gpd_sample
+from potrisk.gpd import GpdParams, fit_samples, gpd_log_likelihood, gpd_sample
 from potrisk.risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds
 
 import scalar_oracle
@@ -91,8 +91,9 @@ class TestRows:
     def test_infeasible_tau(self):
         y = np.array([1.0, 2.0, 4.0])
         bad = -0.3  # 1 + tau*4 < 0
-        assert _kernels.evaluate(_kernels.profile_nll, y, bad) == math.inf
-        assert all(map(math.isnan, _kernels.evaluate(_kernels.profile_nll_deriv, y, bad)))
+        assert _block_values(_kernels.profile_nll, [(y, (bad,))]) == [math.inf]
+        ((score, l),) = _block_values(_kernels.profile_nll_deriv, [(y, (bad,))])
+        assert math.isnan(score) and math.isnan(l)
 
     def test_kernels_match_scalar_oracle(self):
         rng = np.random.default_rng(123)
@@ -110,7 +111,7 @@ class TestRows:
                 assert l == (np.log1p(tau * y).sum() if tau else 0.0)
                 assert _kernels.profile_nll_from_sum(row, tau, l) == a
             for xi, sigma in [(0.0, 1.0), (0.3, 0.5), (-0.2, 2.0)]:
-                got = _kernels.evaluate(_kernels.gpd_nll, y, xi, sigma)
+                got = -gpd_log_likelihood(GpdParams(xi, sigma), y)
                 assert got == scalar_oracle.gpd_nll_numpy(y, xi, sigma)
 
 

@@ -224,10 +224,12 @@ def test_diagnostics_account_for_every_candidate(family, data):
     assert dropped + diag.surviving == diag.candidates_total
 
 
-def test_the_iteration_cap_marks_the_fit_unconverged():
+def test_the_iteration_cap_marks_the_fit_unconverged(monkeypatch):
     sample = ExcessSample(0.0, gpd_sample(GpdParams(0.2, 1.0), 500, seed=21), 500)
     assert fit_mle(sample).converged
-    capped = fit_mle(sample, max_iterations=3)
+    with monkeypatch.context() as m:
+        m.setattr(gpd, "_MAX_ITERATIONS", 3)
+        capped = fit_mle(sample)
     assert not capped.converged
     assert capped.params.shape == pytest.approx(fit_mle(sample).params.shape, rel=0.1)
 

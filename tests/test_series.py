@@ -1,4 +1,5 @@
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,17 @@ class TestCsv:
         path = tmp_path / "r.csv"
         path.write_text(f"date,return\n2001-01-05,0.1\n2001-01-12,{bad}\n")
         with pytest.raises(ValidationError, match="r.csv: returns must be finite"):
+            read_returns_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("2001-13-12,0.1", "r.csv:3: bad date '2001-13-12'"), ("2001-01-12,abc", "r.csv:3: bad return 'abc'")],
+        ids=["date", "value"],
+    )
+    def test_returns_reader_names_the_bad_date_or_value(self, tmp_path, row, message):
+        path = tmp_path / "r.csv"
+        path.write_text(f"date,return\n2001-01-05,0.1\n{row}\n")
+        with pytest.raises(ValidationError, match=re.escape(message)):
             read_returns_csv(path)
 
     def test_earnings_reader(self, tmp_path):
