@@ -9,15 +9,12 @@ log-likelihood, +inf outside the feasible region.
 A threshold scan searches hundreds of small excess samples, and one
 likelihood evaluation on 10-400 points costs more in per-call overhead
 than in arithmetic. So the samples are searched together: :class:`Rows`
-holds a block of them, one per row, and :func:`drive` runs one search
-coroutine per row in lockstep, answering every row's pending request with
-one vectorized kernel call per step. A request asks for the row's sum of
-log1p(tau*y) at the row's own tau (or, for the derivative, for three such
-sums); the kernel coroutines below turn the sums into likelihood values
-with scalar arithmetic. :meth:`Rows.profile_nll_grid` does the same for a
-grid of taus per row, lazily: bounds from a few bins of each sorted sample
-rule out nearly every point as the row's minimum, so that it evaluates
-about three points per row, the minimum and its neighbours.
+holds a block of them, one per row, and its kernels evaluate every row
+at the row's own tau in one pass (:meth:`Rows.profile_nll`, and the
+profile score :meth:`Rows.profile_nll_deriv`), or at a grid of taus per
+row, lazily (:meth:`Rows.profile_nll_grid`): bounds from a few bins of
+each sorted sample rule out nearly every point as the row's minimum, so
+that it evaluates about three points per row.
 
 Each row is stored after one leading zero and padded with zeros to the
 width of its row group; np.add.reduceat sums each row over exactly its own
@@ -31,16 +28,10 @@ import math
 
 import numpy as np
 
-from .errors import PotriskError
-
 __all__ = [
     "BACKEND",
     "BLOCK_ELEMENTS",
-    "Row",
     "Rows",
-    "drive",
-    "profile_nll",
-    "profile_nll_deriv",
     "profile_nll_from_sum",
 ]
 
@@ -49,21 +40,20 @@ BACKEND = "numpy"
 
 # Elements per kernel scratch buffer (2**13 doubles = 64 KiB), and the unit
 # of every block size. fit_samples gives a block up to BLOCK_ELEMENTS //
-# gpd._GRID_POINTS (96) samples, however long, while their padded rows fit
-# a data buffer of 8 * BLOCK_ELEMENTS elements; a longer sample gets a
-# block of its own. Per-block costs (the tau grids, the bound and neighbour
-# rounds, every drive step) are then paid once per 96 candidates of a long
-# tail, not once per 1-5 as when a block held BLOCK_ELEMENTS elements at
-# its widest row. A kernel pass runs one row group (at most BLOCK_ELEMENTS
-# elements, or one longer row) at a time through the scratch buffers, so
-# its arithmetic stays in cache. Buffers are allocated once per
-# fit_samples call and reused, since a numpy array above glibc's 128 KiB
-# mmap threshold gets fresh pages on every allocation and costs about
-# three times as much per element; the data buffer is past it, but only
-# its touched pages are resident. With this layout, 2**14 (192-row blocks,
-# a 2**17-element data buffer) measured within the noise of 2**13 in six
-# alternating in-process runs of the three perfbench workloads' fits
-# (2-core Xeon VM, spread about 10%).
+# gpd._GRID_POINTS (96) samples, however long, while their padded rows fit a
+# data buffer of 16 * BLOCK_ELEMENTS elements; a longer sample gets a block
+# of its own. Per-block costs (the tau grids, the bound and neighbour
+# rounds, every step of the score solve, whose fixed cost hardly depends on
+# the row count) are then paid once per 96 candidates of a long tail, or per
+# 9 candidates of 14,000 points (long_history). A kernel pass runs one row
+# group (at most BLOCK_ELEMENTS elements, or one longer row) at a time
+# through the scratch buffers, so its arithmetic stays in cache. Buffers are
+# allocated once per fit_samples call and reused, since a numpy array above
+# glibc's 128 KiB mmap threshold gets fresh pages on every allocation and
+# costs about three times as much per element; the data buffer is past it,
+# but only its touched pages are resident. Doubling the data buffer from
+# 8 * BLOCK_ELEMENTS cut the long_history scans by 16% and tail_scan's by 2%
+# in alternating in-process runs (2-core Xeon VM).
 BLOCK_ELEMENTS = 1 << 13
 
 # profile_nll_grid bounds k(tau) from bins of each sorted row of width w:
@@ -73,25 +63,6 @@ BLOCK_ELEMENTS = 1 << 13
 _BINS = 4
 
 _EPS = math.ulp(1.0)
-
-# Request kinds a search coroutine yields, with its tau.
-SUM = 0
-DERIV = 1
-
-
-class Row:
-    """Per-row constants of a loaded sample, as Python floats."""
-
-    __slots__ = ("n", "total", "mean", "m2", "y_max", "y_min")
-
-    def __init__(self, n, total, total_sq, y_max, y_min):
-        self.n = n
-        self.total = total
-        self.mean = total / n
-        self.m2 = total_sq / n
-        self.y_max = y_max
-        self.y_min = y_min
-
 
 class _Group:
     """Consecutive rows of a block, stored as one zero-padded rectangle of the data buffer."""
@@ -133,11 +104,13 @@ class Rows:
     pass one group at a time, through scratch buffers sized to the largest
     group, so that the arithmetic of a pass runs in cache however many rows
     the block holds.
+
+    :meth:`load` sets each row's constants ``n``, ``mean``, ``y_max``,
+    ``y_min`` and ``score0`` (the profile score at tau = 0), as arrays.
     """
 
     def __init__(self):
         self._y = self._t = self._w = np.empty(0)
-        self._rows = []
         self.passes = self.elements = 0  # calls of sums, elements computed in them
         self.clear()
 
@@ -155,9 +128,9 @@ class Rows:
         return size < g.width and (len(g.sizes) + 1) * g.width <= BLOCK_ELEMENTS
 
     def has_room(self, size) -> bool:
-        """Whether a sample of ``size`` points still fits in the data buffer's 8 * BLOCK_ELEMENTS elements."""
+        """Whether a sample of ``size`` points still fits in the data buffer's 16 * BLOCK_ELEMENTS elements."""
         grow = self._groups[-1].width if self._joins(size) else size + 1
-        return self._used + grow <= 8 * BLOCK_ELEMENTS
+        return self._used + grow <= 16 * BLOCK_ELEMENTS
 
     def add(self, sample: np.ndarray) -> None:
         """Copy ``sample`` (a nonempty 1-d float array) into the block as its next row."""
@@ -168,7 +141,7 @@ class Rows:
         start = g.offset + len(g.sizes) * g.width
         self._used = start + g.width
         if self._used + 1 > self._y.size:
-            data = np.zeros(max(self._used + 1, 8 * BLOCK_ELEMENTS + 1))
+            data = np.zeros(max(self._used + 1, 16 * BLOCK_ELEMENTS + 1))
             data[:start] = self._y[:start]
             self._y = data
         self._y[start] = 0.0
@@ -177,45 +150,39 @@ class Rows:
         g.sizes.append(size)
         self.count += 1
 
-    def load(self) -> list[Row]:
-        """Finish the block: build the group views and segments; return the Rows of its samples."""
+    def load(self) -> np.ndarray:
+        """Finish the block: build the group views, segments and row constants; return the rows' sizes."""
         scratch = max(len(g.sizes) * g.width for g in self._groups) + 1
         if scratch > self._t.size:
             self._t, self._w = (np.zeros(max(scratch, BLOCK_ELEMENTS + 1)) for _ in range(2))
-        self._build(self._groups)
-        sizes = [size for g in self._groups for size in g.sizes]
+        start = 0
+        for g in self._groups:
+            g.build(self._y, self._t, self._w, start)
+            start = g.stop
+        self.n = np.array([size for g in self._groups for size in g.sizes], dtype=float)
         segments = np.concatenate([g.segments + g.offset for g in self._groups])
         data = segments + np.tile([1, 0], self.count)
         flat = self._y[: self._used + 1]
+        self.y_max = np.maximum.reduceat(flat, data)[::2]
+        self.y_min = np.minimum.reduceat(flat, data)[::2]
         totals_sq = np.empty(self.count)
         # The squares of samples above about 1e154 overflow; a row whose
         # sums overflow stops in its search.
-        with np.errstate(over="ignore"):
+        with np.errstate(all="ignore"):
             for g in self._groups:
                 np.multiply(g.y, g.y, out=g.t)
                 totals_sq[g.start : g.stop] = np.add.reduceat(g.t_flat, g.segments)[::2]
-            totals = np.add.reduceat(flat, segments)[::2]
-        maxima = np.maximum.reduceat(flat, data)[::2]
-        minima = np.minimum.reduceat(flat, data)[::2]
-        columns = (sizes, totals.tolist(), totals_sq.tolist(), maxima.tolist(), minima.tolist())
-        self._rows = [Row(*r) for r in zip(*columns)]
-        return self._rows
-
-    def _build(self, groups) -> None:
-        start = 0
-        for g in groups:
-            g.build(self._y, self._t, self._w, start)
-            start = g.stop
-        self._groups = groups
-        self.count = start
+            self.mean = np.add.reduceat(flat, segments)[::2] / self.n
+            self.score0 = self.n * (self.mean - totals_sq / self.n / (2.0 * self.mean))
+        return self.n
 
     def profile_nll_grid(self, taus: np.ndarray) -> np.ndarray:
-        """:func:`profile_nll` of every row at the points of its row of ``taus`` that matter.
+        """:meth:`profile_nll` of every row at the points of its row of ``taus`` that matter.
 
         Each row of ``taus`` is sorted. Returns the values where they were
         evaluated and nan elsewhere, and at every repeat of a point. The
-        values come from the same sums and math.log as profile_nll, so each
-        is bit-identical to a one-point evaluation. The least finite value
+        values come from the same sums and :func:`profile_nll_from_sum`, so
+        each is bit-identical to a one-point evaluation. The least finite value
         of a row, its position, and its nearest finite neighbours on each
         side are always evaluated, and are those of the full grid.
 
@@ -228,12 +195,12 @@ class Rows:
         :meth:`sums` per point of its busiest row.
         """
         count, size = taus.shape
-        n = np.array([row.n for row in self._rows], dtype=float)
+        n = self.n
         f = np.full(taus.shape, math.nan)
         skip = np.zeros(taus.shape, dtype=bool)
         skip[:, 1:] = taus[:, 1:] == taus[:, :-1]
-        for i, j in zip(*np.nonzero((taus == 0.0) & ~skip)):
-            f[i, j] = self._rows[i].n * (math.log(self._rows[i].mean) + 1.0)
+        i, j = np.nonzero((taus == 0.0) & ~skip)
+        f[i, j] = profile_nll_from_sum(n[i], self.mean[i], taus[i, j], np.zeros(i.size))
         bins = self._order_bins()
         floor, guess = np.empty(taus.shape), np.empty(taus.shape)
         step = max(1, BLOCK_ELEMENTS // (size * bins.shape[2]))
@@ -284,23 +251,16 @@ class Rows:
         passes = np.zeros((self.count, counts.max()))
         passes[rows, slots] = tau = taus[rows, cols]
         sums = np.column_stack([self.sums(column, False)[0] for column in passes.T])
-        y_max = np.array([row.y_max for row in self._rows])
-        n = n[rows]
-        kk = sums[rows, slots] / n
-        r = kk / tau
-        ok = (tau * y_max[rows] > -1.0) & (r > 0.0) & np.isfinite(r)
-        logs = np.fromiter(map(math.log, r[ok]), dtype=float, count=np.count_nonzero(ok))
-        r.fill(math.inf)
-        r[ok] = n[ok] * (logs + kk[ok] + 1.0)
-        f[rows, cols] = r
+        f[rows, cols] = profile_nll_from_sum(n[rows], self.mean[rows], tau, sums[rows, slots])
 
     def keep(self, positions) -> None:
         """Compact the block to the rows at ``positions`` (ascending), in order.
 
         Each group keeps its place in the data buffer and moves its kept
-        rows to its front; a group with none left is dropped.
+        rows to its front; a group with none left is dropped, and one that
+        keeps all its rows is only renumbered.
         """
-        groups, i = [], 0
+        groups, i, start = [], 0, 0
         for g in self._groups:
             local = []
             while i < len(positions) and positions[i] < g.stop:
@@ -311,8 +271,14 @@ class Rows:
             if len(local) < len(g.sizes):
                 g.y[: len(local)] = g.y[local]
                 g.sizes = [g.sizes[j] for j in local]
+                g.build(self._y, self._t, self._w, start)
+            else:
+                g.start, g.stop = start, start + len(local)
+            start = g.stop
             groups.append(g)
-        self._build(groups)
+        self._groups, self.count = groups, start
+        for name in ("n", "mean", "y_max", "y_min", "score0"):
+            setattr(self, name, getattr(self, name)[positions])
 
     def sums(self, tau: np.ndarray, deriv: bool):
         """Per-row sums at one tau per row; a group whose taus are all 0 is not computed.
@@ -326,7 +292,7 @@ class Rows:
         self.passes += 1
         for g in self._groups:
             rows = slice(g.start, g.stop)
-            if not tau[rows].any():  # every tau is +-0: log1p(tau*y) = t/(1 + t) = tau
+            if not np.count_nonzero(tau[rows]):  # every tau is +-0: log1p(tau*y) = t/(1 + t) = tau
                 l[rows] = tau[rows]
                 if deriv:
                     w_sums[rows], d_sums[rows] = tau[rows], 0.0
@@ -344,6 +310,30 @@ class Rows:
                 np.subtract(g.w, t, out=g.w)
                 d_sums[rows] = np.add.reduceat(g.w_flat, g.segments)[::2]
         return l, w_sums, d_sums
+
+    def profile_nll(self, tau: np.ndarray) -> np.ndarray:
+        """Negative profile log-likelihood of every row at its own tau (one pass), +inf where infeasible."""
+        with np.errstate(all="ignore"):
+            return profile_nll_from_sum(self.n, self.mean, tau, self.sums(tau, False)[0])
+
+    def profile_nll_deriv(self, tau: np.ndarray):
+        """Derivative in tau of every row's profile NLL at its own tau (the profile score), in one pass.
+
+        Equal to n * (k'/k - 1/tau + k'). The first two terms cancel near
+        tau = 0, so they are evaluated as (tau*k' - k) / (tau*k) with the
+        numerator summed per element. Each of its terms t/(1+t) - log1p(t)
+        is O(t^2) but is formed as the difference of two rounded O(t)
+        values, so it loses about log10(1/|t|) digits near tau = 0 (ROADMAP
+        item 3). Returns (score, l), l each row's sum of log1p(tau*y), from
+        which :func:`profile_nll_from_sum` gives the NLL at tau. At tau = 0
+        the score is its limit ``score0`` and l is 0; where tau is
+        infeasible the score is nan, and l nan or -inf.
+        """
+        with np.errstate(all="ignore"):
+            l, w, d = self.sums(tau, True)
+            n = self.n
+            score = n * ((d / n) / (tau * (l / n)) + (w / n) / tau)
+        return np.where(tau == 0.0, self.score0, score), l
 
 
 def _bin_stops(n) -> np.ndarray:  # the bounds of the bins of n values, ascending from 0 to n
@@ -420,104 +410,24 @@ def _neighbours_pending(f, skip) -> np.ndarray:
     return todo
 
 
-def profile_nll(row: Row, tau: float):
-    """Negative profile log-likelihood of ``row`` at ``tau``, +inf when infeasible.
+def profile_nll_from_sum(n, mean, tau, l) -> np.ndarray:
+    """The profile NLL n * (log(k/tau) + k + 1), k = l/n, of rows of sizes ``n`` and sums ``l`` of log1p(tau*y).
 
-    A coroutine: it yields (SUM, tau) when it needs the row's sum of
-    log1p(tau*y). Since y > 0, min(tau*y) is tau*y_max for tau < 0.
+    At tau = 0 it is n * (log(mean) + 1). Where tau is infeasible, l is nan
+    or -inf, k/tau is not a positive finite number, and the NLL is +inf.
+    The logs are math.log's, which np.log need not match.
     """
-    if tau * row.y_max <= -1.0:
-        return math.inf
-    l = 0.0 if tau == 0.0 else (yield SUM, tau)
-    return profile_nll_from_sum(row, tau, l)
-
-
-def profile_nll_from_sum(row: Row, tau: float, l: float) -> float:
-    """:func:`profile_nll` at a feasible ``tau``, given the row's sum ``l`` of log1p(tau*y)."""
-    n = row.n
-    if tau == 0.0:
-        return n * (math.log(row.mean) + 1.0)
-    k = l / n
-    r = k / tau
-    if not (r > 0.0) or not math.isfinite(r):
-        return math.inf
-    return n * (math.log(r) + k + 1.0)
-
-
-def profile_nll_deriv(row: Row, tau: float):
-    """Derivative of the negative profile log-likelihood in tau (a coroutine).
-
-    Equal to n * (k'/k - 1/tau + k'). The first two terms cancel
-    catastrophically near tau = 0, so they are evaluated as
-    (tau*k' - k) / (tau*k) with the numerator accumulated per element.
-    Each term t/(1+t) - log1p(t) is O(t^2) but is formed as the difference
-    of two rounded O(t) values, so it loses about log10(1/|t|) digits near
-    tau = 0 (ROADMAP item 3). Returns (derivative, l), l the row's sum of
-    log1p(tau*y) (0 at tau = 0), from which :func:`profile_nll_from_sum`
-    gives the profile NLL at tau without another pass; (nan, nan) when
-    tau is infeasible.
-    """
-    n = row.n
-    if tau == 0.0:
-        m1 = row.mean
-        return n * (m1 - row.m2 / (2.0 * m1)), 0.0
-    if tau * row.y_max <= -1.0:
-        return math.nan, math.nan
-    l, w, d = yield DERIV, tau
-    k = l / n
-    kp = (w / n) / tau
-    try:
-        g = (d / n) / (tau * k)
-    except ZeroDivisionError:  # tau*k underflows for a subnormal tau
-        g = np.float64(d / n) / (tau * k)
-    return n * (g + kp), l
-
-
-def drive(rows: Rows, searches: list) -> list:
-    """Run one coroutine per row of ``rows`` in lockstep.
-
-    Search i works on row i. It yields (SUM, tau) or (DERIV, tau) and is
-    sent back what :meth:`Rows.sums` gives for its row: the log1p sum for
-    SUM, the three sums for DERIV. Each step answers every unfinished
-    search with one kernel call; the block is compacted when half of its
-    rows have finished. Returns each search's return value, or the
-    PotriskError it raised.
-    """
-    results = [None] * len(searches)
-    live = []  # [search index, row position, coroutine, request]
-
-    def advance(entry, value) -> bool:
-        try:
-            entry[3] = entry[2].send(value)
-            return True
-        except StopIteration as stop:
-            results[entry[0]] = stop.value
-        except PotriskError as exc:
-            results[entry[0]] = exc
-        return False
-
     with np.errstate(all="ignore"):
-        for i, search in enumerate(searches):
-            entry = [i, i, search, None]
-            if advance(entry, None):
-                live.append(entry)
-        while live:
-            if len(live) <= rows.count // 2:
-                rows.keep([entry[1] for entry in live])
-                for pos, entry in enumerate(live):
-                    entry[1] = pos
-            taus = [0.0] * rows.count
-            deriv = False
-            for entry in live:
-                kind, tau = entry[3]
-                taus[entry[1]] = tau
-                deriv = deriv or kind == DERIV
-            sums = rows.sums(np.array(taus), deriv)
-            l, w, d = (s if s is None else s.tolist() for s in sums)
-            still = []
-            for entry in live:
-                p = entry[1]
-                if advance(entry, l[p] if entry[3][0] == SUM else (l[p], w[p], d[p])):
-                    still.append(entry)
-            live = still
-    return results
+        k = l / n
+        r = k / tau
+    ok = (r > 0.0) & np.isfinite(r)
+    f = np.full(r.shape, math.inf)
+    f[ok] = n[ok] * (_log(r[ok]) + k[ok] + 1.0)
+    zero = tau == 0.0
+    if np.count_nonzero(zero):
+        f[zero] = n[zero] * (_log(mean[zero]) + 1.0)
+    return f
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x), dtype=float, count=x.size)

@@ -18,19 +18,22 @@ not change sign over the bracket and the grid's minimum is its
 feasibility edge, the fit is that edge, a boundary hit.
 
 :func:`fit_samples` fits many samples at once, as the threshold scan
-needs: it searches blocks of samples in lockstep, one search coroutine
-per sample, and every sample follows exactly the iterates it would follow
-alone. :func:`fit_mle` is the one-sample call of the same code.
+needs: a block's search state is held in arrays over its rows, and one
+step of all their solves is a fixed set of numpy calls and one kernel
+pass. Each row takes the IEEE operations of its search alone, in the same
+order, so it follows exactly its own iterates. :func:`fit_mle` is the
+one-sample call of the same code.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .errors import (
     DegenerateSample,
+    EmptySample,
     InvalidParams,
     InvalidProbability,
     NoExceedances,
@@ -125,10 +128,21 @@ class ExcessSample:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A maximum-likelihood fit, and the work of its search, which equality ignores.
+
+    The counts: points of the tau grid and its expansion where the profile
+    NLL was evaluated, evaluations of the profile score in the solve, and
+    kernel passes after it (one, for the shape at the grid's least point,
+    when the solve kept no root).
+    """
+
     params: GpdParams
     log_likelihood: float
     converged: bool
     boundary_hit: bool
+    grid_points: int = field(default=0, compare=False)
+    score_evaluations: int = field(default=0, compare=False)
+    passes_after_solve: int = field(default=0, compare=False)
 
 
 def _validate_probability(q) -> np.ndarray:
@@ -197,6 +211,8 @@ def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
 def gpd_log_likelihood(params: GpdParams, excesses) -> float:
     """Log-likelihood of ``excesses`` under ``params`` (-inf when infeasible)."""
     y = np.asarray(excesses, dtype=float)
+    if y.size == 0:
+        raise EmptySample("the log-likelihood of an empty sample is undefined")
     xi, sigma = params.shape, params.scale
     with np.errstate(over="ignore"):  # an overflowing product or sum is inf
         if xi == 0.0:
@@ -236,8 +252,44 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _solve_score(row, a, b, f_best, first=math.nan):
-    """Root of the profile NLL derivative (the score) in [a, b] (a coroutine).
+def _bracket(rows, grids, values, live):
+    """Each row's least finite grid value and its nearest finite neighbours, the grid expanded to the right.
+
+    ``values`` holds the profile NLL where the lazy grid evaluated it, nan
+    elsewhere. While a ``live`` row's least value is its last finite one,
+    a point ten times further right is evaluated, at most 20 times, until
+    one is not finite. Returns x and f, the tau and NLL of the left
+    neighbour, least value and right neighbour (one row each), whether
+    each neighbour exists, and the points evaluated per row.
+    """
+    count, size = values.shape
+    finite = np.isfinite(values)
+    col = np.arange(size)
+    best = np.where(finite, values, math.inf).argmin(axis=1)[:, None]
+    left = np.where(finite & (col < best), col, -1).max(axis=1)
+    right = np.where(finite & (col > best), col, size).min(axis=1)
+    has = np.array([left >= 0, right < size])
+    at = (np.arange(count), np.array([left, best[:, 0], right % size]))
+    x, f = grids[at], values[at]
+    points = np.count_nonzero(~np.isnan(values), axis=1)
+    grow = live & ~has[1]
+    for _ in range(20):
+        if not np.count_nonzero(grow):
+            break
+        nxt = x[1] * 10.0
+        value = rows.profile_nll(np.where(grow, nxt, 0.0))
+        points += grow
+        ok = grow & np.isfinite(value)
+        grow = ok & (value < f[1])  # the new point is the least
+        stop = ok & ~grow  # the new point is the right neighbour
+        x[0, grow], f[0, grow], has[0, grow] = x[1, grow], f[1, grow], True
+        x[1, grow], f[1, grow] = nxt[grow], value[grow]
+        x[2, stop], f[2, stop], has[1, stop] = nxt[stop], value[stop], True
+    return x, f, has, points
+
+
+def _solve_score(rows, lo, hi, x_best, f_best, first, live):
+    """Root of the profile NLL's derivative (the score) in each ``live`` row's [lo, hi], in lockstep.
 
     Comparing objective values cannot localize a minimum better than the
     square root of their rounding noise; the score's sign can, down to
@@ -246,133 +298,157 @@ def _solve_score(row, a, b, f_best, first=math.nan):
     is ``first`` if that lies inside), held at least half the stopping
     width inside them; an endpoint kept twice in a row has its score
     scaled down so that it cannot stall the bracket, and a bisection is
-    forced when three secant steps have not halved the bracket. Stops when
-    the bracket is within 4 ulps or the score is exactly 0.
+    forced when three secant steps have not halved the bracket. A row
+    stops when its bracket is within 4 ulps or its score is exactly 0,
+    unconverged after ``_MAX_ITERATIONS`` steps. Its root, the end with
+    the smaller score, is kept if the NLL its sum gives is within slack of
+    ``f_best``. A row without one (the score does not change sign over
+    [lo, hi], is not finite inside it, or the NLL is too far) gets the sum
+    at ``x_best`` from one more pass.
 
-    Returns (root, l, converged), l the row's sum of log1p(root*y) and
-    converged False after ``_MAX_ITERATIONS`` steps, if the profile NLL at
-    the root is within slack of ``f_best``; None if it is not, or if the
-    score does not change sign over [a, b] (a boundary optimum) or is not
-    finite inside it. The root is an endpoint whose score was evaluated,
-    so its NLL comes from the sum kept with that score.
+    A step computes every searching row's next point by the IEEE operations
+    of its search alone, in the same order, then evaluates all of them in
+    one pass; the block is compacted when at most half its rows still need
+    passes. Returns arrays over the rows: the root or ``x_best``, its sum
+    of log1p(tau*y), whether a root was kept and converged, the score
+    evaluations and the passes after the solve.
     """
-    deriv = _kernels.profile_nll_deriv
-    fa, la = yield from deriv(row, a)
-    fb, lb = yield from deriv(row, b)
-    if not (fa < 0.0 <= fb < math.inf):
-        return None
-    ga, gb = fa, fb  # the scores the secant uses, scaled while an endpoint is kept
-    newest = 0  # the endpoint the last step replaced: -1 a, +1 b, 0 neither
-    width, steps = b - a, 0  # bracket width at the last check, secant steps since
-    converged = False
-    for _ in range(_MAX_ITERATIONS):
-        tol = 2.0 * math.ulp(max(abs(a), abs(b)))
-        if fb == 0.0 or b - a <= 2.0 * tol:
-            converged = True
+    n, mean, count = rows.n, rows.mean, live.size
+    place = np.arange(count)  # each row's position in the compacted block
+    tau_hat, l_hat = x_best.copy(), np.zeros(count)
+    rooted, converged = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    evaluations, after = np.full(count, 2), np.zeros(count, dtype=np.intp)
+    held = np.zeros(0, dtype=np.intp)  # rows waiting for their pass at x_best
+
+    def hold(i):
+        nonlocal held
+        held = np.concatenate([held, i[x_best[i] != 0.0]])  # the sum at tau = 0 is 0
+
+    def deriv(i, tau):  # the score and sum of rows i at tau, in a pass that also serves the held rows
+        nonlocal held
+        if i.size == rows.count:  # the block holds just these rows, none held
+            return rows.profile_nll_deriv(tau)
+        at, wait, t = place[i], place[held], np.zeros(rows.count)
+        t[at], t[wait] = tau, x_best[held]
+        score, l = rows.profile_nll_deriv(t)
+        l_hat[held], after[held], held = l[wait], 1, held[:0]
+        return score[at], l[at]
+
+    i = np.flatnonzero(live)
+    fa, la = deriv(i, lo[i])
+    fb, lb = deriv(i, hi[i])
+    ok = (fa < 0.0) & (0.0 <= fb) & (fb < math.inf)
+    # The bracket ends a and b as e[0] and e[1], each its tau, score,
+    # scaled score and sum, over the rows i still searching.
+    e = np.array([[lo[i], fa, fa, la], [hi[i], fb, fb, lb]])
+    if np.count_nonzero(ok) < i.size:
+        hold(i[~ok])
+        e, i = e[:, :, ok], i[ok]
+    first = first[i]
+    width, steps = e[1, 0] - e[0, 0], np.zeros(i.size, dtype=np.intp)  # at the last check, secant steps since
+    last = np.full(i.size, 2, dtype=np.int8)  # the end the last step replaced: 1 a, 0 b, 2 neither
+    it = 0  # steps made
+    while True:
+        a, b = e[:, 0]
+        magnitude = np.abs(e[:, 0])
+        tol = 2.0 * np.spacing(np.maximum(magnitude[0], magnitude[1]))
+        span = b - a
+        capped = it == _MAX_ITERATIONS
+        done = np.ones(i.size, dtype=bool) if capped else (e[1, 1] == 0.0) | (span <= 2.0 * tol)
+        if np.count_nonzero(done):
+            r, ends = i[done], e[:, :, done]
+            take_a = -ends[0, 1] < ends[1, 1]
+            root, l = np.where(take_a, ends[0, [0, 3]], ends[1, [0, 3]])
+            f = _kernels.profile_nll_from_sum(n[r], mean[r], root, l)
+            ok = np.isfinite(f) & (f <= f_best[r] + 1e-6 * (1.0 + np.abs(f_best[r])))
+            tau_hat[r[ok]], l_hat[r[ok]], rooted[r], converged[r] = root[ok], l[ok], ok, ok & (not capped)
+            evaluations[r] = 2 + it
+            hold(r[~ok])
+            e, i, width, steps, last = (x[..., ~done] for x in (e, i, width, steps, last))
+            first = None if first is None else first[~done]
+            continue  # with the rows still searching
+        if not (i.size or held.size):
             break
-        if steps == 3 and b - a > 0.5 * width:
-            c = 0.5 * (a + b)
-            width, steps = 0.5 * (b - a), 0
+        if i.size + held.size <= rows.count // 2:
+            kept = np.sort(np.concatenate([i, held]))
+            rows.keep(place[kept])
+            place[kept] = np.arange(kept.size)
+        ga, gb = e[:, 2]
+        c = b - gb * (span / (gb - ga))
+        if first is not None:  # the first step
+            c = np.where((a < first) & (first < b), first, c)
+            first = None
+        limit = b - tol
+        c = np.where(c < limit, np.where(a + tol > c, a + tol, c), limit)
+        third = steps == 3
+        if np.count_nonzero(third):
+            bisect = third & (span > 0.5 * width)
+            width = np.where(third, np.where(bisect, 0.5 * span, span), width)
+            c = np.where(bisect, 0.5 * (a + b), c)
+            steps = np.where(third, ~bisect, steps + 1)
         else:
-            if steps == 3:
-                width, steps = b - a, 0
-            c = first if a < first < b else b - gb * ((b - a) / (gb - ga))
-            c = b - tol if not c < b - tol else max(c, a + tol)
-            first = math.nan
             steps += 1
-        fc, lc = yield from deriv(row, c)
-        if not math.isfinite(fc):
-            return None
-        if fc < 0.0:
-            if newest < 0:
-                m = 1.0 - fc / fa
-                gb *= m if m > 0.0 else 0.5
-            a, fa, ga, la, newest = c, fc, fc, lc, -1
-        else:
-            if newest > 0:
-                m = 1.0 - fc / fb
-                ga *= m if m > 0.0 else 0.5
-            b, fb, gb, lb, newest = c, fc, fc, lc, 1
-    root, l = (a, la) if -fa < fb else (b, lb)
-    f = _kernels.profile_nll_from_sum(row, root, l)
-    if math.isfinite(f) and f <= f_best + 1e-6 * (1.0 + abs(f_best)):
-        return root, l, converged
-    return None
+        fc, lc = deriv(i, c)
+        it += 1
+        finite = np.isfinite(fc)
+        if np.count_nonzero(finite) < i.size:
+            evaluations[i[~finite]] = 2 + it
+            hold(i[~finite])
+            e, i, width, steps, last, c, fc, lc = (x[..., finite] for x in (e, i, width, steps, last, c, fc, lc))
+        # c replaces the end on its score's side; when that end was also
+        # replaced last, the other end's scaled score shrinks.
+        side = np.empty((2, 1, i.size), dtype=bool)
+        neg = np.less(fc, 0.0, out=side[0, 0])
+        np.logical_not(neg, out=side[1, 0])
+        m = 1.0 - fc / np.where(neg, e[0, 1], e[1, 1])
+        g = e[:, 2]  # scaled at both ends, the replaced one overwritten next
+        np.multiply(g, np.where(m > 0.0, m, 0.5), out=g, where=last == neg)
+        np.copyto(e, np.array([c, fc, fc, lc]), where=side)
+        last = neg.view(np.int8)
+    return tau_hat, l_hat, rooted, converged, evaluations, after
 
 
-def _vertex(x0, x1, x2, f0, f1, f2) -> float:
-    """Minimum of the parabola through (x0, f0), (x1, f1), (x2, f2); nan unless convex."""
-    d1 = (f1 - f0) / (x1 - x0)
-    curvature = ((f2 - f1) / (x2 - x1) - d1) / (x2 - x0)
-    if not curvature > 0.0:
-        return math.nan
-    return 0.5 * (x0 + x1) - d1 / (2.0 * curvature)
+def _search(rows, grids, values) -> list:
+    """Maximum-likelihood fits of the rows of the loaded block ``rows``: a FitResult or the error fit_mle raises.
 
-
-def _search(row, grid, values):
-    """Maximum-likelihood fit of one row (a coroutine returning a FitResult).
-
-    ``grid`` holds the row's tau grid points that the lazy grid evaluated
-    and ``values`` the profile NLL there.
+    ``grids`` holds each row's tau grid and ``values`` the profile NLL
+    where the lazy grid evaluated it, nan elsewhere.
     """
-    if row.y_max == row.y_min:
-        raise DegenerateSample("all excesses are equal; the GPD likelihood diverges")
-    if not math.isfinite(row.mean):
-        raise NonConvergence("the excess sum overflows; rescale the sample")
-
-    nll = _kernels.profile_nll
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise NonConvergence("profile likelihood is non-finite on the whole search grid")
-    grid, values = grid[finite], values[finite]
-
-    # Expand to the right while the best candidate sits on the upper edge.
-    best = int(np.argmin(values))
-    expansions = 0
-    while best == grid.size - 1 and expansions < 20:
-        nxt = float(grid[-1]) * 10.0
-        val = yield from nll(row, nxt)
-        if not math.isfinite(val):
-            break
-        grid = np.append(grid, nxt)
-        values = np.append(values, val)
-        best = int(np.argmin(values))
-        expansions += 1
-
-    lo = float(grid[best - 1] if best > 0 else grid[0])
-    hi = float(grid[best + 1] if best < grid.size - 1 else grid[-1])
-    tau_hat, converged = float(grid[best]), True
-    first = math.nan
-    if 0 < best < grid.size - 1:
-        first = _vertex(*grid[best - 1 : best + 2].tolist(), *values[best - 1 : best + 2].tolist())
-    root = yield from _solve_score(row, lo, hi, float(values[best]), first)
-    if root is not None:
-        tau_hat, l, converged = root
-    else:
-        if best > 0:
-            # No acceptable root in the bracket, yet its best point is inside.
-            converged = False
-        # Otherwise the best point is the grid's left end, its feasibility
-        # edge, and the fit is that edge: a boundary hit.
-        l = 0.0 if tau_hat == 0.0 else (yield _kernels.SUM, tau_hat)
-
-    if tau_hat == 0.0:
-        xi_hat = 0.0
-        sigma_hat = row.mean
-    else:
-        xi_hat = l / row.n
-        sigma_hat = xi_hat / tau_hat
-    if not (sigma_hat > 0.0) or not math.isfinite(sigma_hat):
-        raise NonConvergence(f"optimizer produced an invalid scale {sigma_hat}")
-
-    # At (xi_hat, sigma_hat) = (k, k/tau) the log-likelihood is minus the
-    # profile NLL at tau_hat, which the sum l gives without another pass.
-    return FitResult(
-        params=GpdParams(shape=xi_hat, scale=sigma_hat),
-        log_likelihood=-_kernels.profile_nll_from_sum(row, tau_hat, l),
-        converged=converged,
-        boundary_hit=(1.0 + tau_hat * row.y_max) < _BOUNDARY_MARGIN,
-    )
+    n, mean, y_max = rows.n, rows.mean, rows.y_max  # the block's order; rows.keep makes new arrays
+    degenerate = y_max == rows.y_min
+    overflow = ~np.isfinite(mean)
+    flat = ~np.isfinite(values).any(axis=1)
+    live = ~(degenerate | overflow | flat)
+    x, f, has, points = _bracket(rows, grids, values, live)
+    lo, hi = np.where(has[0], x[0], x[1]), np.where(has[1], x[2], x[1])
+    d1 = (f[1] - f[0]) / (x[1] - x[0])  # the solve starts at the convex parabola's vertex
+    curvature = ((f[2] - f[1]) / (x[2] - x[1]) - d1) / (x[2] - x[0])
+    first = np.where(has[0] & has[1] & (curvature > 0.0), 0.5 * (x[0] + x[1]) - d1 / (2.0 * curvature), math.nan)
+    tau, l, rooted, converged, evaluations, after = _solve_score(rows, lo, hi, x[1], f[1], first, live)
+    # Without a root, the fit is the grid's least point: unconverged if
+    # that is inside, the feasibility edge (a boundary hit) otherwise.
+    converged = np.where(rooted, converged, ~has[0])
+    zero = tau == 0.0
+    shape = np.where(zero, 0.0, l / n)
+    scale = np.where(zero, mean, shape / tau)
+    # At (shape, scale) = (k, k/tau) the log-likelihood is minus the
+    # profile NLL at tau, which the sum l gives without another pass.
+    log_likelihood = -_kernels.profile_nll_from_sum(n, mean, tau, l)
+    boundary = (1.0 + tau * y_max) < _BOUNDARY_MARGIN
+    columns = (shape, scale, log_likelihood, converged, boundary, points, evaluations, after)
+    results = []
+    for i, (xi, sigma, ll, conv, edge, *counts) in enumerate(zip(*(c.tolist() for c in columns))):
+        if degenerate[i]:
+            results.append(DegenerateSample("all excesses are equal; the GPD likelihood diverges"))
+        elif overflow[i]:
+            results.append(NonConvergence("the excess sum overflows; rescale the sample"))
+        elif flat[i]:
+            results.append(NonConvergence("profile likelihood is non-finite on the whole search grid"))
+        elif not (sigma > 0.0) or not math.isfinite(sigma):
+            results.append(NonConvergence(f"optimizer produced an invalid scale {sigma}"))
+        else:
+            results.append(FitResult(GpdParams(xi, sigma), ll, conv, edge, *counts))
+    return results
 
 
 def fit_samples(samples):
@@ -383,13 +459,13 @@ def fit_samples(samples):
     yielded one block at a time, so neither all samples nor all results
     are held at once. A block takes up to ``BLOCK_ELEMENTS //
     _GRID_POINTS`` (96) consecutive samples, however long, while their
-    zero-padded rows fit in the data buffer's 8 * ``BLOCK_ELEMENTS``
+    zero-padded rows fit in the data buffer's 16 * ``BLOCK_ELEMENTS``
     elements; a longer sample gets a block of its own. Each sample is
     copied into the block as it arrives (see :class:`_kernels.Rows`),
     and each block is searched in lockstep, so the tau grids, the grid
-    rounds and every drive step are paid once per block. Yields one entry
-    per sample, in order: its FitResult, or the DegenerateSample or
-    NonConvergence that :func:`fit_mle` would raise for it.
+    rounds and every step of the score solve are paid once per block.
+    Yields one entry per sample, in order: its FitResult, or the error
+    :func:`fit_mle` would raise for it.
     """
     rows = _kernels.Rows()
     # The cap keeps a block's tau grids within BLOCK_ELEMENTS elements.
@@ -405,18 +481,10 @@ def fit_samples(samples):
 
 def _fit_block(rows) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
-    stats = rows.load()
-    y_max = np.array([row.y_max for row in stats])
-    with np.errstate(over="ignore"):  # -inf for a subnormal maximum
-        tau_mins = -(1.0 - _FEASIBILITY_EPS) / y_max
-    grids = _tau_grids(np.array([row.mean for row in stats]), tau_mins)
-    values = rows.profile_nll_grid(grids)
-    evaluated = ~np.isnan(values)
-    searches = [
-        _search(row, grid[keep], value[keep])
-        for row, grid, value, keep in zip(stats, grids, values, evaluated)
-    ]
-    results = _kernels.drive(rows, searches)
+    rows.load()
+    with np.errstate(all="ignore"):  # tau_min is -inf for a subnormal maximum
+        grids = _tau_grids(rows.mean, -(1.0 - _FEASIBILITY_EPS) / rows.y_max)
+        results = _search(rows, grids, rows.profile_nll_grid(grids))
     rows.clear()
     return results
 

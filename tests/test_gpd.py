@@ -9,6 +9,7 @@ from scipy.stats import genpareto
 
 from potrisk.errors import (
     DegenerateSample,
+    EmptySample,
     InvalidParams,
     InvalidProbability,
     NoExceedances,
@@ -278,6 +279,11 @@ class TestFitMle:
         y = np.array([1e200, 2e200, 3e200])
         want = -3.0 * math.log(1e200) - 11.0 * float(np.log1p(0.1 * y / 1e200).sum())
         assert gpd_log_likelihood(GpdParams(0.1, 1e200), y) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [0.2, 0.0, -0.3])
+    def test_log_likelihood_of_an_empty_sample(self, shape):
+        with pytest.raises(EmptySample):
+            gpd_log_likelihood(GpdParams(shape, 1.0), [])
 
     def test_feasibility_at_optimum(self):
         sample = self._sample(-0.45, 1.0, 300, seed=21)

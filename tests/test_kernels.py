@@ -15,17 +15,18 @@ import scalar_oracle
 
 
 def _loaded(samples):
-    """A block holding ``samples``, and the Rows that load returns for it."""
+    """A loaded block holding ``samples``."""
     rows = _kernels.Rows()
     for y in samples:
         rows.add(np.ascontiguousarray(y, dtype=float))
-    return rows, rows.load()
+    rows.load()
+    return rows
 
 
 def _block_values(kernel, cases):
-    """Drive ``kernel(row_i, *args_i)`` for every (sample_i, args_i) in one block."""
-    rows, stats = _loaded([y for y, _ in cases])
-    return _kernels.drive(rows, [kernel(row, *args) for row, (_, args) in zip(stats, cases)])
+    """``kernel`` (a Rows kernel) of one block holding sample_i at tau_i, for every (sample_i, tau_i)."""
+    rows = _loaded([y for y, _ in cases])
+    return kernel(rows, np.array([tau for _, tau in cases]))
 
 
 class TestRows:
@@ -38,7 +39,7 @@ class TestRows:
 
     def test_sums_match_one_sample_numpy_bit_for_bit(self):
         samples = self._samples()
-        rows, _ = _loaded(samples)
+        rows = _loaded(samples)
         taus = self._taus(samples)
         l, w, d = rows.sums(taus, deriv=True)
         for i, y in enumerate(samples):
@@ -52,7 +53,7 @@ class TestRows:
 
     def test_groups_whose_taus_are_all_zero_are_not_computed(self):
         samples = self._samples()  # groups: row 0, row 1, rows 2-4
-        rows, _ = _loaded(samples)
+        rows = _loaded(samples)
         taus = np.array([0.5, 0.0, -0.0, 0.0, -0.0])
         l, w, d = rows.sums(taus, deriv=True)
         for i, y in enumerate(samples):
@@ -66,7 +67,7 @@ class TestRows:
 
     def test_bins_hold_every_value_and_keep_it_apart_from_the_zeros(self):
         samples = self._samples()  # rows 3 and 4 are shorter than their group's first row
-        rows, _ = _loaded(samples)
+        rows = _loaded(samples)
         c, a, b, _, _ = rows._order_bins()
         assert ((a > 0.0) | (b == 0.0))[c > 0].all()
         assert np.where(a > 0.0, c, 0.0).sum(axis=1).tolist() == [y.size for y in samples]
@@ -74,25 +75,28 @@ class TestRows:
 
     def test_row_constants(self):
         samples = self._samples()
-        _, stats = _loaded(samples)
-        for row, y in zip(stats, samples):
-            assert (row.n, row.mean, row.m2) == (y.size, y.mean(), np.mean(y * y))
-            assert (row.y_max, row.y_min, row.total) == (y.max(), y.min(), y.sum())
+        rows = _loaded(samples)
+        for i, y in enumerate(samples):
+            assert (rows.n[i], rows.mean[i]) == (y.size, y.mean())
+            assert rows.score0[i] == y.size * (y.mean() - np.mean(y * y) / (2.0 * y.mean()))
+            assert (rows.y_max[i], rows.y_min[i]) == (y.max(), y.min())
 
     def test_keep_compacts_in_order(self):
         samples = self._samples()
-        rows, _ = _loaded(samples)
+        rows = _loaded(samples)
         taus = self._taus(samples)
         full = rows.sums(taus, deriv=False)[0]
         rows.keep([1, 3, 4])
         assert rows.count == 3
         assert rows.sums(taus[[1, 3, 4]], deriv=False)[0].tolist() == full[[1, 3, 4]].tolist()
+        assert rows.n.tolist() == [samples[i].size for i in (1, 3, 4)]
+        assert rows.y_max.tolist() == [samples[i].max() for i in (1, 3, 4)]
 
     def test_infeasible_tau(self):
         y = np.array([1.0, 2.0, 4.0])
         bad = -0.3  # 1 + tau*4 < 0
-        assert _block_values(_kernels.profile_nll, [(y, (bad,))]) == [math.inf]
-        ((score, l),) = _block_values(_kernels.profile_nll_deriv, [(y, (bad,))])
+        assert _block_values(_kernels.Rows.profile_nll, [(y, bad)]).tolist() == [math.inf]
+        (score,), (l,) = _block_values(_kernels.Rows.profile_nll_deriv, [(y, bad)])
         assert math.isnan(score) and math.isnan(l)
 
     def test_kernels_match_scalar_oracle(self):
@@ -101,15 +105,15 @@ class TestRows:
         for y in samples:
             tau_min = -(1.0 - 1e-10) / y.max()
             taus = [0.0, 1e-9, -1e-9, 0.5, 5.0, tau_min * 0.5, tau_min * 0.999, tau_min]
-            nll = _block_values(_kernels.profile_nll, [(y, (tau,)) for tau in taus])
-            deriv = _block_values(_kernels.profile_nll_deriv, [(y, (tau,)) for tau in taus])
-            (row,) = _loaded([y])[1]
-            for tau, a, (b, l) in zip(taus, nll, deriv):
+            nll = _block_values(_kernels.Rows.profile_nll, [(y, tau) for tau in taus])
+            deriv, sums = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau) for tau in taus])
+            row = _loaded([y])
+            for tau, a, b, l in zip(taus, nll.tolist(), deriv.tolist(), sums.tolist()):
                 assert a == scalar_oracle.profile_nll_numpy(y, tau)
                 assert b == scalar_oracle.profile_nll_deriv_numpy(y, tau)
                 # the score's sum gives the NLL at tau, bit for bit
                 assert l == (np.log1p(tau * y).sum() if tau else 0.0)
-                assert _kernels.profile_nll_from_sum(row, tau, l) == a
+                assert _kernels.profile_nll_from_sum(row.n, row.mean, np.array([tau]), np.array([l]))[0] == a
             for xi, sigma in [(0.0, 1.0), (0.3, 0.5), (-0.2, 2.0)]:
                 got = -gpd_log_likelihood(GpdParams(xi, sigma), y)
                 assert got == scalar_oracle.gpd_nll_numpy(y, xi, sigma)
@@ -140,16 +144,16 @@ class TestDerivative:
         other = np.random.default_rng(8).exponential(3.0, 250)
         h = 1e-7 * max(1.0, abs(tau))
         up, down, _ = _block_values(
-            _kernels.profile_nll, [(y, (tau + h,)), (y, (tau - h,)), (other, (0.1,))]
-        )
-        (deriv, _), _ = _block_values(_kernels.profile_nll_deriv, [(y, (tau,)), (other, (-0.1,))])
+            _kernels.Rows.profile_nll, [(y, tau + h), (y, tau - h), (other, 0.1)]
+        ).tolist()
+        deriv = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau), (other, -0.1)])[0][0]
         assert deriv == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-6)
 
     def test_zero_tau_limit(self):
         y = np.random.default_rng(6).exponential(1.0, 400)
-        left, at0, right = (score for score, _ in _block_values(
-            _kernels.profile_nll_deriv, [(y, (-1e-10,)), (y, (0.0,)), (y, (1e-10,))]
-        ))
+        left, at0, right = _block_values(
+            _kernels.Rows.profile_nll_deriv, [(y, -1e-10), (y, 0.0), (y, 1e-10)]
+        )[0].tolist()
         assert left == pytest.approx(at0, rel=1e-5, abs=1e-8)
         assert right == pytest.approx(at0, rel=1e-5, abs=1e-8)
 
@@ -222,12 +226,12 @@ def test_a_block_takes_96_candidates_however_long(monkeypatch):
 def test_the_data_buffer_caps_a_block_of_long_samples():
     rows = _kernels.Rows()
     sample = np.ones(_kernels.BLOCK_ELEMENTS)
-    for _ in range(7):
+    for _ in range(15):
         assert rows.has_room(sample.size)
         rows.add(sample)
     assert not rows.has_room(sample.size)
     rows.clear()
-    assert rows.has_room(7 * _kernels.BLOCK_ELEMENTS)
+    assert rows.has_room(15 * _kernels.BLOCK_ELEMENTS)
 
 
 def test_one_row_blocks_give_the_same_scan(monkeypatch):

@@ -2,11 +2,12 @@
 
 The search evaluates the tau grid lazily (``_kernels.Rows.profile_nll_grid``)
 and solves for the root of the profile score from the grid's bracket
-(``gpd._solve_score``). Hypothesis draws heavy, short and tied tails and
-checks the lazy grid against the full grid, its bounds against the values
-they bound, and every candidate fit of a scan against the quantities the
-search is meant to optimize; deterministic tests on the bundled data
-count the grid points and score evaluations per fit.
+(``gpd._solve_score``), every row of a block in lockstep. Hypothesis draws
+heavy, short and tied tails and checks the lazy grid against the full
+grid, its bounds against the values they bound, and every candidate fit of
+a scan against the quantities the search is meant to optimize;
+deterministic tests on the bundled data count the grid points and score
+evaluations per fit.
 """
 
 import math
@@ -271,47 +272,30 @@ def test_grid_points_evaluated_per_fit_on_the_bundled_data():
     assert max(evaluated) <= 6
 
 
-def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
-    rows, requests = [], {}  # every loaded Row in fit order; Row -> taus of its score requests
-    kinds = {}  # Row -> the kinds of the kernel requests of its search, in order
-    load, deriv, search = _kernels.Rows.load, _kernels.profile_nll_deriv, gpd._search
-
-    def recording(self):
-        loaded = load(self)
-        rows.extend(loaded)
-        return loaded
-
-    def counting(row, tau):
-        requests.setdefault(row, []).append(tau)
-        return (yield from deriv(row, tau))
-
-    def logged(row, *args):
-        log, coroutine, value = kinds.setdefault(row, []), search(row, *args), None
-        while True:
-            try:
-                request = coroutine.send(value)
-            except StopIteration as stop:
-                return stop.value
-            log.append(request[0])
-            value = yield request
-
-    monkeypatch.setattr(_kernels.Rows, "load", recording)
-    monkeypatch.setattr(_kernels, "profile_nll_deriv", counting)
-    monkeypatch.setattr(gpd, "_search", logged)
-    fits = [fit for tail, m in _bundled_tails() for _, fit in _candidate_fits(tail, m)]
-    assert len(fits) == len(rows) == 1416
-    counts, plain = [], []
-    for row, fit in zip(rows, fits):
-        if isinstance(fit, Exception):
-            continue
-        taus = requests[row]
-        counts.append(len(taus))
-        # After the score solve a fit with a root makes no kernel pass, and
-        # one without a root makes one, for the shape at its grid point.
-        after = kinds[row][kinds[row].index(_kernels.DERIV) :].count(_kernels.SUM)
-        assert after == (0 if fit.converged and not fit.boundary_hit else 1), (row.n, fit)
-        if not fit.boundary_hit:
-            # the first two requests are the grid bracket's endpoints
-            plain.append(_plain_bisection_evaluations(*taus[:2], fit.params.shape / fit.params.scale))
+def test_score_evaluations_per_fit_on_the_bundled_data():
+    counts, plain, total = [], [], 0  # score evaluations per fit; bisection's from the same bracket
+    for tail, m in _bundled_tails():
+        for y, fit in _candidate_fits(tail, m):
+            total += 1
+            if isinstance(fit, Exception):
+                continue
+            counts.append(fit.score_evaluations)
+            # After the score solve a fit with a root makes no kernel pass, and
+            # one without a root makes one, for the shape at its grid point.
+            assert fit.passes_after_solve == (0 if fit.converged and not fit.boundary_hit else 1), (y.size, fit)
+            if not fit.boundary_hit:
+                rows = _kernels.Rows()
+                rows.add(y)
+                rows.load()
+                grid = _grids([y])[0]
+                values = rows.profile_nll_grid(grid[None])[0]
+                evaluated = ~np.isnan(values)
+                # No interior fit expands its grid, so its solve starts from
+                # the least grid value's finite neighbours.
+                assert fit.grid_points == np.count_nonzero(evaluated)
+                best, left, right = _minimum_and_neighbours(grid[evaluated], values[evaluated])
+                lo, hi = (best if x is None else x for x in (left, right))
+                plain.append(_plain_bisection_evaluations(lo, hi, fit.params.shape / fit.params.scale))
+    assert total == 1416
     assert statistics.median(counts) <= 12
     assert max(counts) <= min(plain)

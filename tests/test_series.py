@@ -1,8 +1,15 @@
 import datetime
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import potrisk
 
 from potrisk.errors import (
     EmptyPeriodWarning,
@@ -180,6 +187,29 @@ class TestBoxPlot:
             assert s.min_outlier < s.whisker_low
         if s.max_outlier is not None:
             assert s.max_outlier > s.whisker_high
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+        min_size=4, max_size=60,
+    ))
+    def test_quartiles_are_np_quantiles_bit_for_bit(self, values):
+        s = box_plot(weekly_returns(values))
+        want = np.quantile(np.array(values), [0.25, 0.5, 0.75]).tolist()
+        assert [q.hex() for q in (s.q1, s.median, s.q3)] == [q.hex() for q in want]
+
+    def test_leaves_numpy_ma_unloaded(self):
+        # np.quantile would import numpy.ma, about 13 ms for a CLI process.
+        src = str(Path(potrisk.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import datetime, potrisk.cli; "
+            "from potrisk.series import ReturnSeries, box_plot; "
+            "days = [datetime.date(2000, 1, d) for d in range(1, 6)]; "
+            "box_plot(ReturnSeries(days, [0.1, -0.2, 0.3, 0.0, 0.5])); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestCsv:
