@@ -1,4 +1,4 @@
-"""Print a sha256 over the bits of every candidate fit of three inputs.
+"""Print a sha256 over the bits of every candidate fit of three inputs, or compare the fits with another checkout's.
 
 For each candidate threshold of each tail, the digest takes the fit's
 shape, scale and log-likelihood as 8-byte doubles and its converged and
@@ -8,32 +8,46 @@ the two tails of perfbench's tail_scan input and the two tails of its
 long_history input at ``--seed``, with each workload's min_exceedances.
 Two checkouts whose fits are bit-identical print the same digests.
 
-Run from the repository root (it takes about 5 s):
+With ``--against CHECKOUT`` the script also fits the same inputs with
+that checkout's ``src`` in a subprocess and prints, per input: the fit
+count and how many fits are bit-identical, the flag and error-type
+mismatches, the max and 99th-percentile relative differences of shape
+and scale, and each fit whose shape or scale moved by more than 1e-12
+relative, with its shape. It exits 1 if a count, a flag or an error type
+differs.
+
+Run from the repository root (each checkout's fits take about 5 s):
 
     PYTHONPATH=src python scripts/fit_digest.py --seed 1
+    PYTHONPATH=src python scripts/fit_digest.py --seed 1 --against ../other-checkout
 """
 
 import argparse
 import hashlib
+import json
+import math
+import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
 import workloads  # noqa: E402
 
-from potrisk import bundled_data_path  # noqa: E402
-from potrisk.excess import candidate_thresholds  # noqa: E402
-from potrisk.gpd import FitResult, fit_samples  # noqa: E402
-from potrisk.report import AnalysisConfig  # noqa: E402
-from potrisk.series import compute_returns, read_earnings_csv, split_by_period, split_by_sign  # noqa: E402
+MOVED = 1e-12  # the relative move of a shape or scale that is listed
 
 
 def bundled_tails():
+    from potrisk import bundled_data_path
+    from potrisk.report import AnalysisConfig
+    from potrisk.series import compute_returns, read_earnings_csv, split_by_period, split_by_sign
+
     config = AnalysisConfig.from_json(bundled_data_path("synthetic_config.json"))
     returns = compute_returns(read_earnings_csv(bundled_data_path("synthetic_weekends.csv")))
     for series in split_by_period(returns, config.periods):
@@ -50,7 +64,7 @@ def tail_scan_tails(seed):
 def long_history_tails(seed):
     """The tails and min_exceedances of perfbench's long_history task (see prepare_long_history)."""
     revenues = [float(r) for r in inputs.history_revenues(seed)]
-    positive, negative = inputs.tails(inputs.returns_from_revenues(inputs.np.array(revenues)))
+    positive, negative = inputs.tails(inputs.returns_from_revenues(np.array(revenues)))
     gap = abs(positive.size - negative.size)
     margin = max(workloads.HISTORY_MIN_MARGIN, (workloads.HISTORY_CANDIDATES - gap) // 2)
     min_exc = min(positive.size, negative.size) - margin
@@ -58,36 +72,98 @@ def long_history_tails(seed):
         yield tail, min_exc
 
 
-def digest(tails) -> tuple[int, str]:
-    """The number of candidate fits of ``tails`` and the sha256 of their bits."""
-    h, count = hashlib.sha256(), 0
+def fits(tails) -> list:
+    """Per candidate fit of ``tails``: (shape, scale, log-likelihood, converged, boundary_hit) or the error's name."""
+    from potrisk.excess import candidate_thresholds
+    from potrisk.gpd import FitResult, fit_samples
+
+    out = []
     for tail, min_exc in tails:
         samples = (tail[tail > u] - u for u in candidate_thresholds(tail, min_exc))
         for fit in fit_samples(samples):
-            count += 1
             if isinstance(fit, FitResult):
-                h.update(struct.pack(
-                    "<ddd??", fit.params.shape, fit.params.scale, fit.log_likelihood,
-                    fit.converged, fit.boundary_hit,
-                ))
+                p = fit.params
+                out.append((p.shape, p.scale, fit.log_likelihood, fit.converged, fit.boundary_hit))
             else:
-                h.update(type(fit).__name__.encode())
-    return count, h.hexdigest()
+                out.append(type(fit).__name__)
+    return out
+
+
+def _bits(record) -> bytes:  # a record of fits()
+    return record.encode() if isinstance(record, str) else struct.pack("<ddd??", *record)
+
+
+def digest(records) -> str:
+    """The sha256 of the bits of ``records`` (see :func:`fits`)."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(_bits(r))
+    return h.hexdigest()
+
+
+def all_fits(seed) -> dict:
+    return {
+        "bundled": fits(bundled_tails()),
+        f"tail_scan@{seed}": fits(tail_scan_tails(seed)),
+        f"long_history@{seed}": fits(long_history_tails(seed)),
+    }
+
+
+def _relative(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / abs(b) if b else math.inf
+
+
+def compare(name, mine, theirs) -> bool:
+    """Print how the fits ``mine`` differ from ``theirs``; whether their counts, flags and error types agree."""
+    if len(mine) != len(theirs):
+        print(f"{name}: {len(mine)} fits here, {len(theirs)} there")
+        return False
+    identical = sum(_bits(a) == _bits(b) for a, b in zip(mine, theirs))
+    flags = errors = 0
+    diffs, moved = [], []
+    for i, (a, b) in enumerate(zip(mine, theirs)):
+        if isinstance(a, str) or isinstance(b, str):
+            errors += a != b if isinstance(a, str) and isinstance(b, str) else 1
+            continue
+        flags += a[3:] != b[3:]
+        d = (_relative(a[0], b[0]), _relative(a[1], b[1]))
+        diffs.append(d)
+        if max(d) > MOVED:
+            moved.append((i, b[0], a[0], *d))
+    shape, scale = (np.array(x) for x in zip(*diffs)) if diffs else (np.zeros(1), np.zeros(1))
+    print(
+        f"{name}: {len(mine)} fits, {identical} bit-identical; {flags} flag and {errors} error-type mismatches; "
+        f"relative difference shape max {shape.max():.3g} p99 {np.percentile(shape, 99):.3g}, "
+        f"scale max {scale.max():.3g} p99 {np.percentile(scale, 99):.3g}"
+    )
+    for i, was, now, ds, dc in moved:
+        print(f"  fit {i}: shape {was!r} -> {now!r} (shape moved {ds:.3g}, scale {dc:.3g})")
+    return not (flags or errors)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    parser.add_argument("--against", metavar="CHECKOUT", help="compare with the fits of this checkout's src")
     args = parser.parse_args(argv)
-    sources = [
-        ("bundled", bundled_tails()),
-        (f"tail_scan@{args.seed}", tail_scan_tails(args.seed)),
-        (f"long_history@{args.seed}", long_history_tails(args.seed)),
-    ]
-    for name, tails in sources:
-        count, hexdigest = digest(tails)
-        print(f"{name} {count} {hexdigest}")
-    return 0
+    sys.path.insert(0, str(ROOT / "src"))
+    mine = all_fits(args.seed)
+    for name, records in mine.items():
+        print(f"{name} {len(records)} {digest(records)}")
+    if args.against is None:
+        return 0
+    # The other checkout's potrisk, driven by this script's functions.
+    paths = [str(Path(args.against).resolve() / "src"), str(Path(__file__).resolve().parent)]
+    code = (
+        f"import json, sys; sys.path[:0] = {paths!r}; import fit_digest; "
+        f"json.dump(fit_digest.all_fits({args.seed}), sys.stdout)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    theirs = json.loads(run.stdout)
+    print(f"against {args.against} (shape there -> here):")
+    ok = [compare(name, mine[name], [r if isinstance(r, str) else tuple(r) for r in theirs[name]]) for name in mine]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

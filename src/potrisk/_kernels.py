@@ -16,9 +16,13 @@ row, lazily (:meth:`Rows.profile_nll_grid`): bounds from a few bins of
 each sorted sample rule out nearly every point as the row's minimum, so
 that it evaluates about three points per row.
 
-Each row is stored after one leading zero and padded with zeros to the
-width of its row group; np.add.reduceat sums each row over exactly its own
-elements, starting at the leading zero, which is the order ``y.sum()``
+Each row is stored times 2**-e, e the exponent of its largest value: its
+values lie in (0, 1) and its mean is at least 1/(2n), so none of its
+squares, sums, grid points or bounds overflows, and a power-of-two
+scaling that keeps a sample normal changes only e. Taus are in row units,
+so tau*y and every sum are those of the sample's units. A row follows
+one leading zero and is padded with zeros to the width of its row group;
+np.add.reduceat sums each row over exactly its own elements, starting at the leading zero, which is the order ``y.sum()``
 uses. So a row's sums, and with them every iterate of its search, are
 bit-identical to those of the same sample fitted alone: a fit never
 depends on which rows share its block or its group.
@@ -105,8 +109,8 @@ class Rows:
     group, so that the arithmetic of a pass runs in cache however many rows
     the block holds.
 
-    :meth:`load` sets each row's constants ``n``, ``mean``, ``y_max``,
-    ``y_min`` and ``score0`` (the profile score at tau = 0), as arrays.
+    :meth:`load` sets each row's constants ``n``, ``e``, and in row units
+    ``mean``, ``y_max``, ``y_min`` and ``score0`` (the score at tau = 0).
     """
 
     def __init__(self):
@@ -119,6 +123,7 @@ class Rows:
         self.count = 0
         self._used = 0
         self._groups = []
+        self._maxima = []  # each row's sample.max()
 
     def _joins(self, size) -> bool:
         """Whether a row of ``size`` points goes into the last group."""
@@ -133,7 +138,7 @@ class Rows:
         return self._used + grow <= 16 * BLOCK_ELEMENTS
 
     def add(self, sample: np.ndarray) -> None:
-        """Copy ``sample`` (a nonempty 1-d float array) into the block as its next row."""
+        """Copy ``sample`` (a nonempty 1-d array of positive floats) into the block as its next row, in row units."""
         size = sample.size
         if not self._joins(size):
             self._groups.append(_Group(self._used, size + 1))
@@ -144,8 +149,9 @@ class Rows:
             data = np.zeros(max(self._used + 1, 16 * BLOCK_ELEMENTS + 1))
             data[:start] = self._y[:start]
             self._y = data
+        self._maxima.append(sample.max())
         self._y[start] = 0.0
-        self._y[start + 1 : start + 1 + size] = sample
+        np.ldexp(sample, -math.frexp(self._maxima[-1])[1], out=self._y[start + 1 : start + 1 + size])
         self._y[start + 1 + size : self._used] = 0.0
         g.sizes.append(size)
         self.count += 1
@@ -160,20 +166,16 @@ class Rows:
             g.build(self._y, self._t, self._w, start)
             start = g.stop
         self.n = np.array([size for g in self._groups for size in g.sizes], dtype=float)
+        self.y_max, self.e = np.frexp(self._maxima)
         segments = np.concatenate([g.segments + g.offset for g in self._groups])
-        data = segments + np.tile([1, 0], self.count)
         flat = self._y[: self._used + 1]
-        self.y_max = np.maximum.reduceat(flat, data)[::2]
-        self.y_min = np.minimum.reduceat(flat, data)[::2]
+        self.y_min = np.minimum.reduceat(flat, segments + np.tile([1, 0], self.count))[::2]
         totals_sq = np.empty(self.count)
-        # The squares of samples above about 1e154 overflow; a row whose
-        # sums overflow stops in its search.
-        with np.errstate(all="ignore"):
-            for g in self._groups:
-                np.multiply(g.y, g.y, out=g.t)
-                totals_sq[g.start : g.stop] = np.add.reduceat(g.t_flat, g.segments)[::2]
-            self.mean = np.add.reduceat(flat, segments)[::2] / self.n
-            self.score0 = self.n * (self.mean - totals_sq / self.n / (2.0 * self.mean))
+        for g in self._groups:
+            np.multiply(g.y, g.y, out=g.t)
+            totals_sq[g.start : g.stop] = np.add.reduceat(g.t_flat, g.segments)[::2]
+        self.mean = np.add.reduceat(flat, segments)[::2] / self.n
+        self.score0 = self.n * (self.mean - totals_sq / self.n / (2.0 * self.mean))
         return self.n
 
     def profile_nll_grid(self, taus: np.ndarray) -> np.ndarray:
@@ -234,9 +236,7 @@ class Rows:
             s = np.sort(g.y, axis=1).ravel()
             counts = np.diff(cuts, append=s.size)
             d = s - np.repeat(s[cuts], counts)
-            e = np.frexp(s[width - 1 :: width])[1]  # in units of 2**e no square overflows
-            squares = np.square(np.ldexp(d, -np.repeat(e, width)))
-            root = np.ldexp(np.sqrt(0.5 * np.add.reduceat(squares, cuts)), np.repeat(e, stop.size + 1))
+            root = np.sqrt(0.5 * np.add.reduceat(np.square(d), cuts))
             table = counts, s[cuts], s[cuts + counts - 1], np.add.reduceat(d, cuts), root
             bins[:, g.start : g.stop, : stop.size] = np.reshape(table, (5, rows, -1))[:, :, 1:]
         return bins
@@ -277,7 +277,7 @@ class Rows:
             start = g.stop
             groups.append(g)
         self._groups, self.count = groups, start
-        for name in ("n", "mean", "y_max", "y_min", "score0"):
+        for name in ("n", "e", "mean", "y_max", "y_min", "score0"):
             setattr(self, name, getattr(self, name)[positions])
 
     def sums(self, tau: np.ndarray, deriv: bool):
@@ -363,12 +363,8 @@ def _bounds(taus, bins, n):
     Returns (k_lo, k_hi, floor, guess), guess the NLL at the middle of
     the unwidened bounds.
     """
-    # In units of a power of two near each row's largest value, which
-    # changes no rounding and keeps tau/(1 + tau*y) from overflowing.
-    e = np.frexp(bins[2].max(axis=1))[1][:, None]
-    c = bins[0].T[:, :, None]
-    a, b, d1, root = (np.ldexp(x, -e).T[:, :, None] for x in bins[1:])
-    t = np.ldexp(taus, e)[None]
+    c, a, b, d1, root = (x.T[:, :, None] for x in bins)
+    t = taus[None]
     ta, tb = t * a, t * b
     la, lb = np.log1p(ta), np.log1p(tb)
     ua, ub = (np.divide(t, x + 1.0, out=x) for x in (ta, tb))  # in place, as are the squares

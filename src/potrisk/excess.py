@@ -104,20 +104,22 @@ def mean_excess_curve(sample) -> MeanExcessCurve:
 
     The thresholds are ``candidate_thresholds(sample, 1)``. After one sort,
     S_k = sum over m >= k of (x_{m+1} - x_m)*(n - 1 - m) is a reversed
-    cumulative sum, and each row is (x_k - u) + S_k/(n - k). Raises
-    ValidationError when a value or an excess sum is not finite.
+    cumulative sum, and each row is (x_k - u) + S_k/(n - k), formed on x
+    times 2**-e (e the exponent of its largest magnitude), where nothing
+    overflows, and scaled back. Raises ValidationError when a value or the
+    range of the values is not finite.
     """
     x = np.asarray(sample, dtype=float)
     if x.size < 3:
         raise TooFewObservations("mean-excess curve needs at least 3 observations")
     xs, distinct, above = _sorted_counts(x)
+    if not np.isfinite(float(xs[-1]) - float(xs[0])):  # nan sorts last
+        raise ValidationError("mean-excess curve needs finite values with a finite range")
+    e = np.frexp(max(-xs[0], xs[-1]))[1]
+    ys = np.ldexp(xs, -e)
     suffix = np.zeros(xs.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = np.diff(xs) * np.arange(xs.size - 1, 0, -1)
-        suffix[:-1] = np.cumsum(weighted[::-1])[::-1]
-    if not np.isfinite(suffix[0]):
-        raise ValidationError("mean-excess curve needs finite values with a finite excess sum")
+    suffix[:-1] = np.cumsum((np.diff(ys) * np.arange(xs.size - 1, 0, -1))[::-1])[::-1]
     thresholds, counts = distinct[above >= 1], above[above >= 1]
-    first = xs.size - counts
-    means = (xs[first] - thresholds) + suffix[first] / counts
+    first = xs.size - counts  # ys[first - 1] is the threshold
+    means = np.ldexp((ys[first] - ys[first - 1]) + suffix[first] / counts, e)
     return MeanExcessCurve(thresholds=thresholds, mean_excesses=means, counts=counts)

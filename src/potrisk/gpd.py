@@ -216,7 +216,8 @@ def gpd_log_likelihood(params: GpdParams, excesses) -> float:
     xi, sigma = params.shape, params.scale
     with np.errstate(over="ignore"):  # an overflowing product or sum is inf
         if xi == 0.0:
-            return -(y.size * math.log(sigma) + float(y.sum()) / sigma)
+            e = math.frexp(sigma)[1]  # in units of 2**e, sum/sigma overflows only where its value does
+            return -(y.size * math.log(sigma) + float(np.ldexp(y, -e).sum()) / math.ldexp(sigma, -e))
         t = (xi / sigma) * y
         if np.min(t) <= -1.0:
             return -math.inf
@@ -236,16 +237,12 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
     Clusters near the feasibility edge tau_min (short-tail optima pile up
     there), around zero (exponential neighborhood), and sweeps positive
     ratios over many decades. A row can repeat a value, which the grid
-    evaluation skips. A row whose excess sum overflowed (its search stops)
-    gets mean 1.
+    evaluation skips.
     """
-    # A mean below about 1e-300 makes 1e8*s (or s itself) infinite; those
-    # points are non-finite and the search drops them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = 1.0 / np.where(np.isfinite(means), means, 1.0)
-        near_edge = tau_mins[:, None] * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
-        neg_mid = -np.geomspace(1e-8 * s, 0.9 * np.abs(tau_mins), 25, axis=1)
-        pos = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
+    s = 1.0 / means
+    near_edge = tau_mins[:, None] * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
+    neg_mid = -np.geomspace(1e-8 * s, 0.9 * np.abs(tau_mins), 25, axis=1)
+    pos = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
     zero = np.zeros((means.size, 1))
     grid = np.concatenate([tau_mins[:, None], near_edge, neg_mid, zero, pos], axis=1)
     grid.sort(axis=1)
@@ -412,13 +409,13 @@ def _search(rows, grids, values) -> list:
     """Maximum-likelihood fits of the rows of the loaded block ``rows``: a FitResult or the error fit_mle raises.
 
     ``grids`` holds each row's tau grid and ``values`` the profile NLL
-    where the lazy grid evaluated it, nan elsewhere.
+    where the lazy grid evaluated it, nan elsewhere, both in row units;
+    the scales are returned in the samples' units.
     """
-    n, mean, y_max = rows.n, rows.mean, rows.y_max  # the block's order; rows.keep makes new arrays
+    n, e, mean, y_max = rows.n, rows.e, rows.mean, rows.y_max  # the block's order; rows.keep makes new arrays
     degenerate = y_max == rows.y_min
-    overflow = ~np.isfinite(mean)
     flat = ~np.isfinite(values).any(axis=1)
-    live = ~(degenerate | overflow | flat)
+    live = ~(degenerate | flat)
     x, f, has, points = _bracket(rows, grids, values, live)
     lo, hi = np.where(has[0], x[0], x[1]), np.where(has[1], x[2], x[1])
     d1 = (f[1] - f[0]) / (x[1] - x[0])  # the solve starts at the convex parabola's vertex
@@ -430,23 +427,21 @@ def _search(rows, grids, values) -> list:
     converged = np.where(rooted, converged, ~has[0])
     zero = tau == 0.0
     shape = np.where(zero, 0.0, l / n)
-    scale = np.where(zero, mean, shape / tau)
-    # At (shape, scale) = (k, k/tau) the log-likelihood is minus the
-    # profile NLL at tau, which the sum l gives without another pass.
-    log_likelihood = -_kernels.profile_nll_from_sum(n, mean, tau, l)
+    with np.errstate(over="ignore"):  # a scale above the largest double is inf, an invalid scale below
+        scale = np.ldexp(np.divide(shape, tau, out=mean.copy(), where=~zero), e)
     boundary = (1.0 + tau * y_max) < _BOUNDARY_MARGIN
-    columns = (shape, scale, log_likelihood, converged, boundary, points, evaluations, after)
+    columns = (n, shape, scale, converged, boundary, points, evaluations, after)
     results = []
-    for i, (xi, sigma, ll, conv, edge, *counts) in enumerate(zip(*(c.tolist() for c in columns))):
+    for i, (size, xi, sigma, conv, edge, *counts) in enumerate(zip(*(c.tolist() for c in columns))):
         if degenerate[i]:
             results.append(DegenerateSample("all excesses are equal; the GPD likelihood diverges"))
-        elif overflow[i]:
-            results.append(NonConvergence("the excess sum overflows; rescale the sample"))
         elif flat[i]:
             results.append(NonConvergence("profile likelihood is non-finite on the whole search grid"))
         elif not (sigma > 0.0) or not math.isfinite(sigma):
             results.append(NonConvergence(f"optimizer produced an invalid scale {sigma}"))
         else:
+            # At (shape, scale) = (k, k/tau) the log-likelihood is minus the profile NLL at tau.
+            ll = -size * (math.log(sigma) + xi + 1.0)
             results.append(FitResult(GpdParams(xi, sigma), ll, conv, edge, *counts))
     return results
 
@@ -482,9 +477,8 @@ def fit_samples(samples):
 def _fit_block(rows) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
     rows.load()
-    with np.errstate(all="ignore"):  # tau_min is -inf for a subnormal maximum
-        grids = _tau_grids(rows.mean, -(1.0 - _FEASIBILITY_EPS) / rows.y_max)
-        results = _search(rows, grids, rows.profile_nll_grid(grids))
+    grids = _tau_grids(rows.mean, -(1.0 - _FEASIBILITY_EPS) / rows.y_max)
+    results = _search(rows, grids, rows.profile_nll_grid(grids))
     rows.clear()
     return results
 
@@ -494,8 +488,7 @@ def fit_mle(sample: ExcessSample, min_exceedances: int = DEFAULT_MIN_EXCEEDANCES
 
     Raises TooFewExceedances below ``min_exceedances`` points,
     DegenerateSample when all excesses coincide (the likelihood diverges),
-    and NonConvergence when no finite optimum exists or the excess sum
-    overflows.
+    and NonConvergence when no finite optimum exists.
     """
     if sample.n_u < min_exceedances:
         raise TooFewExceedances(

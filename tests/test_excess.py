@@ -147,13 +147,20 @@ class TestCurve:
         with pytest.raises(ValidationError, match="finite"):
             mean_excess_curve([1.0, 2.0, bad, 3.0])
 
-    def test_overflowing_excess_sum_is_a_validation_error(self):
-        # every value is finite, but the excesses over the smallest sum past
-        # the largest double
-        x = gpd_sample(GpdParams(0.2, 1.0), 40, seed=0) * 1e307
-        assert np.all(np.isfinite(x))
-        with pytest.raises(ValidationError, match="excess sum"):
-            mean_excess_curve(x)
+    @pytest.mark.parametrize("k", [-1000, -1, 3, 1019])
+    def test_a_power_of_two_scaling_scales_the_curve_bit_for_bit(self, k):
+        x = gpd_sample(GpdParams(0.2, 1.0), 40, seed=0) - 1.0
+        scaled = np.ldexp(x, k)
+        if k == 1019:  # the excess sum past the largest double, but no mean excess
+            assert not math.isfinite(sum((scaled - scaled.min()).tolist()))
+        want, got = mean_excess_curve(x), mean_excess_curve(scaled)
+        assert got.thresholds.tobytes() == np.ldexp(want.thresholds, k).tobytes()
+        assert got.mean_excesses.tobytes() == np.ldexp(want.mean_excesses, k).tobytes()
+        assert got.counts.tolist() == want.counts.tolist()
+
+    def test_a_range_past_the_largest_double_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="finite range"):
+            mean_excess_curve([-1e308, 0.0, 1e308])
 
 
 @st.composite

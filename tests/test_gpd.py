@@ -250,11 +250,16 @@ class TestFitMle:
 
     @pytest.mark.parametrize("c", [1e-301, 1e-310])
     def test_a_mean_below_1e_300_fits_without_a_warning(self, c):
-        # 1e8/mean overflows in the tau grid, and for a subnormal maximum so
-        # does its feasibility edge; the search drops those points as non-finite
-        fit = fit_mle(ExcessSample(0.0, gpd_sample(GpdParams(0.0, 1.0), 40, 0) * c, 40))
+        # 1e8/mean would overflow in a tau grid in the sample's units; in row
+        # units the search is that of the unscaled sample, up to the rounding
+        # of subnormal values
+        y = gpd_sample(GpdParams(0.0, 1.0), 40, 0)
+        want = fit_mle(ExcessSample(0.0, y, 40))
+        fit = fit_mle(ExcessSample(0.0, y * c, 40))
         assert math.isfinite(fit.params.shape) and math.isfinite(fit.log_likelihood)
-        assert 0.1 * c < fit.params.scale < 10.0 * c
+        assert fit.params.shape == pytest.approx(want.params.shape, rel=1e-9, abs=0.0)
+        assert fit.params.scale / c == pytest.approx(want.params.scale, rel=1e-9, abs=0.0)
+        assert fit.converged and not fit.boundary_hit
 
     def test_too_few_exceedances(self):
         with pytest.raises(TooFewExceedances):
@@ -269,9 +274,10 @@ class TestFitMle:
             fit_mle(ExcessSample(0.0, np.full(20, 0.4), n=20))
 
     def test_overflowing_excess_sum(self):
+        # the fit runs in row units, but the ML scale is above the largest double
         excesses = np.linspace(1.0, 1.7, 20) * 1e308
         assert np.all(np.isfinite(excesses))
-        with pytest.raises(NonConvergence, match="overflows"):
+        with pytest.raises(NonConvergence, match="invalid scale inf"):
             fit_mle(ExcessSample(0.0, excesses, n=20))
 
     def test_log_likelihood_of_huge_excesses(self):
@@ -279,6 +285,13 @@ class TestFitMle:
         y = np.array([1e200, 2e200, 3e200])
         want = -3.0 * math.log(1e200) - 11.0 * float(np.log1p(0.1 * y / 1e200).sum())
         assert gpd_log_likelihood(GpdParams(0.1, 1e200), y) == pytest.approx(want, rel=1e-14)
+
+    def test_log_likelihood_at_shape_zero_of_an_overflowing_excess_sum(self):
+        # the sum of the excesses overflows, but sum/sigma does not
+        y = np.linspace(1.0, 1.7, 20) * 1e308
+        want = -(20.0 * math.log(1e308) + math.fsum((y / 1e308).tolist()))
+        assert gpd_log_likelihood(GpdParams(0.0, 1e308), y) == pytest.approx(want, rel=1e-14)
+        assert want == pytest.approx(-14210.92, abs=0.01)
 
     @pytest.mark.parametrize("shape", [0.2, 0.0, -0.3])
     def test_log_likelihood_of_an_empty_sample(self, shape):
@@ -333,3 +346,30 @@ def test_fits_on_tied_and_near_constant_tails_are_sane(tail):
                 scan_thresholds(tail, regime=regime, min_exceedances=3)
             except PotriskError:
                 pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    xi=st.floats(-0.5, 0.5),
+    size=st.integers(3, 200),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-1060, 1060),
+)
+def test_a_power_of_two_scaling_scales_the_fit_bit_for_bit(xi, size, seed, k):
+    y = gpd_sample(GpdParams(xi, 1.0), size, seed)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(y, k)
+    if not (scaled.min() >= np.finfo(float).tiny and np.isfinite(scaled.max())):
+        return  # 2**k * y is not normal; only its subnormal values round
+    want, got = fit_samples([y, scaled])
+    if isinstance(want, PotriskError):
+        assert type(got) is type(want), (want, got)
+        return
+    with np.errstate(over="ignore"):
+        scale = float(np.ldexp(want.params.scale, k))
+    if not np.finfo(float).tiny <= scale < math.inf:
+        return  # the scaled fit's scale is not normal
+    assert not isinstance(got, PotriskError), (want, got)
+    assert got.params.shape.hex() == want.params.shape.hex()
+    assert got.params.scale == scale
+    assert (got.converged, got.boundary_hit) == (want.converged, want.boundary_hit)

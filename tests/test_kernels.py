@@ -24,9 +24,12 @@ def _loaded(samples):
 
 
 def _block_values(kernel, cases):
-    """``kernel`` (a Rows kernel) of one block holding sample_i at tau_i, for every (sample_i, tau_i)."""
+    """``kernel`` (a Rows kernel, in row units) of one block holding sample_i at tau_i, for every (sample_i, tau_i).
+
+    Each tau_i is in its sample's units; the kernel gets it in row units.
+    """
     rows = _loaded([y for y, _ in cases])
-    return kernel(rows, np.array([tau for _, tau in cases]))
+    return kernel(rows, np.ldexp([tau for _, tau in cases], rows.e))
 
 
 class TestRows:
@@ -41,7 +44,7 @@ class TestRows:
         samples = self._samples()
         rows = _loaded(samples)
         taus = self._taus(samples)
-        l, w, d = rows.sums(taus, deriv=True)
+        l, w, d = rows.sums(np.ldexp(taus, rows.e), deriv=True)
         for i, y in enumerate(samples):
             t = taus[i] * y
             lg = np.log1p(t)
@@ -49,13 +52,13 @@ class TestRows:
             assert l[i] == lg.sum()
             assert w[i] == wt.sum()
             assert d[i] == (wt - lg).sum()
-        assert rows.sums(taus, deriv=False)[0].tolist() == l.tolist()
+        assert rows.sums(np.ldexp(taus, rows.e), deriv=False)[0].tolist() == l.tolist()
 
     def test_groups_whose_taus_are_all_zero_are_not_computed(self):
         samples = self._samples()  # groups: row 0, row 1, rows 2-4
         rows = _loaded(samples)
         taus = np.array([0.5, 0.0, -0.0, 0.0, -0.0])
-        l, w, d = rows.sums(taus, deriv=True)
+        l, w, d = rows.sums(np.ldexp(taus, rows.e), deriv=True)
         for i, y in enumerate(samples):
             t = taus[i] * np.concatenate([[0.0], y])  # with the row's leading zero
             lg = np.log1p(t)
@@ -71,26 +74,29 @@ class TestRows:
         c, a, b, _, _ = rows._order_bins()
         assert ((a > 0.0) | (b == 0.0))[c > 0].all()
         assert np.where(a > 0.0, c, 0.0).sum(axis=1).tolist() == [y.size for y in samples]
-        assert b.max(axis=1).tolist() == [y.max() for y in samples]
+        assert np.ldexp(b.max(axis=1), rows.e).tolist() == [y.max() for y in samples]
 
     def test_row_constants(self):
         samples = self._samples()
         rows = _loaded(samples)
         for i, y in enumerate(samples):
-            assert (rows.n[i], rows.mean[i]) == (y.size, y.mean())
-            assert rows.score0[i] == y.size * (y.mean() - np.mean(y * y) / (2.0 * y.mean()))
-            assert (rows.y_max[i], rows.y_min[i]) == (y.max(), y.min())
+            e = rows.e[i]  # each row is stored times 2**-e, its maximum in [0.5, 1)
+            assert (e, 0.5 <= rows.y_max[i] < 1.0) == (math.frexp(y.max())[1], True)
+            assert (rows.n[i], np.ldexp(rows.mean[i], e)) == (y.size, y.mean())
+            # the score at tau = 0 in row units is that in the sample's times 2**-e
+            assert np.ldexp(rows.score0[i], e) == y.size * (y.mean() - np.mean(y * y) / (2.0 * y.mean()))
+            assert np.ldexp([rows.y_max[i], rows.y_min[i]], e).tolist() == [y.max(), y.min()]
 
     def test_keep_compacts_in_order(self):
         samples = self._samples()
         rows = _loaded(samples)
-        taus = self._taus(samples)
+        taus = np.ldexp(self._taus(samples), rows.e)
         full = rows.sums(taus, deriv=False)[0]
         rows.keep([1, 3, 4])
         assert rows.count == 3
         assert rows.sums(taus[[1, 3, 4]], deriv=False)[0].tolist() == full[[1, 3, 4]].tolist()
         assert rows.n.tolist() == [samples[i].size for i in (1, 3, 4)]
-        assert rows.y_max.tolist() == [samples[i].max() for i in (1, 3, 4)]
+        assert np.ldexp(rows.y_max, rows.e).tolist() == [samples[i].max() for i in (1, 3, 4)]
 
     def test_infeasible_tau(self):
         y = np.array([1.0, 2.0, 4.0])
@@ -108,12 +114,15 @@ class TestRows:
             nll = _block_values(_kernels.Rows.profile_nll, [(y, tau) for tau in taus])
             deriv, sums = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau) for tau in taus])
             row = _loaded([y])
+            e = int(row.e[0])
+            y_row = np.ldexp(y, -e)  # the kernels' values are those of the sample in row units
             for tau, a, b, l in zip(taus, nll.tolist(), deriv.tolist(), sums.tolist()):
-                assert a == scalar_oracle.profile_nll_numpy(y, tau)
-                assert b == scalar_oracle.profile_nll_deriv_numpy(y, tau)
+                tau_row = math.ldexp(tau, e)
+                assert a == scalar_oracle.profile_nll_numpy(y_row, tau_row)
+                assert b == scalar_oracle.profile_nll_deriv_numpy(y_row, tau_row)
                 # the score's sum gives the NLL at tau, bit for bit
                 assert l == (np.log1p(tau * y).sum() if tau else 0.0)
-                assert _kernels.profile_nll_from_sum(row.n, row.mean, np.array([tau]), np.array([l]))[0] == a
+                assert _kernels.profile_nll_from_sum(row.n, row.mean, np.array([tau_row]), np.array([l]))[0] == a
             for xi, sigma in [(0.0, 1.0), (0.3, 0.5), (-0.2, 2.0)]:
                 got = -gpd_log_likelihood(GpdParams(xi, sigma), y)
                 assert got == scalar_oracle.gpd_nll_numpy(y, xi, sigma)
@@ -147,6 +156,8 @@ class TestDerivative:
             _kernels.Rows.profile_nll, [(y, tau + h), (y, tau - h), (other, 0.1)]
         ).tolist()
         deriv = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau), (other, -0.1)])[0][0]
+        # the NLL in row units differs by a constant; d/dtau is 2**e times d/dtau in row units
+        deriv = math.ldexp(deriv, math.frexp(y.max())[1])
         assert deriv == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-6)
 
     def test_zero_tau_limit(self):

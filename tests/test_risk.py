@@ -218,22 +218,22 @@ class TestScan:
         with pytest.raises(ValidationError, match="finite"):
             scan_thresholds(x, p=0.01, regime=HEAVY_TAIL)
 
-    def test_overflowing_excess_sums_are_fit_errors(self):
-        # finite values whose excess sum overflows at every candidate: each
-        # row stops with NonConvergence, so nothing survives
-        x = gpd_sample(GpdParams(0.2, 1.0), 40, seed=0) * 1e307
-        with pytest.raises(NoSurvivingCandidates, match="30 fit errors"):
-            scan_thresholds(x, p=0.01, regime=HEAVY_TAIL)
-
-    def test_only_the_overflowing_rows_are_dropped(self):
-        x = gpd_sample(GpdParams(-0.3, 1.0), 40, seed=0) * 1e307
-        candidates = candidate_thresholds(x, 10)
-        with np.errstate(over="ignore"):
-            overflowing = sum(not np.isfinite(np.sum(x[x > u] - u)) for u in candidates)
-        scan = scan_thresholds(x, p=0.01, regime=SHORT_TAIL)
-        assert 0 < overflowing < candidates.size
-        assert scan.diagnostics.fit_errors == overflowing
-        assert scan.diagnostics.surviving > 0
+    @pytest.mark.parametrize("xi,regime", [(0.2, HEAVY_TAIL), (-0.3, SHORT_TAIL)], ids=["heavy", "short"])
+    def test_tails_whose_excess_sums_overflow_fit(self, xi, regime):
+        # finite values whose excess sum overflows at every candidate (heavy)
+        # or at half of them (short); each fit runs in units of its
+        # sample's maximum, so the scan is that of the unscaled tail
+        x = gpd_sample(GpdParams(xi, 1.0), 40, seed=0)
+        big = x * 1e307
+        candidates = candidate_thresholds(big, 10)
+        overflowing = sum(not math.isfinite(sum((big[big > u] - u).tolist())) for u in candidates)
+        assert overflowing == (30 if xi > 0.0 else 15)
+        want, got = (scan_thresholds(tail, p=0.01, regime=regime) for tail in (x, big))
+        assert (got.diagnostics.candidates_total, got.diagnostics.surviving) == (
+            want.diagnostics.candidates_total, want.diagnostics.surviving
+        )
+        assert got.selected.params.shape == pytest.approx(want.selected.params.shape, rel=1e-9)
+        assert got.selected.var == pytest.approx(1e307 * want.selected.var, rel=1e-9)
 
     def test_candidates_without_exceedances_are_rejected(self):
         x = gpd_sample(GpdParams(0.2, 1.0), 50, seed=64)

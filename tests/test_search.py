@@ -60,8 +60,17 @@ def _score(y, tau):
     return y.size * (g + kp), y.size * (abs(g) + abs(kp))
 
 
+def _block(samples):
+    """A loaded block of ``samples``, and the samples in its row units (times 2**-e, see _kernels)."""
+    rows = _kernels.Rows()
+    for y in samples:
+        rows.add(y)
+    rows.load()
+    return rows, [np.ldexp(y, -e) for y, e in zip(samples, rows.e)]
+
+
 def _grids(samples):
-    """The tau grid of each sample, one row per sample."""
+    """The tau grid of each sample, one row per sample; for samples in row units, that of their fits."""
     tau_mins = -(1.0 - gpd._FEASIBILITY_EPS) / np.array([y.max() for y in samples])
     return gpd._tau_grids(np.array([y.mean() for y in samples]), tau_mins)
 
@@ -92,11 +101,7 @@ _BLOCK_FAMILIES = {name: strategy for name, (strategy, _) in _FAMILIES.items()} 
 @settings(max_examples=40, deadline=None)
 @given(family=st.sampled_from(sorted(_BLOCK_FAMILIES)), data=st.data())
 def test_the_lazy_grid_finds_the_full_grids_minimum_and_neighbours(family, data):
-    samples = data.draw(st.lists(_BLOCK_FAMILIES[family], min_size=1, max_size=4))
-    rows = _kernels.Rows()
-    for y in samples:
-        rows.add(y)
-    rows.load()
+    rows, samples = _block(data.draw(st.lists(_BLOCK_FAMILIES[family], min_size=1, max_size=4)))
     grids = _grids(samples)
     lazy = rows.profile_nll_grid(grids)
     for y, grid, values in zip(samples, grids, lazy):
@@ -122,11 +127,7 @@ def test_the_lazy_grid_does_not_depend_on_its_first_guess(monkeypatch):
     # The profiles of the last two have two local minima, the grid's edge
     # and an interior point; a walk from a poor first guess stops at one.
     cases = ((0.4, 200, 7), (-1.0, 30, 8), (-1.0, 100, 8))
-    samples = [gpd_sample(GpdParams(xi, 1.0), n, seed) for xi, n, seed in cases]
-    rows = _kernels.Rows()
-    for y in samples:
-        rows.add(y)
-    rows.load()
+    rows, samples = _block([gpd_sample(GpdParams(xi, 1.0), n, seed) for xi, n, seed in cases])
     grids = _grids(samples)
     for y, grid, values in zip(samples, grids, rows.profile_nll_grid(grids)):
         evaluated = ~np.isnan(values)
@@ -138,22 +139,17 @@ def test_the_lazy_grid_does_not_depend_on_its_first_guess(monkeypatch):
 
 def _check_bounds(samples):
     """In one block, the bounds on k hold at every non-zero grid point, and the floor lies under the value."""
-    rows = _kernels.Rows()
-    for y in samples:
-        rows.add(y)
-    rows.load()
+    rows, samples = _block(samples)
     grids = _grids(samples)
     n = np.array([[float(y.size)] for y in samples])
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # at tau = 0, k/tau is 0/0
         k_lo, k_hi, floor, _ = _kernels._bounds(grids, rows._order_bins(), n)
     for i, (y, grid) in enumerate(zip(samples, grids)):
-        with np.errstate(invalid="ignore"):  # an infinite grid point (mean below ~1e-300) makes k/tau inf/inf
-            values = scalar_oracle.profile_nll_grid_numpy(y, grid)
+        values = scalar_oracle.profile_nll_grid_numpy(y, grid)
         for j, tau in enumerate(grid):
-            with np.errstate(over="ignore"):
-                k = math.fsum(np.log1p(tau * y).tolist()) / y.size
-            if tau == 0.0 or not math.isfinite(k):
-                continue  # tau = 0 is evaluated directly; an overflowing tau has no finite value
+            k = math.fsum(np.log1p(tau * y).tolist()) / y.size
+            if tau == 0.0:
+                continue  # tau = 0 is evaluated directly
             assert k_lo[i, j] <= k <= k_hi[i, j], (y.size, tau, k_lo[i, j], k, k_hi[i, j])
             if math.isfinite(values[j]):
                 assert not floor[i, j] > values[j], (y.size, tau, floor[i, j], values[j])
@@ -180,10 +176,7 @@ def test_the_bin_bounds_hold_at_every_grid_point(family, c, data):
 def test_the_bin_bounds_hold_where_every_bin_holds_one_value(y):
     # The bounds equal k and the NLL up to rounding, so only their
     # widening keeps them on the right side.
-    rows = _kernels.Rows()
-    rows.add(y)
-    rows.load()
-    c, a, b = rows._order_bins()[:3]
+    c, a, b = _block([y])[0]._order_bins()[:3]
     assert (a == b)[c > 0].all()
     _check_bounds([y])
 
@@ -258,13 +251,10 @@ def test_grid_points_evaluated_per_fit_on_the_bundled_data():
     evaluated = []  # per fit: the non-zero grid points whose value was evaluated
     for tail, m in _bundled_tails():
         for u in candidate_thresholds(tail, m):
-            y = tail[tail > u] - u
-            rows = _kernels.Rows()
-            rows.add(y)
-            rows.load()
-            rows.profile_nll_grid(_grids([y]))
+            rows, scaled = _block([tail[tail > u] - u])
+            rows.profile_nll_grid(_grids(scaled))
             # one row: each pass of the kernel evaluates one grid point
-            assert rows.elements == rows.passes * (y.size + 1)
+            assert rows.elements == rows.passes * (scaled[0].size + 1)
             evaluated.append(rows.passes)
     assert len(evaluated) == 1416
     # the full grid has 84 non-zero points; an interior minimum needs 3
@@ -284,18 +274,18 @@ def test_score_evaluations_per_fit_on_the_bundled_data():
             # one without a root makes one, for the shape at its grid point.
             assert fit.passes_after_solve == (0 if fit.converged and not fit.boundary_hit else 1), (y.size, fit)
             if not fit.boundary_hit:
-                rows = _kernels.Rows()
-                rows.add(y)
-                rows.load()
-                grid = _grids([y])[0]
+                rows, scaled = _block([y])
+                grid = _grids(scaled)[0]
                 values = rows.profile_nll_grid(grid[None])[0]
                 evaluated = ~np.isnan(values)
                 # No interior fit expands its grid, so its solve starts from
                 # the least grid value's finite neighbours.
                 assert fit.grid_points == np.count_nonzero(evaluated)
                 best, left, right = _minimum_and_neighbours(grid[evaluated], values[evaluated])
+                # in row units, where the solve ran; a power of two scales ulps alike
                 lo, hi = (best if x is None else x for x in (left, right))
-                plain.append(_plain_bisection_evaluations(lo, hi, fit.params.shape / fit.params.scale))
+                root = fit.params.shape / math.ldexp(fit.params.scale, -int(rows.e[0]))
+                plain.append(_plain_bisection_evaluations(lo, hi, root))
     assert total == 1416
     assert statistics.median(counts) <= 12
     assert max(counts) <= min(plain)
