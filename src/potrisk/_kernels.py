@@ -36,6 +36,7 @@ __all__ = [
     "BACKEND",
     "BLOCK_ELEMENTS",
     "Rows",
+    "least_and_neighbours",
     "profile_nll_from_sum",
 ]
 
@@ -178,15 +179,15 @@ class Rows:
         self.score0 = self.n * (self.mean - totals_sq / self.n / (2.0 * self.mean))
         return self.n
 
-    def profile_nll_grid(self, taus: np.ndarray) -> np.ndarray:
+    def profile_nll_grid(self, taus: np.ndarray):
         """:meth:`profile_nll` of every row at the points of its row of ``taus`` that matter.
 
-        Each row of ``taus`` is sorted. Returns the values where they were
-        evaluated and nan elsewhere, and at every repeat of a point. The
-        values come from the same sums and :func:`profile_nll_from_sum`, so
-        each is bit-identical to a one-point evaluation. The least finite value
-        of a row, its position, and its nearest finite neighbours on each
-        side are always evaluated, and are those of the full grid.
+        Each row of ``taus`` is sorted. Returns the values, and the sums of
+        log1p(tau*y) they came from (0 at tau = 0), where they were evaluated,
+        and nan elsewhere and at every repeat of a point. Each value and sum
+        is bit-identical to a one-point evaluation. The least finite value of
+        a row, its position, and its nearest finite neighbours on each side
+        are always evaluated, and are those of the full grid.
 
         Every point first gets a floor under its computed value, from
         bounds on k(tau) = mean(log1p(tau*y)) over bins of the row's sorted
@@ -198,11 +199,12 @@ class Rows:
         """
         count, size = taus.shape
         n = self.n
-        f = np.full(taus.shape, math.nan)
+        f, l = np.full(taus.shape, math.nan), np.full(taus.shape, math.nan)
         skip = np.zeros(taus.shape, dtype=bool)
         skip[:, 1:] = taus[:, 1:] == taus[:, :-1]
         i, j = np.nonzero((taus == 0.0) & ~skip)
-        f[i, j] = profile_nll_from_sum(n[i], self.mean[i], taus[i, j], np.zeros(i.size))
+        l[i, j] = 0.0
+        f[i, j] = profile_nll_from_sum(n[i], self.mean[i], taus[i, j], l[i, j])
         bins = self._order_bins()
         floor, guess = np.empty(taus.shape), np.empty(taus.shape)
         step = max(1, BLOCK_ELEMENTS // (size * bins.shape[2]))
@@ -212,12 +214,12 @@ class Rows:
                 _, _, floor[rows], guess[rows] = _bounds(taus[rows], bins[:, rows], n[rows, None])
             pending = np.isnan(f) & ~skip
             best = np.argmin(np.where(pending & ~np.isnan(guess), guess, math.inf), axis=1)
-            self._grid_values(taus, pending & (np.arange(size) == best[:, None]), n, f)
+            self._grid_values(taus, pending & (np.arange(size) == best[:, None]), n, f, l)
             least = np.min(np.where(np.isfinite(f), f, math.inf), axis=1)
-            self._grid_values(taus, np.isnan(f) & ~skip & ~(floor > least[:, None]), n, f)
+            self._grid_values(taus, np.isnan(f) & ~skip & ~(floor > least[:, None]), n, f, l)
             while (todo := _neighbours_pending(f, skip)).any():
-                self._grid_values(taus, todo, n, f)
-        return f
+                self._grid_values(taus, todo, n, f, l)
+        return f, l
 
     def _order_bins(self) -> np.ndarray:
         """The bins (see _BINS) of each row's order statistics: 5 x rows x bins, padded with zero bins.
@@ -241,8 +243,8 @@ class Rows:
             bins[:, g.start : g.stop, : stop.size] = np.reshape(table, (5, rows, -1))[:, :, 1:]
         return bins
 
-    def _grid_values(self, taus, todo, n, f) -> None:
-        """Evaluate the profile NLL at the ``todo`` points, one pass per point of a row."""
+    def _grid_values(self, taus, todo, n, f, l) -> None:
+        """Evaluate the profile NLL ``f`` and its sum ``l`` at the ``todo`` points, one pass per point of a row."""
         if not todo.any():
             return
         rows, cols = np.nonzero(todo)
@@ -251,7 +253,8 @@ class Rows:
         passes = np.zeros((self.count, counts.max()))
         passes[rows, slots] = tau = taus[rows, cols]
         sums = np.column_stack([self.sums(column, False)[0] for column in passes.T])
-        f[rows, cols] = profile_nll_from_sum(n[rows], self.mean[rows], tau, sums[rows, slots])
+        l[rows, cols] = sums[rows, slots]
+        f[rows, cols] = profile_nll_from_sum(n[rows], self.mean[rows], tau, l[rows, cols])
 
     def keep(self, positions) -> None:
         """Compact the block to the rows at ``positions`` (ascending), in order.
@@ -311,10 +314,11 @@ class Rows:
                 d_sums[rows] = np.add.reduceat(g.w_flat, g.segments)[::2]
         return l, w_sums, d_sums
 
-    def profile_nll(self, tau: np.ndarray) -> np.ndarray:
-        """Negative profile log-likelihood of every row at its own tau (one pass), +inf where infeasible."""
+    def profile_nll(self, tau: np.ndarray):
+        """Every row's profile NLL at its own tau in one pass (+inf where infeasible), and the sum l it came from."""
         with np.errstate(all="ignore"):
-            return profile_nll_from_sum(self.n, self.mean, tau, self.sums(tau, False)[0])
+            l = self.sums(tau, False)[0]
+        return profile_nll_from_sum(self.n, self.mean, tau, l), l
 
     def profile_nll_deriv(self, tau: np.ndarray):
         """Derivative in tau of every row's profile NLL at its own tau (the profile score), in one pass.
@@ -392,18 +396,23 @@ def _neighbours_pending(f, skip) -> np.ndarray:
     its neighbour, or must be evaluated to find it.
     """
     size = f.shape[1]
-    column = np.arange(size)
     pending = np.isnan(f) & ~skip
-    known = np.isfinite(f)
-    best = np.argmin(np.where(known, f, math.inf), axis=1)[:, None]
-    stop = pending | known
-    left = np.where(stop & (column < best), column, -1).max(axis=1)
-    right = np.where(stop & (column > best), column, size).min(axis=1)
+    _, left, right = least_and_neighbours(f, pending | np.isfinite(f))
     todo = np.zeros(f.shape, dtype=bool)
     for side in (left, right):
         i = np.nonzero((side >= 0) & (side < size))[0]
         todo[i, side[i]] = pending[i, side[i]]
     return todo
+
+
+def least_and_neighbours(f, stop):
+    """Each row's column of its least finite value, and the nearest ``stop`` columns left and right (or -1, size)."""
+    size = f.shape[1]
+    column = np.arange(size)
+    best = np.argmin(np.where(np.isfinite(f), f, math.inf), axis=1)
+    left = np.where(stop & (column < best[:, None]), column, -1).max(axis=1)
+    right = np.where(stop & (column > best[:, None]), column, size).min(axis=1)
+    return best, left, right
 
 
 def profile_nll_from_sum(n, mean, tau, l) -> np.ndarray:

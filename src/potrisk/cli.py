@@ -11,7 +11,7 @@ from pathlib import Path
 from . import figures, report
 from .errors import NonConvergence, NoSurvivingCandidates, NotApplicable, ValidationError
 from .gof import table_rows
-from .gpd import GpdParams, gpd_sample
+from .gpd import DEFAULT_MIN_EXCEEDANCES, GpdParams, gpd_sample
 from .risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds, scan_with_alpha_filter
 from .series import (
     box_plot,
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--p", type=float, default=0.01)
     p_scan.add_argument("--alpha", type=float, default=None,
                         help="also report the fit-accepted selection (json output only)")
-    p_scan.add_argument("--min-exceedances", type=int, default=10)
+    p_scan.add_argument("--min-exceedances", type=int, default=DEFAULT_MIN_EXCEEDANCES)
     _add_common(p_scan, fmt=True)
 
     p_plot = sub.add_parser("plot", help="render a figure from exported data")

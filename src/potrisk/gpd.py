@@ -18,7 +18,7 @@ not change sign over the bracket and the grid's minimum is its
 feasibility edge, the fit is that edge, a boundary hit.
 
 :func:`fit_samples` fits many samples at once, as the threshold scan
-needs: a block's search state is held in arrays over its rows, and one
+needs: a block's search state lives in arrays over its rows, and one
 step of all their solves is a fixed set of numpy calls and one kernel
 pass. Each row takes the IEEE operations of its search alone, in the same
 order, so it follows exactly its own iterates. :func:`fit_mle` is the
@@ -131,9 +131,7 @@ class FitResult:
     """A maximum-likelihood fit, and the work of its search, which equality ignores.
 
     The counts: points of the tau grid and its expansion where the profile
-    NLL was evaluated, evaluations of the profile score in the solve, and
-    kernel passes after it (one, for the shape at the grid's least point,
-    when the solve kept no root).
+    NLL was evaluated, and evaluations of the profile score in the solve.
     """
 
     params: GpdParams
@@ -142,7 +140,6 @@ class FitResult:
     boundary_hit: bool
     grid_points: int = field(default=0, compare=False)
     score_evaluations: int = field(default=0, compare=False)
-    passes_after_solve: int = field(default=0, compare=False)
 
 
 def _validate_probability(q) -> np.ndarray:
@@ -249,50 +246,47 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _bracket(rows, grids, values, live):
+def _bracket(rows, grids, values, sums, live):
     """Each row's least finite grid value and its nearest finite neighbours, the grid expanded to the right.
 
-    ``values`` holds the profile NLL where the lazy grid evaluated it, nan
-    elsewhere. While a ``live`` row's least value is its last finite one,
-    a point ten times further right is evaluated, at most 20 times, until
-    one is not finite. Returns x and f, the tau and NLL of the left
-    neighbour, least value and right neighbour (one row each), whether
-    each neighbour exists, and the points evaluated per row.
+    ``values`` and ``sums`` hold the profile NLL and its sum of
+    log1p(tau*y) where the lazy grid evaluated them, nan elsewhere. While a
+    ``live`` row's least value is its last finite one, a point ten times
+    further right is evaluated, at most 20 times, until one is not finite.
+    Returns x and f, the tau and NLL of the left neighbour, least value and
+    right neighbour (one row each), the least value's sum, whether each
+    neighbour exists, and the points evaluated per row.
     """
     count, size = values.shape
-    finite = np.isfinite(values)
-    col = np.arange(size)
-    best = np.where(finite, values, math.inf).argmin(axis=1)[:, None]
-    left = np.where(finite & (col < best), col, -1).max(axis=1)
-    right = np.where(finite & (col > best), col, size).min(axis=1)
+    best, left, right = _kernels.least_and_neighbours(values, np.isfinite(values))
     has = np.array([left >= 0, right < size])
-    at = (np.arange(count), np.array([left, best[:, 0], right % size]))
-    x, f = grids[at], values[at]
+    at = (np.arange(count), np.array([left, best, right % size]))
+    x, f, l = grids[at], values[at], sums[np.arange(count), best]
     points = np.count_nonzero(~np.isnan(values), axis=1)
     grow = live & ~has[1]
     for _ in range(20):
         if not np.count_nonzero(grow):
             break
         nxt = x[1] * 10.0
-        value = rows.profile_nll(np.where(grow, nxt, 0.0))
+        value, sum_ = rows.profile_nll(np.where(grow, nxt, 0.0))
         points += grow
         ok = grow & np.isfinite(value)
         grow = ok & (value < f[1])  # the new point is the least
         stop = ok & ~grow  # the new point is the right neighbour
         x[0, grow], f[0, grow], has[0, grow] = x[1, grow], f[1, grow], True
-        x[1, grow], f[1, grow] = nxt[grow], value[grow]
+        x[1, grow], f[1, grow], l[grow] = nxt[grow], value[grow], sum_[grow]
         x[2, stop], f[2, stop], has[1, stop] = nxt[stop], value[stop], True
-    return x, f, has, points
+    return x, f, l, has, points
 
 
-def _solve_score(rows, lo, hi, x_best, f_best, first, live):
+def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     """Root of the profile NLL's derivative (the score) in each ``live`` row's [lo, hi], in lockstep.
 
     Comparing objective values cannot localize a minimum better than the
     square root of their rounding noise; the score's sign can, down to
     the last bits. Anderson-Bjorck false position keeps score(a) < 0 <=
     score(b). Each step is a secant step between the endpoints (the first
-    is ``first`` if that lies inside), held at least half the stopping
+    is ``first`` if that lies inside), placed at least half the stopping
     width inside them; an endpoint kept twice in a row has its score
     scaled down so that it cannot stall the bracket, and a bisection is
     forced when three secant steps have not halved the bracket. A row
@@ -300,35 +294,28 @@ def _solve_score(rows, lo, hi, x_best, f_best, first, live):
     unconverged after ``_MAX_ITERATIONS`` steps. Its root, the end with
     the smaller score, is kept if the NLL its sum gives is within slack of
     ``f_best``. A row without one (the score does not change sign over
-    [lo, hi], is not finite inside it, or the NLL is too far) gets the sum
-    at ``x_best`` from one more pass.
+    [lo, hi], is not finite inside it, or the NLL is too far) keeps
+    ``x_best`` and its sum ``l_best``.
 
     A step computes every searching row's next point by the IEEE operations
     of its search alone, in the same order, then evaluates all of them in
-    one pass; the block is compacted when at most half its rows still need
-    passes. Returns arrays over the rows: the root or ``x_best``, its sum
-    of log1p(tau*y), whether a root was kept and converged, the score
-    evaluations and the passes after the solve.
+    one pass; the block is compacted when at most half its rows are still
+    searching. Returns arrays over the rows: the root or ``x_best``, its
+    sum of log1p(tau*y), whether a root was kept and converged, and the
+    score evaluations.
     """
     n, mean, count = rows.n, rows.mean, live.size
     place = np.arange(count)  # each row's position in the compacted block
-    tau_hat, l_hat = x_best.copy(), np.zeros(count)
+    tau_hat, l_hat = x_best.copy(), l_best.copy()
     rooted, converged = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    evaluations, after = np.full(count, 2), np.zeros(count, dtype=np.intp)
-    held = np.zeros(0, dtype=np.intp)  # rows waiting for their pass at x_best
+    evaluations = np.full(count, 2)
 
-    def hold(i):
-        nonlocal held
-        held = np.concatenate([held, i[x_best[i] != 0.0]])  # the sum at tau = 0 is 0
-
-    def deriv(i, tau):  # the score and sum of rows i at tau, in a pass that also serves the held rows
-        nonlocal held
-        if i.size == rows.count:  # the block holds just these rows, none held
+    def deriv(i, tau):  # the score and sum of rows i at tau
+        if i.size == rows.count:  # the block holds just these rows
             return rows.profile_nll_deriv(tau)
-        at, wait, t = place[i], place[held], np.zeros(rows.count)
-        t[at], t[wait] = tau, x_best[held]
+        at, t = place[i], np.zeros(rows.count)
+        t[at] = tau
         score, l = rows.profile_nll_deriv(t)
-        l_hat[held], after[held], held = l[wait], 1, held[:0]
         return score[at], l[at]
 
     i = np.flatnonzero(live)
@@ -339,7 +326,6 @@ def _solve_score(rows, lo, hi, x_best, f_best, first, live):
     # scaled score and sum, over the rows i still searching.
     e = np.array([[lo[i], fa, fa, la], [hi[i], fb, fb, lb]])
     if np.count_nonzero(ok) < i.size:
-        hold(i[~ok])
         e, i = e[:, :, ok], i[ok]
     first = first[i]
     width, steps = e[1, 0] - e[0, 0], np.zeros(i.size, dtype=np.intp)  # at the last check, secant steps since
@@ -360,16 +346,14 @@ def _solve_score(rows, lo, hi, x_best, f_best, first, live):
             ok = np.isfinite(f) & (f <= f_best[r] + 1e-6 * (1.0 + np.abs(f_best[r])))
             tau_hat[r[ok]], l_hat[r[ok]], rooted[r], converged[r] = root[ok], l[ok], ok, ok & (not capped)
             evaluations[r] = 2 + it
-            hold(r[~ok])
             e, i, width, steps, last = (x[..., ~done] for x in (e, i, width, steps, last))
             first = None if first is None else first[~done]
             continue  # with the rows still searching
-        if not (i.size or held.size):
+        if not i.size:
             break
-        if i.size + held.size <= rows.count // 2:
-            kept = np.sort(np.concatenate([i, held]))
-            rows.keep(place[kept])
-            place[kept] = np.arange(kept.size)
+        if i.size <= rows.count // 2:
+            rows.keep(place[i])
+            place[i] = np.arange(i.size)
         ga, gb = e[:, 2]
         c = b - gb * (span / (gb - ga))
         if first is not None:  # the first step
@@ -390,7 +374,6 @@ def _solve_score(rows, lo, hi, x_best, f_best, first, live):
         finite = np.isfinite(fc)
         if np.count_nonzero(finite) < i.size:
             evaluations[i[~finite]] = 2 + it
-            hold(i[~finite])
             e, i, width, steps, last, c, fc, lc = (x[..., finite] for x in (e, i, width, steps, last, c, fc, lc))
         # c replaces the end on its score's side; when that end was also
         # replaced last, the other end's scaled score shrinks.
@@ -402,26 +385,26 @@ def _solve_score(rows, lo, hi, x_best, f_best, first, live):
         np.multiply(g, np.where(m > 0.0, m, 0.5), out=g, where=last == neg)
         np.copyto(e, np.array([c, fc, fc, lc]), where=side)
         last = neg.view(np.int8)
-    return tau_hat, l_hat, rooted, converged, evaluations, after
+    return tau_hat, l_hat, rooted, converged, evaluations
 
 
-def _search(rows, grids, values) -> list:
+def _search(rows, grids, values, sums) -> list:
     """Maximum-likelihood fits of the rows of the loaded block ``rows``: a FitResult or the error fit_mle raises.
 
-    ``grids`` holds each row's tau grid and ``values`` the profile NLL
-    where the lazy grid evaluated it, nan elsewhere, both in row units;
-    the scales are returned in the samples' units.
+    ``grids`` holds each row's tau grid, and ``values`` and ``sums`` the
+    profile NLL and its sum where the lazy grid evaluated them, nan
+    elsewhere, all in row units; the scales are returned in the samples'.
     """
     n, e, mean, y_max = rows.n, rows.e, rows.mean, rows.y_max  # the block's order; rows.keep makes new arrays
     degenerate = y_max == rows.y_min
     flat = ~np.isfinite(values).any(axis=1)
     live = ~(degenerate | flat)
-    x, f, has, points = _bracket(rows, grids, values, live)
+    x, f, l_best, has, points = _bracket(rows, grids, values, sums, live)
     lo, hi = np.where(has[0], x[0], x[1]), np.where(has[1], x[2], x[1])
     d1 = (f[1] - f[0]) / (x[1] - x[0])  # the solve starts at the convex parabola's vertex
     curvature = ((f[2] - f[1]) / (x[2] - x[1]) - d1) / (x[2] - x[0])
     first = np.where(has[0] & has[1] & (curvature > 0.0), 0.5 * (x[0] + x[1]) - d1 / (2.0 * curvature), math.nan)
-    tau, l, rooted, converged, evaluations, after = _solve_score(rows, lo, hi, x[1], f[1], first, live)
+    tau, l, rooted, converged, evaluations = _solve_score(rows, lo, hi, x[1], f[1], l_best, first, live)
     # Without a root, the fit is the grid's least point: unconverged if
     # that is inside, the feasibility edge (a boundary hit) otherwise.
     converged = np.where(rooted, converged, ~has[0])
@@ -430,7 +413,7 @@ def _search(rows, grids, values) -> list:
     with np.errstate(over="ignore"):  # a scale above the largest double is inf, an invalid scale below
         scale = np.ldexp(np.divide(shape, tau, out=mean.copy(), where=~zero), e)
     boundary = (1.0 + tau * y_max) < _BOUNDARY_MARGIN
-    columns = (n, shape, scale, converged, boundary, points, evaluations, after)
+    columns = (n, shape, scale, converged, boundary, points, evaluations)
     results = []
     for i, (size, xi, sigma, conv, edge, *counts) in enumerate(zip(*(c.tolist() for c in columns))):
         if degenerate[i]:
@@ -452,7 +435,7 @@ def fit_samples(samples):
     ``samples`` is an iterable of nonempty 1-d arrays of positive, finite
     excesses. It is consumed one block at a time, and the fits are
     yielded one block at a time, so neither all samples nor all results
-    are held at once. A block takes up to ``BLOCK_ELEMENTS //
+    are in memory at once. A block takes up to ``BLOCK_ELEMENTS //
     _GRID_POINTS`` (96) consecutive samples, however long, while their
     zero-padded rows fit in the data buffer's 16 * ``BLOCK_ELEMENTS``
     elements; a longer sample gets a block of its own. Each sample is
@@ -478,7 +461,7 @@ def _fit_block(rows) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
     rows.load()
     grids = _tau_grids(rows.mean, -(1.0 - _FEASIBILITY_EPS) / rows.y_max)
-    results = _search(rows, grids, rows.profile_nll_grid(grids))
+    results = _search(rows, grids, *rows.profile_nll_grid(grids))
     rows.clear()
     return results
 

@@ -86,6 +86,7 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
 
     u + (sigma/xi) * (((n/n_u) * p)^(-xi) - 1), with the exponential limit
     u + sigma*ln(n_u/(n*p)) at shape zero and wherever sigma/xi overflows.
+    Raises ValidationError where that, or ((n/n_u) * p)^(-xi), is not a finite double.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must lie in (0, 1), got {p}")
@@ -93,19 +94,29 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
         raise InvalidCounts(f"need 0 < n_u <= n, got n_u={n_u}, n={n}")
     xi, sigma = params.shape, params.scale
     ratio = (n / n_u) * p
-    if xi == 0.0 or not math.isfinite(sigma / xi):
-        return u - sigma * math.log(ratio)
-    return u + (sigma / xi) * math.expm1(-xi * math.log(ratio))
+    try:
+        if xi == 0.0 or not math.isfinite(sigma / xi):
+            var = u - sigma * math.log(ratio)
+        else:
+            var = u + (sigma / xi) * math.expm1(-xi * math.log(ratio))
+    except OverflowError:  # from expm1
+        var = math.inf
+    if not math.isfinite(var):
+        raise ValidationError(f"the VaR at u={u}, p={p} is not a finite double")
+    return var
 
 
 def expected_shortfall(var: float, u: float, params: GpdParams) -> float:
-    """Expected size of an outcome beyond ``var``: (var + sigma - u*xi)/(1 - xi)."""
+    """Expected size of an outcome beyond ``var``: (var + sigma - u*xi)/(1 - xi); a ValidationError if not finite."""
     xi, sigma = params.shape, params.scale
     if xi >= 1.0:
         raise ShapeAtOrAboveOne(
             f"expected shortfall diverges for shape >= 1, got {xi}"
         )
-    return (var + sigma - u * xi) / (1.0 - xi)
+    es = (var + sigma - u * xi) / (1.0 - xi)
+    if not math.isfinite(es):
+        raise ValidationError(f"the expected shortfall at u={u}, VaR {var} is not a finite double")
+    return es
 
 
 def _sign_matches(xi: float, regime: str) -> bool:
@@ -131,7 +142,8 @@ def scan_thresholds(
     numerical feasibility margin. Goodness-of-fit reports are attached
     for the heavy-tail regime, where the critical table applies; they are
     computed together, by :func:`~potrisk.gof.gof_reports`, from the tail
-    sorted once.
+    sorted once. A VaR beyond the double range raises a ValidationError;
+    a shortfall there, or at shape >= 1, is None.
     """
     if regime not in (HEAVY_TAIL, SHORT_TAIL):
         raise ValueError(f"unknown regime {regime!r}")
@@ -171,7 +183,10 @@ def scan_thresholds(
     for (i, fit), gof in zip(survivors, gofs):
         u, n_u = float(candidates[i]), int(counts[i])
         var = value_at_risk(u, fit.params, x.size, n_u, p)
-        es = None if fit.params.shape >= 1.0 else expected_shortfall(var, u, fit.params)
+        try:
+            es = expected_shortfall(var, u, fit.params)
+        except ValidationError:  # shape >= 1, or beyond the double range
+            es = None
         estimates.append(
             RiskEstimate(u=u, params=fit.params, n=x.size, n_u=n_u, p=p, var=var, es=es, gof=gof)
         )

@@ -101,7 +101,8 @@ class TestRows:
     def test_infeasible_tau(self):
         y = np.array([1.0, 2.0, 4.0])
         bad = -0.3  # 1 + tau*4 < 0
-        assert _block_values(_kernels.Rows.profile_nll, [(y, bad)]).tolist() == [math.inf]
+        (value,), (l,) = _block_values(_kernels.Rows.profile_nll, [(y, bad)])
+        assert value == math.inf and math.isnan(l)
         (score,), (l,) = _block_values(_kernels.Rows.profile_nll_deriv, [(y, bad)])
         assert math.isnan(score) and math.isnan(l)
 
@@ -111,8 +112,9 @@ class TestRows:
         for y in samples:
             tau_min = -(1.0 - 1e-10) / y.max()
             taus = [0.0, 1e-9, -1e-9, 0.5, 5.0, tau_min * 0.5, tau_min * 0.999, tau_min]
-            nll = _block_values(_kernels.Rows.profile_nll, [(y, tau) for tau in taus])
+            nll, nll_sums = _block_values(_kernels.Rows.profile_nll, [(y, tau) for tau in taus])
             deriv, sums = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau) for tau in taus])
+            assert nll_sums.tolist() == sums.tolist()  # both kernels keep the same sums
             row = _loaded([y])
             e = int(row.e[0])
             y_row = np.ldexp(y, -e)  # the kernels' values are those of the sample in row units
@@ -144,6 +146,9 @@ def test_the_least_values_nearest_finite_neighbours_are_pending():
         [0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0],
     ]
+    # the finite neighbours alone, as gpd._bracket takes them
+    best, left, right = _kernels.least_and_neighbours(f, np.isfinite(f))
+    assert (best.tolist(), left.tolist(), right.tolist()) == ([3, 3, 2, 0], [0, 0, 1, -1], [5, 5, 3, 6])
 
 
 class TestDerivative:
@@ -154,7 +159,7 @@ class TestDerivative:
         h = 1e-7 * max(1.0, abs(tau))
         up, down, _ = _block_values(
             _kernels.Rows.profile_nll, [(y, tau + h), (y, tau - h), (other, 0.1)]
-        ).tolist()
+        )[0].tolist()
         deriv = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau), (other, -0.1)])[0][0]
         # the NLL in row units differs by a constant; d/dtau is 2**e times d/dtau in row units
         deriv = math.ldexp(deriv, math.frexp(y.max())[1])
@@ -245,12 +250,25 @@ def test_the_data_buffer_caps_a_block_of_long_samples():
     assert rows.has_room(15 * _kernels.BLOCK_ELEMENTS)
 
 
+def _candidate_fits(tail, min_exc) -> list:
+    """Each candidate's fit, or its error's type and message."""
+    fits = fit_samples(tail[tail > u] - u for u in candidate_thresholds(tail, min_exc))
+    return [(type(fit), str(fit)) if isinstance(fit, Exception) else fit for fit in fits]
+
+
 def test_one_row_blocks_give_the_same_scan(monkeypatch):
     block_sizes = _block_sizes(monkeypatch)
     default = [scan_thresholds(tail, min_exceedances=m) for tail, m in (CAPPED, LONG)]
+    default_fits = [_candidate_fits(tail, m) for tail, m in (CAPPED, LONG)]
     assert max(block_sizes) > 1
+    # the scans drop boundary hits, the fits keep them: CAPPED's last 7
+    # candidates, in its fourth block (96 rows) and its fifth (6 rows)
+    hits = [i for i, fit in enumerate(default_fits[0]) if fit.boundary_hit]
+    assert hits == list(range(383, 390))
     block_sizes.clear()
     monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", 1)
     one_row = [scan_thresholds(tail, min_exceedances=m) for tail, m in (CAPPED, LONG)]
+    one_row_fits = [_candidate_fits(tail, m) for tail, m in (CAPPED, LONG)]
     assert set(block_sizes) == {1}
     assert one_row == default
+    assert one_row_fits == default_fits

@@ -255,6 +255,25 @@ class TestCli:
         for out in (scan, full):
             assert "Traceback" not in out.stderr + out.stdout
 
+    @pytest.mark.parametrize("gains,p", [
+        pytest.param(gpd_sample(GpdParams(0.6, 1.0), 40, seed=0) * 1e306, "0.001", id="var_overflows"),
+        pytest.param(gpd_sample(GpdParams(2.0, 1.0), 200, seed=0), "1e-300", id="expm1_overflows"),
+    ])
+    def test_a_var_beyond_the_double_range_exits_2(self, tmp_path, gains, p):
+        dates = [datetime.date(2001, 1, 5) + datetime.timedelta(weeks=i) for i in range(2 * gains.size)]
+        returns = tmp_path / "returns.csv"
+        returns.write_text("date,return\n" + "".join(
+            f"{d.isoformat()},{float(v)!r}\n"
+            for d, v in zip(dates, np.column_stack([gains, np.full(gains.size, -0.5)]).ravel())
+        ))
+        out_dir = tmp_path / "out"
+        out = _cli("scan", "--input", str(returns), "--tail", "positive", "--p", p,
+                   "--format", "json", "--out-dir", str(out_dir))
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr + out.stdout
+        assert len(out.stderr.splitlines()) == 1 and f"p={p} is not a finite double" in out.stderr
+        assert not any("Infinity" in f.read_text() for f in out_dir.glob("*"))
+
     def test_missing_input_exit_2(self, tmp_path):
         out = _cli("returns", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path))
         assert out.returncode == 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestValueAtRisk:
         with pytest.raises(InvalidCounts):
             value_at_risk(0.0, GpdParams(0.1, 1.0), 10, 0, 0.01)
 
+    @pytest.mark.parametrize("u,params,n,n_u,p", [
+        pytest.param(0.5, GpdParams(2.0, 1.0), 200, 20, 1e-300, id="expm1_overflows"),
+        pytest.param(1e305, GpdParams(0.6, 1e307), 40, 40, 0.001, id="product_overflows"),
+        pytest.param(1.0, GpdParams(0.0, 1e308), 100, 10, 1e-300, id="exponential_limit"),
+        pytest.param(1.0, GpdParams(-0.5, 1e308), 10**6, 1, 0.5, id="below_the_range"),
+    ])
+    def test_a_var_beyond_the_double_range_is_a_validation_error(self, u, params, n, n_u, p):
+        with pytest.raises(ValidationError, match=re.escape(f"the VaR at u={u}, p={p} is not a finite double")):
+            value_at_risk(u, params, n, n_u, p)
+
 
 class TestExpectedShortfall:
     def test_published_positive_tail_value(self):
@@ -111,6 +122,14 @@ class TestExpectedShortfall:
     def test_shape_at_or_above_one(self):
         with pytest.raises(ShapeAtOrAboveOne):
             expected_shortfall(1.0, 0.5, GpdParams(1.0, 1.0))
+
+    @pytest.mark.parametrize("var,u,params", [
+        pytest.param(1e308, 0.5, GpdParams(0.9, 1.0), id="above"),
+        pytest.param(-1.7e308, 1e308, GpdParams(0.5, 1.0), id="below"),
+    ])
+    def test_a_shortfall_beyond_the_double_range_is_a_validation_error(self, var, u, params):
+        with pytest.raises(ValidationError, match=re.escape(f"at u={u}, VaR {var} is not a finite double")):
+            expected_shortfall(var, u, params)
 
     def test_identity_with_mean_excess(self):
         # ES - VaR equals the theoretical mean excess at the VaR level
@@ -235,6 +254,18 @@ class TestScan:
         assert got.selected.params.shape == pytest.approx(want.selected.params.shape, rel=1e-9)
         assert got.selected.var == pytest.approx(1e307 * want.selected.var, rel=1e-9)
 
+    def test_a_survivor_without_a_finite_shortfall_has_none(self):
+        # the heavy tail above: its maximal VaR is finite, but some of its
+        # shortfalls are beyond the double range
+        big = gpd_sample(GpdParams(0.2, 1.0), 40, seed=0) * 1e307
+        scan = scan_thresholds(big, p=0.01, regime=HEAVY_TAIL)
+        missing = [e for e in scan.estimates if e.es is None]
+        assert missing and all(e.params.shape < 1.0 for e in missing)
+        for e in missing:
+            with pytest.raises(ValidationError, match="not a finite double"):
+                expected_shortfall(e.var, e.u, e.params)
+        assert all(math.isfinite(e.var) for e in scan.estimates)
+
     def test_candidates_without_exceedances_are_rejected(self):
         x = gpd_sample(GpdParams(0.2, 1.0), 50, seed=64)
         with pytest.raises(NoExceedances):
@@ -285,4 +316,13 @@ def test_var_does_not_increase_as_p_increases(shape, log_scale, n, data):
     n_u = data.draw(st.integers(1, n))
     u = data.draw(st.floats(0.0, 10.0))
     p1, p2 = sorted(data.draw(st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=2, max_size=2)))
-    assert value_at_risk(u, params, n, n_u, p2) <= value_at_risk(u, params, n, n_u, p1)
+    assert _var_or_infinity(u, params, n, n_u, p2) <= _var_or_infinity(u, params, n, n_u, p1)
+
+
+def _var_or_infinity(u, params, n, n_u, p):
+    """value_at_risk, or the infinity on its side of u where it is beyond the double range."""
+    try:
+        return value_at_risk(u, params, n, n_u, p)
+    except ValidationError:
+        # VaR - u has the sign of -log((n/n_u)*p)
+        return math.inf if (n / n_u) * p < 1.0 else -math.inf

@@ -6,8 +6,8 @@ and solves for the root of the profile score from the grid's bracket
 heavy, short and tied tails and checks the lazy grid against the full
 grid, its bounds against the values they bound, and every candidate fit of
 a scan against the quantities the search is meant to optimize;
-deterministic tests on the bundled data count the grid points and score
-evaluations per fit.
+deterministic tests on the bundled data count the grid points, score
+evaluations and kernel passes per fit.
 """
 
 import math
@@ -103,14 +103,19 @@ _BLOCK_FAMILIES = {name: strategy for name, (strategy, _) in _FAMILIES.items()} 
 def test_the_lazy_grid_finds_the_full_grids_minimum_and_neighbours(family, data):
     rows, samples = _block(data.draw(st.lists(_BLOCK_FAMILIES[family], min_size=1, max_size=4)))
     grids = _grids(samples)
-    lazy = rows.profile_nll_grid(grids)
-    for y, grid, values in zip(samples, grids, lazy):
+    lazy, sums = rows.profile_nll_grid(grids)
+    for y, grid, values, l in zip(samples, grids, lazy, sums):
         first = np.ones(grid.size, dtype=bool)
         first[1:] = grid[1:] != grid[:-1]
         full = scalar_oracle.profile_nll_grid_numpy(y, grid)
         evaluated = ~np.isnan(values)
         assert not (evaluated & ~first).any()  # repeats are not evaluated
         assert values[evaluated].tolist() == full[evaluated].tolist()
+        # each evaluated point keeps the sum its value came from, bit for bit
+        assert np.isnan(l[~evaluated]).all()
+        with np.errstate(invalid="ignore", divide="ignore"):  # log1p(t) at t <= -1
+            want = [np.log1p(tau * y).sum().hex() for tau in grid[evaluated]]
+        assert [x.hex() for x in l[evaluated].tolist()] == want
         assert _minimum_and_neighbours(grid[evaluated], values[evaluated]) == (
             _minimum_and_neighbours(grid[first], full[first])
         )
@@ -129,7 +134,7 @@ def test_the_lazy_grid_does_not_depend_on_its_first_guess(monkeypatch):
     cases = ((0.4, 200, 7), (-1.0, 30, 8), (-1.0, 100, 8))
     rows, samples = _block([gpd_sample(GpdParams(xi, 1.0), n, seed) for xi, n, seed in cases])
     grids = _grids(samples)
-    for y, grid, values in zip(samples, grids, rows.profile_nll_grid(grids)):
+    for y, grid, values in zip(samples, grids, rows.profile_nll_grid(grids)[0]):
         evaluated = ~np.isnan(values)
         first = np.unique(grid, return_index=True)[1]
         full = scalar_oracle.profile_nll_grid_numpy(y, grid[first])
@@ -262,7 +267,15 @@ def test_grid_points_evaluated_per_fit_on_the_bundled_data():
     assert max(evaluated) <= 6
 
 
-def test_score_evaluations_per_fit_on_the_bundled_data():
+def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
+    passes = []  # one entry per call of Rows.sums
+    sums = _kernels.Rows.sums
+
+    def counted(self, tau, deriv):
+        passes.append(None)
+        return sums(self, tau, deriv)
+
+    monkeypatch.setattr(_kernels.Rows, "sums", counted)
     counts, plain, total = [], [], 0  # score evaluations per fit; bisection's from the same bracket
     for tail, m in _bundled_tails():
         for y, fit in _candidate_fits(tail, m):
@@ -270,13 +283,16 @@ def test_score_evaluations_per_fit_on_the_bundled_data():
             if isinstance(fit, Exception):
                 continue
             counts.append(fit.score_evaluations)
-            # After the score solve a fit with a root makes no kernel pass, and
-            # one without a root makes one, for the shape at its grid point.
-            assert fit.passes_after_solve == (0 if fit.converged and not fit.boundary_hit else 1), (y.size, fit)
+            # A lone fit makes one kernel pass per grid point but tau = 0 and
+            # one per score evaluation, and none after its score solve.
+            before = len(passes)
+            (lone,) = fit_samples([y])
+            assert lone == fit
+            assert len(passes) - before == lone.grid_points - 1 + lone.score_evaluations, (y.size, lone)
             if not fit.boundary_hit:
                 rows, scaled = _block([y])
                 grid = _grids(scaled)[0]
-                values = rows.profile_nll_grid(grid[None])[0]
+                values = rows.profile_nll_grid(grid[None])[0][0]
                 evaluated = ~np.isnan(values)
                 # No interior fit expands its grid, so its solve starts from
                 # the least grid value's finite neighbours.
