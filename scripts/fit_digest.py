@@ -6,15 +6,19 @@ boundary_hit flags, or the name of the error it gave in place of a fit.
 The inputs are the bundled data's four tails (two periods, two signs),
 the two tails of perfbench's tail_scan input and the two tails of its
 long_history input at ``--seed``, with each workload's min_exceedances.
-Two checkouts whose fits are bit-identical print the same digests.
+Two checkouts whose fits are bit-identical print the same digests. Each
+input's line ends with the work of its fits' searches: the totals of
+``FitResult.grid_points`` and ``score_evaluations``, which can differ
+between checkouts whose fits do not, since a fit's grid points can depend
+on the rows that share its block.
 
 With ``--against CHECKOUT`` the script also fits the same inputs with
 that checkout's ``src`` in a subprocess and prints, per input: the fit
 count and how many fits are bit-identical, the flag and error-type
 mismatches, the max and 99th-percentile relative differences of shape
-and scale, and each fit whose shape or scale moved by more than 1e-12
-relative, with its shape. It exits 1 if a count, a flag or an error type
-differs.
+and scale, each fit whose shape or scale moved by more than 1e-12
+relative, with its shape, and the work totals of both checkouts. It
+exits 1 if a count, a flag or an error type differs.
 
 Run from the repository root (each checkout's fits take about 5 s):
 
@@ -72,21 +76,28 @@ def long_history_tails(seed):
         yield tail, min_exc
 
 
-def fits(tails) -> list:
-    """Per candidate fit of ``tails``: (shape, scale, log-likelihood, converged, boundary_hit) or the error's name."""
+def fits(tails) -> tuple:
+    """The candidate fits of ``tails`` and the work of their searches.
+
+    Returns a list with, per fit, (shape, scale, log-likelihood, converged,
+    boundary_hit) or the error's name, and the fits' total grid points and
+    score evaluations.
+    """
     from potrisk.excess import candidate_thresholds
     from potrisk.gpd import FitResult, fit_samples
 
-    out = []
+    out, work = [], [0, 0]
     for tail, min_exc in tails:
         samples = (tail[tail > u] - u for u in candidate_thresholds(tail, min_exc))
         for fit in fit_samples(samples):
             if isinstance(fit, FitResult):
                 p = fit.params
                 out.append((p.shape, p.scale, fit.log_likelihood, fit.converged, fit.boundary_hit))
+                work[0] += fit.grid_points
+                work[1] += fit.score_evaluations
             else:
                 out.append(type(fit).__name__)
-    return out
+    return out, work
 
 
 def _bits(record) -> bytes:  # a record of fits()
@@ -102,6 +113,7 @@ def digest(records) -> str:
 
 
 def all_fits(seed) -> dict:
+    """Per input, :func:`fits` of its tails."""
     return {
         "bundled": fits(bundled_tails()),
         f"tail_scan@{seed}": fits(tail_scan_tails(seed)),
@@ -113,8 +125,17 @@ def _relative(a: float, b: float) -> float:
     return 0.0 if a == b else abs(a - b) / abs(b) if b else math.inf
 
 
+def _work(work) -> str:
+    return f"grid_points {work[0]} score_evaluations {work[1]}"
+
+
 def compare(name, mine, theirs) -> bool:
-    """Print how the fits ``mine`` differ from ``theirs``; whether their counts, flags and error types agree."""
+    """Print how the fits ``mine`` differ from ``theirs``; whether their counts, flags and error types agree.
+
+    Each is a pair of :func:`fits`.
+    """
+    (mine, mine_work), (theirs, theirs_work) = mine, theirs
+    print(f"{name}: {_work(theirs_work)} there, {_work(mine_work)} here")
     if len(mine) != len(theirs):
         print(f"{name}: {len(mine)} fits here, {len(theirs)} there")
         return False
@@ -148,8 +169,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     mine = all_fits(args.seed)
-    for name, records in mine.items():
-        print(f"{name} {len(records)} {digest(records)}")
+    for name, (records, work) in mine.items():
+        print(f"{name} {len(records)} {digest(records)} {_work(work)}")
     if args.against is None:
         return 0
     # The other checkout's potrisk, driven by this script's functions.
@@ -162,7 +183,10 @@ def main(argv=None) -> int:
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     theirs = json.loads(run.stdout)
     print(f"against {args.against} (shape there -> here):")
-    ok = [compare(name, mine[name], [r if isinstance(r, str) else tuple(r) for r in theirs[name]]) for name in mine]
+    ok = []
+    for name in mine:
+        records, work = theirs[name]
+        ok.append(compare(name, mine[name], ([r if isinstance(r, str) else tuple(r) for r in records], work)))
     return 0 if all(ok) else 1
 
 

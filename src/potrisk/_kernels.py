@@ -44,21 +44,24 @@ __all__ = [
 BACKEND = "numpy"
 
 # Elements per kernel scratch buffer (2**13 doubles = 64 KiB), and the unit
-# of every block size. fit_samples gives a block up to BLOCK_ELEMENTS //
-# gpd._GRID_POINTS (96) samples, however long, while their padded rows fit a
-# data buffer of 16 * BLOCK_ELEMENTS elements; a longer sample gets a block
-# of its own. Per-block costs (the tau grids, the bound and neighbour
-# rounds, every step of the score solve, whose fixed cost hardly depends on
-# the row count) are then paid once per 96 candidates of a long tail, or per
-# 9 candidates of 14,000 points (long_history). A kernel pass runs one row
-# group (at most BLOCK_ELEMENTS elements, or one longer row) at a time
-# through the scratch buffers, so its arithmetic stays in cache. Buffers are
-# allocated once per fit_samples call and reused, since a numpy array above
-# glibc's 128 KiB mmap threshold gets fresh pages on every allocation and
-# costs about three times as much per element; the data buffer is past it,
-# but only its touched pages are resident. Doubling the data buffer from
-# 8 * BLOCK_ELEMENTS cut the long_history scans by 16% and tail_scan's by 2%
-# in alternating in-process runs (2-core Xeon VM).
+# of every block size. fit_samples gives a block up to 8 * (BLOCK_ELEMENTS //
+# gpd._GRID_POINTS) (768) samples, however long, while their padded rows fit
+# a data buffer of 16 * BLOCK_ELEMENTS elements (which binds first on a
+# scan, at about 510 candidates); a longer sample gets a block of its own.
+# Per-block costs (the bound and neighbour rounds of the grid, every step of
+# the score solve, whose fixed cost hardly depends on the row count) are
+# then paid once per tail of the bundled data, or per 9 candidates of 14,000
+# points (long_history). A kernel pass runs one row group (at most
+# BLOCK_ELEMENTS elements, or one longer row) at a time through the scratch
+# buffers, so its arithmetic stays in cache, and the temporaries of the tau
+# grids and bin bounds are made in chunks of rows of about BLOCK_ELEMENTS
+# elements. Buffers are allocated once per fit_samples call and reused,
+# since a numpy array above glibc's 128 KiB mmap threshold gets fresh pages
+# on every allocation and costs about three times as much per element; the
+# data buffer is past it, but only its touched pages are resident. Doubling
+# the data buffer from 8 * BLOCK_ELEMENTS cut the long_history scans by 16%
+# and tail_scan's by 2% in alternating in-process runs (2-core Xeon VM);
+# raising the row cap from 96 cut paper_analyze by about 10% (perfbench).
 BLOCK_ELEMENTS = 1 << 13
 
 # profile_nll_grid bounds k(tau) from bins of each sorted row of width w:
@@ -197,29 +200,43 @@ class Rows:
         least value's finite neighbours. A round costs one pass of
         :meth:`sums` per point of its busiest row.
         """
-        count, size = taus.shape
+        size = taus.shape[1]
         n = self.n
-        f, l = np.full(taus.shape, math.nan), np.full(taus.shape, math.nan)
         skip = np.zeros(taus.shape, dtype=bool)
         skip[:, 1:] = taus[:, 1:] == taus[:, :-1]
-        i, j = np.nonzero((taus == 0.0) & ~skip)
+        zero = (taus == 0.0) & ~skip
+        pending = ~(zero | skip)
+        floor, best = self._floors(taus, pending)
+        f, l = np.full(taus.shape, math.nan), np.full(taus.shape, math.nan)
+        i, j = np.nonzero(zero)
         l[i, j] = 0.0
         f[i, j] = profile_nll_from_sum(n[i], self.mean[i], taus[i, j], l[i, j])
+        with np.errstate(all="ignore"):
+            self._grid_values(taus, pending & (np.arange(size) == best[:, None]), n, f, l)
+            least = np.min(f, axis=1, where=np.isfinite(f), initial=math.inf)
+            self._grid_values(taus, np.isnan(f) & ~skip & ~(floor > least[:, None]), n, f, l)
+            del floor  # the neighbour rounds' arrays take its place
+            while (todo := _neighbours_pending(f, skip)).any():
+                self._grid_values(taus, todo, n, f, l)
+        return f, l
+
+    def _floors(self, taus, pending):
+        """The floor of :func:`_bounds` at every point of ``taus``, and each row's ``pending`` point of least estimate.
+
+        The bounds are made in chunks of rows whose arrays of bins x points
+        hold about ``BLOCK_ELEMENTS`` elements, so that they stay in cache,
+        and the bins are freed before the caller makes its arrays of values.
+        """
         bins = self._order_bins()
-        floor, guess = np.empty(taus.shape), np.empty(taus.shape)
+        count, size = taus.shape
+        floor, best = np.empty(taus.shape), np.empty(count, dtype=np.intp)
         step = max(1, BLOCK_ELEMENTS // (size * bins.shape[2]))
         with np.errstate(all="ignore"):
             for i in range(0, count, step):
                 rows = slice(i, i + step)
-                _, _, floor[rows], guess[rows] = _bounds(taus[rows], bins[:, rows], n[rows, None])
-            pending = np.isnan(f) & ~skip
-            best = np.argmin(np.where(pending & ~np.isnan(guess), guess, math.inf), axis=1)
-            self._grid_values(taus, pending & (np.arange(size) == best[:, None]), n, f, l)
-            least = np.min(np.where(np.isfinite(f), f, math.inf), axis=1)
-            self._grid_values(taus, np.isnan(f) & ~skip & ~(floor > least[:, None]), n, f, l)
-            while (todo := _neighbours_pending(f, skip)).any():
-                self._grid_values(taus, todo, n, f, l)
-        return f, l
+                _, _, floor[rows], guess = _bounds(taus[rows], bins[:, rows], self.n[rows, None])
+                best[rows] = np.argmin(np.where(pending[rows] & ~np.isnan(guess), guess, math.inf), axis=1)
+        return floor, best
 
     def _order_bins(self) -> np.ndarray:
         """The bins (see _BINS) of each row's order statistics: 5 x rows x bins, padded with zero bins.
@@ -353,31 +370,16 @@ def _bounds(taus, bins, n):
     """Bounds on k = sum(log1p(tau*y))/n and on the profile NLL as computed, at each point of ``taus``.
 
     ``bins`` come from :meth:`Rows._order_bins`, ``n`` holds the rows'
-    sizes. Over a bin [a, b], l(y) = log1p(tau*y) is concave, so it lies
-    above its chord; by Taylor's theorem at a it lies within
-    l(a) + l'(a)*(y - a) - q*(y - a)**2/2, q between the values of
-    -l'' = (tau/(1 + tau*y))**2 at a and b. Summed over a bin, the chord
-    and the larger Taylor form bound its sum from below, the other form
-    from above. Both are widened by 8(w + 4) ulps (w the row's width) of
-    the sum of the terms' sizes, a size being the larger of |l| and
-    |t/(1 + t)|, which is what a rounding of t = tau*y costs near t = -1.
-    Given k, the profile NLL n*(log(k/tau) + k + 1) increases with k for
-    tau > 0 and is concave in k for tau < 0, so its floor is its least
-    value at the two bounds, widened by the rounding of its terms.
-    Returns (k_lo, k_hi, floor, guess), guess the NLL at the middle of
-    the unwidened bounds.
+    sizes. The bounds of :func:`_bin_sums` on the sums are widened by
+    8(w + 4) ulps (w the row's width) of the sum of the terms' sizes, a
+    size being the larger of |l| and |t/(1 + t)|, which is what a rounding
+    of t = tau*y costs near t = -1. Given k, the profile NLL
+    n*(log(k/tau) + k + 1) increases with k for tau > 0 and is concave in
+    k for tau < 0, so its floor is its least value at the two bounds,
+    widened by the rounding of its terms. Returns (k_lo, k_hi, floor,
+    guess), guess the NLL at the middle of the unwidened bounds.
     """
-    c, a, b, d1, root = (x.T[:, :, None] for x in bins)
-    t = taus[None]
-    ta, tb = t * a, t * b
-    la, lb = np.log1p(ta), np.log1p(tb)
-    ua, ub = (np.divide(t, x + 1.0, out=x) for x in (ta, tb))  # in place, as are the squares
-    qa, qb = (np.square(x, out=x) for x in (ua * root, ub * root))
-    slope = np.divide(d1, b - a, out=np.zeros(d1.shape), where=b > a)
-    base, first = c * la, ua * d1
-    lo = (base + np.maximum(slope * (lb - la), first - np.maximum(qa, qb))).sum(axis=0)
-    hi = (base + first - np.minimum(qa, qb)).sum(axis=0)
-    size = (c * np.maximum(lb, -b * ub)).sum(axis=0)
+    lo, hi, size = _bin_sums(taus, bins)
     rel = 8.0 * (bins[0].sum(axis=1)[:, None] + 4.0) * _EPS
     k_lo, k_hi, k_mid = (lo - rel * size) / n, (hi + rel * size) / n, (lo + hi) / (2.0 * n)
     log_lo, log_hi = np.log(k_lo / taus), np.log(k_hi / taus)
@@ -385,6 +387,49 @@ def _bounds(taus, bins, n):
     bound = np.where(taus > 0.0, g_lo, np.minimum(g_lo, n * (log_hi + k_hi + 1.0)))
     magnitude = n * (np.maximum(np.abs(log_lo) + np.abs(k_lo), np.abs(log_hi) + np.abs(k_hi)) + 1.0)
     return k_lo, k_hi, bound - rel * magnitude, n * (np.log(k_mid / taus) + k_mid + 1.0)
+
+
+def _bin_sums(taus, bins):
+    """Lower and upper bounds on each row's sum of l(y) = log1p(tau*y) at each point of ``taus``, and its terms' size.
+
+    Over a bin [a, b], l is concave, so it lies above its chord; by
+    Taylor's theorem at a it lies within l(a) + l'(a)*(y - a) -
+    q*(y - a)**2/2, q between the values of -l'' = (tau/(1 + tau*y))**2 at
+    a and b. Summed over a bin, the chord and the larger Taylor form bound
+    its sum from below, the other form from above; the size sums
+    max(l(b), -b*l'(b)) over the bins. At most six arrays of bins x rows x
+    points live at once: each step writes over a value that is no longer
+    needed, and the b end's terms are made before the a end's.
+    """
+    c, a, b, d1, root = (x.T[:, :, None] for x in bins)
+    t = taus[None]
+    u = t * b
+    lb = np.log1p(u)
+    u += 1.0
+    np.divide(t, u, out=u)  # l'(b)
+    qb = u * root
+    np.square(qb, out=qb)
+    np.multiply(-b, u, out=u)
+    np.maximum(lb, u, out=u)
+    size = np.multiply(c, u, out=u).sum(axis=0)
+    ua = np.multiply(t, a, out=u)
+    la = np.log1p(ua)
+    ua += 1.0
+    np.divide(t, ua, out=ua)  # l'(a)
+    np.subtract(lb, la, out=lb)
+    np.multiply(np.divide(d1, b - a, out=np.zeros(d1.shape), where=b > a), lb, out=lb)  # the chord's rise
+    np.multiply(c, la, out=la)  # the sums of l(a)
+    qa = ua * root
+    np.square(qa, out=qa)
+    np.multiply(ua, d1, out=ua)  # and of the first-order terms
+    most = np.maximum(qa, qb)
+    least = np.minimum(qa, qb, out=qb)
+    np.subtract(ua, most, out=most)
+    np.maximum(lb, most, out=most)
+    lo = np.add(la, most, out=most).sum(axis=0)
+    np.add(la, ua, out=la)
+    hi = np.subtract(la, least, out=la).sum(axis=0)
+    return lo, hi, size
 
 
 def _neighbours_pending(f, skip) -> np.ndarray:
@@ -408,7 +453,7 @@ def _neighbours_pending(f, skip) -> np.ndarray:
 def least_and_neighbours(f, stop):
     """Each row's column of its least finite value, and the nearest ``stop`` columns left and right (or -1, size)."""
     size = f.shape[1]
-    column = np.arange(size)
+    column = np.arange(size, dtype=np.min_scalar_type(-size - 1))  # -1 to size, in the fewest bytes
     best = np.argmin(np.where(np.isfinite(f), f, math.inf), axis=1)
     left = np.where(stop & (column < best[:, None]), column, -1).max(axis=1)
     right = np.where(stop & (column > best[:, None]), column, size).min(axis=1)

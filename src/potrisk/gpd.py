@@ -236,13 +236,17 @@ def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
     ratios over many decades. A row can repeat a value, which the grid
     evaluation skips.
     """
-    s = 1.0 / means
-    near_edge = tau_mins[:, None] * (1.0 - 10.0 ** -np.arange(1.0, 10.0))
-    neg_mid = -np.geomspace(1e-8 * s, 0.9 * np.abs(tau_mins), 25, axis=1)
-    pos = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
-    zero = np.zeros((means.size, 1))
-    grid = np.concatenate([tau_mins[:, None], near_edge, neg_mid, zero, pos], axis=1)
-    grid.sort(axis=1)
+    grid = np.empty((means.size, _GRID_POINTS))
+    edge = 1.0 - 10.0 ** -np.arange(1.0, 10.0)
+    step = max(1, _kernels.BLOCK_ELEMENTS // _GRID_POINTS)  # rows per chunk, so its temporaries stay in cache
+    for i in range(0, means.size, step):
+        g, tau_min, s = grid[i : i + step], tau_mins[i : i + step], 1.0 / means[i : i + step]
+        g[:, 0] = tau_min
+        np.multiply(tau_min[:, None], edge, out=g[:, 1:10])
+        np.negative(np.geomspace(1e-8 * s, 0.9 * np.abs(tau_min), 25, axis=1), out=g[:, 10:35])
+        g[:, 35] = 0.0
+        g[:, 36:] = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
+        g.sort(axis=1)
     return grid
 
 
@@ -435,19 +439,23 @@ def fit_samples(samples):
     ``samples`` is an iterable of nonempty 1-d arrays of positive, finite
     excesses. It is consumed one block at a time, and the fits are
     yielded one block at a time, so neither all samples nor all results
-    are in memory at once. A block takes up to ``BLOCK_ELEMENTS //
-    _GRID_POINTS`` (96) consecutive samples, however long, while their
+    are in memory at once. A block takes up to ``8 * (BLOCK_ELEMENTS //
+    _GRID_POINTS)`` (768) consecutive samples, however long, while their
     zero-padded rows fit in the data buffer's 16 * ``BLOCK_ELEMENTS``
-    elements; a longer sample gets a block of its own. Each sample is
-    copied into the block as it arrives (see :class:`_kernels.Rows`),
-    and each block is searched in lockstep, so the tau grids, the grid
-    rounds and every step of the score solve are paid once per block.
+    elements, which binds first on a scan: its candidates shrink a point at
+    a time, so a block holds at most about 510 of them. A longer sample
+    gets a block of its own. Each sample is copied into the
+    block as it arrives (see :class:`_kernels.Rows`), and each block is
+    searched in lockstep, so the grid rounds and every step of the score
+    solve are paid once per block: once per tail of the bundled data.
     Yields one entry per sample, in order: its FitResult, or the error
     :func:`fit_mle` would raise for it.
     """
     rows = _kernels.Rows()
-    # The cap keeps a block's tau grids within BLOCK_ELEMENTS elements.
-    max_rows = _kernels.BLOCK_ELEMENTS // _GRID_POINTS
+    # The cap bounds a block's arrays of one value per grid point (8 *
+    # BLOCK_ELEMENTS elements each); their temporaries are made in chunks
+    # of BLOCK_ELEMENTS // _GRID_POINTS rows.
+    max_rows = 8 * (_kernels.BLOCK_ELEMENTS // _GRID_POINTS)
     for y in samples:
         y = np.ascontiguousarray(y, dtype=float)
         if rows.count and (rows.count >= max_rows or not rows.has_room(y.size)):

@@ -86,7 +86,9 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
 
     u + (sigma/xi) * (((n/n_u) * p)^(-xi) - 1), with the exponential limit
     u + sigma*ln(n_u/(n*p)) at shape zero and wherever sigma/xi overflows.
-    Raises ValidationError where that, or ((n/n_u) * p)^(-xi), is not a finite double.
+    Where the power overflows, the -1 is below its rounding, and the VaR
+    is u + sign(xi) * exp(log(sigma/|xi|) - xi*ln((n/n_u) * p)). Raises
+    ValidationError where the VaR is not a finite double.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must lie in (0, 1), got {p}")
@@ -94,13 +96,17 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
         raise InvalidCounts(f"need 0 < n_u <= n, got n_u={n_u}, n={n}")
     xi, sigma = params.shape, params.scale
     ratio = (n / n_u) * p
-    try:
-        if xi == 0.0 or not math.isfinite(sigma / xi):
-            var = u - sigma * math.log(ratio)
-        else:
-            var = u + (sigma / xi) * math.expm1(-xi * math.log(ratio))
-    except OverflowError:  # from expm1
-        var = math.inf
+    if xi == 0.0 or not math.isfinite(sigma / xi):
+        var = u - sigma * math.log(ratio)
+    else:
+        exponent = -xi * math.log(ratio)
+        try:
+            var = u + (sigma / xi) * math.expm1(exponent)
+        except OverflowError:  # the power is past the double range, its product with sigma/xi need not be
+            try:
+                var = u + math.copysign(math.exp(math.log(sigma) - math.log(abs(xi)) + exponent), xi)
+            except OverflowError:  # so is the product
+                var = math.inf
     if not math.isfinite(var):
         raise ValidationError(f"the VaR at u={u}, p={p} is not a finite double")
     return var

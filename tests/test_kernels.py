@@ -1,14 +1,16 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from potrisk import _kernels
+from potrisk import _kernels, bundled_data_path, gpd
 from potrisk.errors import NoSurvivingCandidates
 from potrisk.excess import candidate_thresholds
 from potrisk.gpd import GpdParams, fit_samples, gpd_log_likelihood, gpd_sample
+from potrisk.report import AnalysisConfig, analyze
 from potrisk.risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds
 
 import scalar_oracle
@@ -208,9 +210,9 @@ class TestAgainstScalarOracle:
             assert scan_thresholds(tail, regime=regime, min_exceedances=min_exc).diagnostics == want_diag
 
 
-# Scans whose blocks are cut by the row cap (390 candidates of up to 399
-# points) and by nothing (4 candidates of about 10,000 points each).
-CAPPED = (gpd_sample(GpdParams(0.2, 1.0), 400, seed=9), 10)
+# Scans of one block each: 390 candidates of up to 399 points, and 4
+# candidates of about 10,000 points.
+MANY = (gpd_sample(GpdParams(0.2, 1.0), 400, seed=9), 10)
 LONG = (gpd_sample(GpdParams(0.2, 1.0), 10_009, seed=10), 10_005)
 
 
@@ -228,15 +230,27 @@ def _block_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_a_block_takes_96_candidates_however_long(monkeypatch):
+def test_a_block_takes_768_samples_however_long(monkeypatch):
     sizes = _block_sizes(monkeypatch)
-    tail, min_exc = LONG
-    scan_thresholds(tail, min_exceedances=min_exc)
-    assert sizes == [4]
+    for (tail, min_exc), want in ((LONG, [4]), (MANY, [390])):
+        sizes.clear()
+        scan_thresholds(tail, min_exceedances=min_exc)
+        assert sizes == want
+    # 768 = 8 * (BLOCK_ELEMENTS // _GRID_POINTS); a scan's candidates fill
+    # the data buffer first, so the cap binds on many short samples
     sizes.clear()
-    tail, min_exc = CAPPED
-    scan_thresholds(tail, min_exceedances=min_exc)
-    assert sizes == [96, 96, 96, 96, 6]
+    list(fit_samples(gpd_sample(GpdParams(0.2, 1.0), 10, seed) for seed in range(1000)))
+    assert sizes == [768, 232]
+
+
+def test_the_bundled_tails_load_as_one_block_each(monkeypatch, tmp_path):
+    sizes = _block_sizes(monkeypatch)
+    analyze(AnalysisConfig.from_json(
+        bundled_data_path("synthetic_config.json"),
+        input_path=bundled_data_path("synthetic_weekends.csv"),
+        out_dir=tmp_path,
+    ))
+    assert sizes == [394, 285, 379, 358]
 
 
 def test_the_data_buffer_caps_a_block_of_long_samples():
@@ -250,6 +264,22 @@ def test_the_data_buffer_caps_a_block_of_long_samples():
     assert rows.has_room(15 * _kernels.BLOCK_ELEMENTS)
 
 
+def test_the_tau_grids_are_built_in_chunks():
+    # Of the tau grids of a block of 768 rows, only the result outgrows a
+    # chunk of 96 rows: the temporaries do not.
+    rng = np.random.default_rng(1)
+    extra = {}
+    for count in (96, 768):
+        means, y_max = rng.uniform(0.1, 0.5, count), rng.uniform(0.5, 1.0, count)
+        tracemalloc.start()
+        try:
+            grids = gpd._tau_grids(means, -1.0 / y_max)
+            extra[count] = tracemalloc.get_traced_memory()[1] - grids.nbytes
+        finally:
+            tracemalloc.stop()
+    assert extra[768] <= 1.1 * extra[96], extra
+
+
 def _candidate_fits(tail, min_exc) -> list:
     """Each candidate's fit, or its error's type and message."""
     fits = fit_samples(tail[tail > u] - u for u in candidate_thresholds(tail, min_exc))
@@ -258,17 +288,17 @@ def _candidate_fits(tail, min_exc) -> list:
 
 def test_one_row_blocks_give_the_same_scan(monkeypatch):
     block_sizes = _block_sizes(monkeypatch)
-    default = [scan_thresholds(tail, min_exceedances=m) for tail, m in (CAPPED, LONG)]
-    default_fits = [_candidate_fits(tail, m) for tail, m in (CAPPED, LONG)]
+    default = [scan_thresholds(tail, min_exceedances=m) for tail, m in (MANY, LONG)]
+    default_fits = [_candidate_fits(tail, m) for tail, m in (MANY, LONG)]
     assert max(block_sizes) > 1
-    # the scans drop boundary hits, the fits keep them: CAPPED's last 7
-    # candidates, in its fourth block (96 rows) and its fifth (6 rows)
+    # the scans drop boundary hits, the fits keep them: MANY's last 7
+    # candidates, the last rows of its one block of 390
     hits = [i for i, fit in enumerate(default_fits[0]) if fit.boundary_hit]
     assert hits == list(range(383, 390))
     block_sizes.clear()
     monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", 1)
-    one_row = [scan_thresholds(tail, min_exceedances=m) for tail, m in (CAPPED, LONG)]
-    one_row_fits = [_candidate_fits(tail, m) for tail, m in (CAPPED, LONG)]
+    one_row = [scan_thresholds(tail, min_exceedances=m) for tail, m in (MANY, LONG)]
+    one_row_fits = [_candidate_fits(tail, m) for tail, m in (MANY, LONG)]
     assert set(block_sizes) == {1}
     assert one_row == default
     assert one_row_fits == default_fits

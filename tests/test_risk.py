@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -95,6 +98,19 @@ class TestValueAtRisk:
             value_at_risk(0.0, GpdParams(0.1, 1.0), 10, 11, 0.01)
         with pytest.raises(InvalidCounts):
             value_at_risk(0.0, GpdParams(0.1, 1.0), 10, 0, 0.01)
+
+    @pytest.mark.parametrize("u,params,n,n_u,p", [
+        pytest.param(0.0, GpdParams(2.0, 1e-300), 10, 10, 1e-300, id="heavy_tail"),
+        pytest.param(1.0, GpdParams(-60.0, 1e-100), 10**6, 1, 0.5, id="short_tail"),
+    ])
+    def test_a_var_whose_power_overflows_is_the_40_digit_value(self, u, params, n, n_u, p):
+        # ((n/n_u) * p)^(-xi) is past the double range, (sigma/xi) times it is not
+        xi, sigma = params.shape, params.scale
+        assert abs(xi * math.log((n / n_u) * p)) > math.log(sys.float_info.max)
+        with mpmath.workdps(40):
+            ratio = mpmath.mpf(n) / n_u * mpmath.mpf(p)
+            want = float(u + mpmath.mpf(sigma) / xi * (ratio ** -mpmath.mpf(xi) - 1))
+        assert value_at_risk(u, params, n, n_u, p) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("u,params,n,n_u,p", [
         pytest.param(0.5, GpdParams(2.0, 1.0), 200, 20, 1e-300, id="expm1_overflows"),
