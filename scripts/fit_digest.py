@@ -6,8 +6,11 @@ boundary_hit flags, or the name of the error it gave in place of a fit.
 The inputs are the bundled data's four tails (two periods, two signs),
 the two tails of perfbench's tail_scan input and the two tails of its
 long_history input at ``--seed``, with each workload's min_exceedances.
-Two checkouts whose fits are bit-identical print the same digests. Each
-input's line ends with the work of its fits' searches: the totals of
+Each candidate's sample is built as ``scan_thresholds`` builds it: the
+excesses over the threshold of the suffix of the tail sorted once, in
+ascending order, so both checkouts fit the same rows. Two checkouts
+whose fits are bit-identical print the same digests. Each input's line
+ends with the work of its fits' searches: the totals of
 ``FitResult.grid_points`` and ``score_evaluations``, which can differ
 between checkouts whose fits do not, since a fit's grid points can depend
 on the rows that share its block.
@@ -83,12 +86,13 @@ def fits(tails) -> tuple:
     boundary_hit) or the error's name, and the fits' total grid points and
     score evaluations.
     """
-    from potrisk.excess import candidate_thresholds
+    from potrisk.excess import sorted_candidates
     from potrisk.gpd import FitResult, fit_samples
 
     out, work = [], [0, 0]
     for tail, min_exc in tails:
-        samples = (tail[tail > u] - u for u in candidate_thresholds(tail, min_exc))
+        xs, candidates, counts = sorted_candidates(tail, min_exc)
+        samples = (xs[xs.size - c :] - u for u, c in zip(candidates, counts))
         for fit in fit_samples(samples):
             if isinstance(fit, FitResult):
                 p = fit.params

@@ -13,19 +13,24 @@ holds a block of them, one per row, and its kernels evaluate every row
 at the row's own tau in one pass (:meth:`Rows.profile_nll`, and the
 profile score :meth:`Rows.profile_nll_deriv`), or at a grid of taus per
 row, lazily (:meth:`Rows.profile_nll_grid`): bounds from a few bins of
-each sorted sample rule out nearly every point as the row's minimum, so
-that it evaluates about three points per row.
+each sample rule out nearly every point as the row's minimum, so that it
+evaluates about three points per row.
 
-Each row is stored times 2**-e, e the exponent of its largest value: its
-values lie in (0, 1) and its mean is at least 1/(2n), so none of its
-squares, sums, grid points or bounds overflows, and a power-of-two
-scaling that keeps a sample normal changes only e. Taus are in row units,
-so tau*y and every sum are those of the sample's units. A row follows
-one leading zero and is padded with zeros to the width of its row group;
-np.add.reduceat sums each row over exactly its own elements, starting at the leading zero, which is the order ``y.sum()``
+Every sample comes sorted ascending (a threshold scan cuts each one from
+its tail sorted once) and is stored times 2**-e, e the exponent of its
+largest value: its values lie in (0, 1) and its mean is at least 1/(2n),
+so none of its squares, sums, grid points or bounds overflows, and a
+power-of-two scaling that keeps a sample normal changes only e. Taus are
+in row units, so tau*y and every sum are those of the sample's units. A
+row is right-aligned in the width of its row group: zero padding, one
+leading zero, then its values. A group's rows are thus already sorted
+with their zeros first, as its bins are cut, and each row's least value
+follows its leading zero. np.add.reduceat sums each row over exactly its
+own elements, from the leading zero on, which is the order ``y.sum()``
 uses. So a row's sums, and with them every iterate of its search, are
-bit-identical to those of the same sample fitted alone: a fit never
-depends on which rows share its block or its group.
+bit-identical to those of the same sample fitted alone: a fit depends
+neither on which rows share its block or its group, nor on the order in
+which its values came.
 """
 
 import math
@@ -92,16 +97,16 @@ class _Group:
         # The scratch views hold one element past the rows so that the last
         # segment has an end.
         self.t_flat, self.w_flat = t[: used + 1], w[: used + 1]
-        # Row i's segment runs from its leading zero over its data; every
+        # Row i's segment runs from its leading zero to the row's end; every
         # other segment covers padding and is dropped.
-        starts = np.arange(rows, dtype=np.intp) * self.width
+        ends = np.arange(1, rows + 1, dtype=np.intp) * self.width
         self.segments = np.empty(2 * rows, dtype=np.intp)
-        self.segments[0::2] = starts
-        self.segments[1::2] = starts + 1 + np.asarray(self.sizes, dtype=np.intp)
+        self.segments[0::2] = ends - 1 - np.asarray(self.sizes, dtype=np.intp)
+        self.segments[1::2] = ends
 
 
 class Rows:
-    """A block of samples, one sample per row, in reusable buffers.
+    """A block of samples, each sorted ascending, one per row, in reusable buffers.
 
     :meth:`add` copies each sample into one data buffer as it arrives, and
     :meth:`load` finishes the block. The rows are kept in groups of
@@ -127,7 +132,7 @@ class Rows:
         self.count = 0
         self._used = 0
         self._groups = []
-        self._maxima = []  # each row's sample.max()
+        self._maxima = []  # each row's largest value, sample[-1]
 
     def _joins(self, size) -> bool:
         """Whether a row of ``size`` points goes into the last group."""
@@ -142,21 +147,24 @@ class Rows:
         return self._used + grow <= 16 * BLOCK_ELEMENTS
 
     def add(self, sample: np.ndarray) -> None:
-        """Copy ``sample`` (a nonempty 1-d array of positive floats) into the block as its next row, in row units."""
+        """Copy ``sample`` into the block as its next row, in row units, right-aligned after its leading zero.
+
+        ``sample`` is a nonempty 1-d array of positive floats sorted
+        ascending, which is not checked.
+        """
         size = sample.size
         if not self._joins(size):
             self._groups.append(_Group(self._used, size + 1))
         g = self._groups[-1]
         start = g.offset + len(g.sizes) * g.width
-        self._used = start + g.width
-        if self._used + 1 > self._y.size:
-            data = np.zeros(max(self._used + 1, 16 * BLOCK_ELEMENTS + 1))
+        self._used = end = start + g.width
+        if end + 1 > self._y.size:
+            data = np.zeros(max(end + 1, 16 * BLOCK_ELEMENTS + 1))
             data[:start] = self._y[:start]
             self._y = data
-        self._maxima.append(sample.max())
-        self._y[start] = 0.0
-        np.ldexp(sample, -math.frexp(self._maxima[-1])[1], out=self._y[start + 1 : start + 1 + size])
-        self._y[start + 1 + size : self._used] = 0.0
+        self._maxima.append(sample[-1])
+        self._y[start : end - size] = 0.0  # the padding and the leading zero
+        np.ldexp(sample, -math.frexp(sample[-1])[1], out=self._y[end - size : end])
         g.sizes.append(size)
         self.count += 1
 
@@ -173,7 +181,7 @@ class Rows:
         self.y_max, self.e = np.frexp(self._maxima)
         segments = np.concatenate([g.segments + g.offset for g in self._groups])
         flat = self._y[: self._used + 1]
-        self.y_min = np.minimum.reduceat(flat, segments + np.tile([1, 0], self.count))[::2]
+        self.y_min = flat[segments[0::2] + 1]  # the value after each leading zero
         totals_sq = np.empty(self.count)
         for g in self._groups:
             np.multiply(g.y, g.y, out=g.t)
@@ -241,18 +249,21 @@ class Rows:
     def _order_bins(self) -> np.ndarray:
         """The bins (see _BINS) of each row's order statistics: 5 x rows x bins, padded with zero bins.
 
-        A group's rows, sorted with their zeros first, share the bins of its
-        width, cut where their values start; the first bin, all zeros, adds
-        nothing and is dropped. Per bin: its count c, least and greatest
-        values a and b, the sum of y - a and the root of half the sum of (y - a)**2.
+        A group's rows, stored sorted with their zeros first, share the bins
+        of its width, cut also where their values start; the first bin, all
+        zeros, adds nothing and is dropped. Per bin: its count c, least and
+        greatest values a and b, the sum of y - a and the root of half the
+        sum of (y - a)**2.
         """
         stops = [_bin_stops(g.width)[:-1] for g in self._groups]
         bins = np.zeros((5, self.count, max(s.size for s in stops)))
         for g, stop in zip(self._groups, stops):
             rows, width = len(g.sizes), g.width
-            cuts = np.column_stack([np.tile(stop, (rows, 1)), width - np.asarray(g.sizes)])
-            cuts = (np.sort(cuts, axis=1) + np.arange(0, rows * width, width)[:, None]).ravel()
-            s = np.sort(g.y, axis=1).ravel()
+            # each row's cuts: the stops with its first value's position merged in, ascending
+            first = (width - np.asarray(g.sizes))[:, None]
+            cuts = np.maximum(np.append(-1, stop), np.minimum(np.append(stop, width), first))
+            cuts = (cuts + np.arange(0, rows * width, width)[:, None]).ravel()
+            s = g.y.ravel()
             counts = np.diff(cuts, append=s.size)
             d = s - np.repeat(s[cuts], counts)
             root = np.sqrt(0.5 * np.add.reduceat(np.square(d), cuts))

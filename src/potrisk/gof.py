@@ -8,6 +8,7 @@ negative shape, or one above 0.3, yield not_applicable verdicts.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,9 +249,10 @@ def _gof_block(tail, offsets, thresholds, params) -> list:
 
 def require_alpha(alpha: float) -> float:
     """Validate that ``alpha`` is one of the tabulated levels."""
-    for level in ALPHA_LEVELS:
-        if math.isclose(alpha, level, rel_tol=0.0, abs_tol=1e-12):
-            return level
+    if isinstance(alpha, numbers.Real):
+        for level in ALPHA_LEVELS:
+            if math.isclose(alpha, level, rel_tol=0.0, abs_tol=1e-12):
+                return level
     raise UnknownAlphaLevel(f"alpha must be one of {ALPHA_LEVELS}, got {alpha}")
 
 

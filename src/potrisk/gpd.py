@@ -437,7 +437,9 @@ def fit_samples(samples):
     """Maximum-likelihood GPD fits of many excess samples, searched together.
 
     ``samples`` is an iterable of nonempty 1-d arrays of positive, finite
-    excesses. It is consumed one block at a time, and the fits are
+    excesses, each sorted ascending (not checked; :func:`fit_mle` sorts its
+    sample, and a threshold scan cuts each one from its tail sorted once).
+    It is consumed one block at a time, and the fits are
     yielded one block at a time, so neither all samples nor all results
     are in memory at once. A block takes up to ``8 * (BLOCK_ELEMENTS //
     _GRID_POINTS)`` (768) consecutive samples, however long, while their
@@ -485,7 +487,7 @@ def fit_mle(sample: ExcessSample, min_exceedances: int = DEFAULT_MIN_EXCEEDANCES
         raise TooFewExceedances(
             f"{sample.n_u} exceedances below the minimum fit size {min_exceedances}"
         )
-    (result,) = fit_samples([sample.excesses])
+    (result,) = fit_samples([np.sort(sample.excesses)])
     if isinstance(result, PotriskError):
         raise result
     return result

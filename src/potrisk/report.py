@@ -10,6 +10,7 @@ reported number can be recomputed by the library from the recorded inputs.
 import datetime
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -93,31 +94,51 @@ class AnalysisConfig:
     out_dir: Path = Path(".")
 
     def validate(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise InvalidProbability(f"p must lie in (0, 1), got {self.p}")
-        if self.min_exceedances < 2:
-            raise ValidationError(
-                f"min_exceedances must be >= 2, got {self.min_exceedances}"
-            )
+        """A ValidationError unless p is in (0, 1), min_exceedances an int >= 2 and alpha_filter None or a level."""
+        if not (isinstance(self.p, numbers.Real) and 0.0 < self.p < 1.0):
+            raise InvalidProbability(f"p must lie in (0, 1), got {self.p!r}")
+        m = self.min_exceedances
+        if isinstance(m, bool) or not isinstance(m, int) or m < 2:
+            raise ValidationError(f"min_exceedances must be an integer >= 2, got {m!r}")
         if self.alpha_filter is not None:
             self.alpha_filter = require_alpha(self.alpha_filter)
 
     @classmethod
     def from_json(cls, path, input_path=None, out_dir=None) -> "AnalysisConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        periods = [
-            (datetime.date.fromisoformat(a), datetime.date.fromisoformat(b))
-            for a, b in raw.get("periods", [])
-        ]
-        return cls(
-            input_path=Path(input_path if input_path is not None else raw.get("input", "")),
-            periods=periods,
-            p=raw.get("p", 0.01),
-            min_exceedances=raw.get("min_exceedances", DEFAULT_MIN_EXCEEDANCES),
-            alpha_filter=raw.get("alpha_filter"),
-            out_dir=Path(out_dir if out_dir is not None else "."),
-        )
+        """The validated config of the JSON object in ``path``; unknown keys are ignored.
+
+        Arguments that are not None take the place of the file's "input" and
+        of the out_dir default ".". A file that does not hold such an object
+        raises a ValidationError naming it.
+        """
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
+            raise ValidationError(f"{path}: {exc}") from exc
+        try:
+            if not isinstance(raw, dict):
+                raise ValidationError(f"expected a JSON object, got {type(raw).__name__}")
+            pairs, source = raw.get("periods", []), raw.get("input", "")
+            if not (isinstance(pairs, list) and all(
+                isinstance(pair, list) and len(pair) == 2 and all(isinstance(d, str) for d in pair)
+                for pair in pairs
+            )):
+                raise ValidationError(f"periods must be a list of [start, end] ISO date pairs, got {pairs!r}")
+            if not isinstance(source, str):
+                raise ValidationError(f"input must be a path, got {source!r}")
+            config = cls(
+                input_path=Path(input_path if input_path is not None else source),
+                periods=[parse_period(f"{start}:{end}") for start, end in pairs],
+                p=raw.get("p", 0.01),
+                min_exceedances=raw.get("min_exceedances", DEFAULT_MIN_EXCEEDANCES),
+                alpha_filter=raw.get("alpha_filter"),
+                out_dir=Path(out_dir if out_dir is not None else "."),
+            )
+            config.validate()
+        except ValidationError as exc:
+            raise _rescope(exc, str(path)) from exc
+        return config
 
 
 def trend_coefficients(returns: ReturnSeries) -> tuple[float, float, list[tuple[int, float]]]:

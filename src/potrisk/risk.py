@@ -162,7 +162,7 @@ def scan_thresholds(
     if min_exceedances < 1:  # then the largest value is a candidate, with nothing above
         raise NoExceedances(f"no observations above threshold {candidates[-1]}")
 
-    fits = fit_samples(x[x > u] - u for u in candidates)
+    fits = fit_samples(xs[x.size - c :] - u for u, c in zip(candidates, counts))
     survivors = []  # (candidate index, fit)
     fit_errors = 0
     not_converged = 0

@@ -335,7 +335,7 @@ def test_fits_on_tied_and_near_constant_tails_are_sane(tail):
             candidates = candidate_thresholds(tail, 3)
         except PotriskError:
             return
-        for fit in fit_samples(tail[tail > u] - u for u in candidates):
+        for fit in fit_samples(np.sort(tail[tail > u] - u) for u in candidates):
             if isinstance(fit, PotriskError):
                 continue
             values = (fit.params.shape, fit.params.scale, fit.log_likelihood)
@@ -356,7 +356,7 @@ def test_fits_on_tied_and_near_constant_tails_are_sane(tail):
     k=st.integers(-1060, 1060),
 )
 def test_a_power_of_two_scaling_scales_the_fit_bit_for_bit(xi, size, seed, k):
-    y = gpd_sample(GpdParams(xi, 1.0), size, seed)
+    y = np.sort(gpd_sample(GpdParams(xi, 1.0), size, seed))
     with np.errstate(over="ignore"):
         scaled = np.ldexp(y, k)
     if not (scaled.min() >= np.finfo(float).tiny and np.isfinite(scaled.max())):
@@ -373,3 +373,36 @@ def test_a_power_of_two_scaling_scales_the_fit_bit_for_bit(xi, size, seed, k):
     assert got.params.shape.hex() == want.params.shape.hex()
     assert got.params.scale == scale
     assert (got.converged, got.boundary_hit) == (want.converged, want.boundary_hit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi=st.floats(-0.5, 0.5), size=st.integers(10, 200), seed=st.integers(0, 2**32 - 1))
+def test_a_fit_depends_only_on_the_values_of_its_sample(xi, size, seed):
+    # fit_mle sorts its sample, so any order of the same values, reversed or
+    # shuffled, gives the same bits and flags
+    y = gpd_sample(GpdParams(xi, 1.0), size, seed)
+    fits = []
+    for order in (y, y[::-1], np.random.default_rng(seed).permutation(y)):
+        try:
+            fit = fit_mle(ExcessSample(0.0, order, size))
+        except PotriskError as exc:
+            fits.append(type(exc))
+            continue
+        values = (fit.params.shape, fit.params.scale, fit.log_likelihood)
+        fits.append(([v.hex() for v in values], fit.converged, fit.boundary_hit))
+    assert fits[1] == fits[0] and fits[2] == fits[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(xi=st.floats(-0.4, 0.6), size=st.integers(12, 150), seed=st.integers(0, 2**32 - 1))
+def test_a_scan_depends_only_on_the_values_of_its_tail(xi, size, seed):
+    tail = gpd_sample(GpdParams(xi, 1.0), size, seed)
+    shuffled = np.random.default_rng(seed).permutation(tail)
+    for regime in (HEAVY_TAIL, SHORT_TAIL):
+        try:
+            want = scan_thresholds(tail, regime=regime, min_exceedances=5)
+        except PotriskError as exc:
+            with pytest.raises(type(exc)):
+                scan_thresholds(shuffled, regime=regime, min_exceedances=5)
+            continue
+        assert scan_thresholds(shuffled, regime=regime, min_exceedances=5) == want

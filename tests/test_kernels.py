@@ -17,10 +17,10 @@ import scalar_oracle
 
 
 def _loaded(samples):
-    """A loaded block holding ``samples``."""
+    """A loaded block holding ``samples``, each sorted as Rows.add takes it."""
     rows = _kernels.Rows()
     for y in samples:
-        rows.add(np.ascontiguousarray(y, dtype=float))
+        rows.add(np.sort(np.asarray(y, dtype=float)))
     rows.load()
     return rows
 
@@ -37,7 +37,9 @@ def _block_values(kernel, cases):
 class TestRows:
     def _samples(self):
         rng = np.random.default_rng(3)
-        return [rng.exponential(1.0, size) * 10.0 ** rng.uniform(-3, 3) for size in (1, 7, 300, 129, 300)]
+        return [
+            np.sort(rng.exponential(1.0, size)) * 10.0 ** rng.uniform(-3, 3) for size in (1, 7, 300, 129, 300)
+        ]
 
     def _taus(self, samples):
         return np.array([0.7 / y.mean() if i % 2 else -0.9 / y.max() for i, y in enumerate(samples)])
@@ -110,7 +112,7 @@ class TestRows:
 
     def test_kernels_match_scalar_oracle(self):
         rng = np.random.default_rng(123)
-        samples = [rng.exponential(1.0, 25), rng.pareto(4.0, 4000) + 0.01]
+        samples = [np.sort(rng.exponential(1.0, 25)), np.sort(rng.pareto(4.0, 4000) + 0.01)]
         for y in samples:
             tau_min = -(1.0 - 1e-10) / y.max()
             taus = [0.0, 1e-9, -1e-9, 0.5, 5.0, tau_min * 0.5, tau_min * 0.999, tau_min]
@@ -193,7 +195,7 @@ class TestAgainstScalarOracle:
     def test_every_candidate_and_the_diagnostics_agree(self, tail, regime, min_exc):
         _, want_diag, want_fits = scalar_oracle.scan(tail, regime=regime, min_exceedances=min_exc)
         candidates = candidate_thresholds(tail, min_exc)
-        got_fits = list(fit_samples(tail[tail > u] - u for u in candidates))
+        got_fits = list(fit_samples(np.sort(tail[tail > u] - u) for u in candidates))
         assert len(got_fits) == len(want_fits) == candidates.size
         for u, got, want in zip(candidates, got_fits, want_fits):
             if isinstance(want, Exception):
@@ -239,7 +241,7 @@ def test_a_block_takes_768_samples_however_long(monkeypatch):
     # 768 = 8 * (BLOCK_ELEMENTS // _GRID_POINTS); a scan's candidates fill
     # the data buffer first, so the cap binds on many short samples
     sizes.clear()
-    list(fit_samples(gpd_sample(GpdParams(0.2, 1.0), 10, seed) for seed in range(1000)))
+    list(fit_samples(np.sort(gpd_sample(GpdParams(0.2, 1.0), 10, seed)) for seed in range(1000)))
     assert sizes == [768, 232]
 
 
@@ -282,7 +284,7 @@ def test_the_tau_grids_are_built_in_chunks():
 
 def _candidate_fits(tail, min_exc) -> list:
     """Each candidate's fit, or its error's type and message."""
-    fits = fit_samples(tail[tail > u] - u for u in candidate_thresholds(tail, min_exc))
+    fits = fit_samples(np.sort(tail[tail > u] - u) for u in candidate_thresholds(tail, min_exc))
     return [(type(fit), str(fit)) if isinstance(fit, Exception) else fit for fit in fits]
 
 

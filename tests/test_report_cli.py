@@ -550,3 +550,40 @@ class TestCsvWriters:
             for e in estimates
         ]
         assert (tmp_path / "got.csv").read_bytes() == self._csv_writer_bytes(tmp_path, rows)
+
+
+# Malformed --config files, each against the bundled input.
+_BAD_CONFIGS = {
+    "truncated": b'{"periods": [["1982-01-01", "1996',
+    "non-utf8": b'\xff\xfe{}',
+    "nested-too-deep": b"[" * 100_000,
+    "top-level-list": b"[1, 2]",
+    "p-string": b'{"p": "0.01"}',
+    "alpha-string": b'{"alpha_filter": "x"}',
+    "one-date-period": b'{"periods": [["1982-01-01"]]}',
+    "bad-month": b'{"periods": [["1982-13-01", "1996-01-01"]]}',
+    "periods-string": b'{"periods": "1982-01-01:1996-01-01"}',
+    "min-exceedances-float": b'{"min_exceedances": 2.5}',
+    "min-exceedances-bool": b'{"min_exceedances": true}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_malformed_config_exits_2_naming_the_file(tmp_path, capsys, case):
+    config = tmp_path / "config.json"
+    config.write_bytes(_BAD_CONFIGS[case])
+    code = main(["analyze", "--input", str(bundled_data_path("synthetic_weekends.csv")),
+                 "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith(f"error: {config}: ") and len(captured.err.splitlines()) == 1, captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_input_must_be_a_path(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"input": 5}')
+    with pytest.raises(ValidationError, match="input must be a path, got 5") as info:
+        AnalysisConfig.from_json(config)
+    assert str(info.value).startswith(f"{config}: ")

@@ -45,7 +45,7 @@ _FAMILIES = {
 
 
 def _candidate_fits(tail, min_exceedances):
-    samples = [tail[tail > u] - u for u in candidate_thresholds(tail, min_exceedances)]
+    samples = [np.sort(tail[tail > u] - u) for u in candidate_thresholds(tail, min_exceedances)]
     return zip(samples, fit_samples(samples))
 
 
@@ -61,7 +61,8 @@ def _score(y, tau):
 
 
 def _block(samples):
-    """A loaded block of ``samples``, and the samples in its row units (times 2**-e, see _kernels)."""
+    """A loaded block of ``samples``, and the samples, sorted, in its row units (times 2**-e, see _kernels)."""
+    samples = [np.sort(y) for y in samples]
     rows = _kernels.Rows()
     for y in samples:
         rows.add(y)
