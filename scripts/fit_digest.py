@@ -1,12 +1,13 @@
-"""Print a sha256 over the bits of every candidate fit of three inputs, or compare the fits with another checkout's.
+"""Print a sha256 over the bits of every fit of four inputs, or compare the fits with another checkout's.
 
-For each candidate threshold of each tail, the digest takes the fit's
-shape, scale and log-likelihood as 8-byte doubles and its converged and
-boundary_hit flags, or the name of the error it gave in place of a fit.
-The inputs are the bundled data's four tails (two periods, two signs),
-the two tails of perfbench's tail_scan input and the two tails of its
-long_history input at ``--seed``, with each workload's min_exceedances.
-Each candidate's sample is built as ``scan_thresholds`` builds it: the
+For each fit, the digest takes its shape, scale and log-likelihood as
+8-byte doubles and its converged and boundary_hit flags, or the name of
+the error it gave in place of a fit. The inputs are the candidate
+thresholds of the bundled data's four tails (two periods, two signs), of
+the two tails of perfbench's tail_scan input and of the two tails of its
+long_history input at ``--seed``, with each workload's min_exceedances,
+and 90 samples spanning 8 to 30 decades (:func:`multi_decade_samples`),
+whose fits the top of the tau grid decides. Each candidate's sample is built as ``scan_thresholds`` builds it: the
 excesses over the threshold of the suffix of the tail sorted once, in
 ascending order, so both checkouts fit the same rows. Two checkouts
 whose fits are bit-identical print the same digests. Each input's line
@@ -79,20 +80,40 @@ def long_history_tails(seed):
         yield tail, min_exc
 
 
-def fits(tails) -> tuple:
-    """The candidate fits of ``tails`` and the work of their searches.
+def multi_decade_samples():
+    """90 seeded samples of 15, 40 and 200 points, log-uniform over 8 to 30 decades, each sorted.
+
+    Their smallest values sit far below their means, so the top of the tau
+    grid, 2*(mean - y_min)/y_min**2, lies many decades above 1e8/mean, and
+    some roots of their profile scores lie near it.
+    """
+    rng = np.random.default_rng(0)
+    for span in (8, 10, 12, 16, 20, 30):
+        for n in (15, 40, 200):
+            for _ in range(5):
+                yield np.sort(10.0 ** rng.uniform(-span / 2, span / 2, n))
+
+
+def candidate_samples(tails):
+    """Per tail of ``tails``, its candidates' samples."""
+    from potrisk.excess import sorted_candidates
+
+    for tail, min_exc in tails:
+        xs, candidates, counts = sorted_candidates(tail, min_exc)
+        yield (xs[xs.size - c :] - u for u, c in zip(candidates, counts))
+
+
+def fits(batches) -> tuple:
+    """The fits of the samples of ``batches``, each batch fitted by one ``fit_samples`` call, and their work.
 
     Returns a list with, per fit, (shape, scale, log-likelihood, converged,
     boundary_hit) or the error's name, and the fits' total grid points and
     score evaluations.
     """
-    from potrisk.excess import sorted_candidates
     from potrisk.gpd import FitResult, fit_samples
 
     out, work = [], [0, 0]
-    for tail, min_exc in tails:
-        xs, candidates, counts = sorted_candidates(tail, min_exc)
-        samples = (xs[xs.size - c :] - u for u, c in zip(candidates, counts))
+    for samples in batches:
         for fit in fit_samples(samples):
             if isinstance(fit, FitResult):
                 p = fit.params
@@ -119,9 +140,10 @@ def digest(records) -> str:
 def all_fits(seed) -> dict:
     """Per input, :func:`fits` of its tails."""
     return {
-        "bundled": fits(bundled_tails()),
-        f"tail_scan@{seed}": fits(tail_scan_tails(seed)),
-        f"long_history@{seed}": fits(long_history_tails(seed)),
+        "bundled": fits(candidate_samples(bundled_tails())),
+        f"tail_scan@{seed}": fits(candidate_samples(tail_scan_tails(seed))),
+        f"long_history@{seed}": fits(candidate_samples(long_history_tails(seed))),
+        "multi_decade": fits([multi_decade_samples()]),
     }
 
 

@@ -10,8 +10,8 @@ A threshold scan searches hundreds of small excess samples, and one
 likelihood evaluation on 10-400 points costs more in per-call overhead
 than in arithmetic. So the samples are searched together: :class:`Rows`
 holds a block of them, one per row, and its kernels evaluate every row
-at the row's own tau in one pass (:meth:`Rows.profile_nll`, and the
-profile score :meth:`Rows.profile_nll_deriv`), or at a grid of taus per
+at the row's own tau in one pass (the profile score,
+:meth:`Rows.profile_nll_deriv`), or the profile NLL at a grid of taus per
 row, lazily (:meth:`Rows.profile_nll_grid`): bounds from a few bins of
 each sample rule out nearly every point as the row's minimum, so that it
 evaluates about three points per row.
@@ -191,7 +191,7 @@ class Rows:
         return self.n
 
     def profile_nll_grid(self, taus: np.ndarray):
-        """:meth:`profile_nll` of every row at the points of its row of ``taus`` that matter.
+        """The profile NLL of every row (+inf where infeasible) at the points of its row of ``taus`` that matter.
 
         Each row of ``taus`` is sorted. Returns the values, and the sums of
         log1p(tau*y) they came from (0 at tau = 0), where they were evaluated,
@@ -341,12 +341,6 @@ class Rows:
                 np.subtract(g.w, t, out=g.w)
                 d_sums[rows] = np.add.reduceat(g.w_flat, g.segments)[::2]
         return l, w_sums, d_sums
-
-    def profile_nll(self, tau: np.ndarray):
-        """Every row's profile NLL at its own tau in one pass (+inf where infeasible), and the sum l it came from."""
-        with np.errstate(all="ignore"):
-            l = self.sums(tau, False)[0]
-        return profile_nll_from_sum(self.n, self.mean, tau, l), l
 
     def profile_nll_deriv(self, tau: np.ndarray):
         """Derivative in tau of every row's profile NLL at its own tau (the profile score), in one pass.

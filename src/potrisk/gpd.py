@@ -11,11 +11,13 @@ exponential limit handled continuously. The search runs on the profiled
 one-dimensional objective over tau = xi/sigma (see _kernels), as Grimshaw
 (1993) does: a coarse grid brackets the optimum, and a safeguarded
 false-position solve finds the root of the analytic derivative (the
-profile score) in that bracket to within 4 ulps. The grid is evaluated
-lazily, where bounds from bins of the sorted sample cannot rule a point
-out, with the minimum and bracket of the full grid. Where the score does
-not change sign over the bracket and the grid's minimum is its
-feasibility edge, the fit is that edge, a boundary hit.
+profile score) in that bracket to within 4 ulps. The grid ends at
+Grimshaw's bound 2*(mean - y_min)/y_min**2 on the score's positive roots,
+so no search looks beyond it. The grid is evaluated lazily, where bounds
+from bins of the sorted sample cannot rule a point out, with the minimum
+and bracket of the full grid. Where the score does not change sign over
+the bracket, the fit is the grid's minimum: a boundary hit at the
+feasibility edge, unconverged elsewhere.
 
 :func:`fit_samples` fits many samples at once, as the threshold scan
 needs: a block's search state lives in arrays over its rows, and one
@@ -130,8 +132,8 @@ class ExcessSample:
 class FitResult:
     """A maximum-likelihood fit, and the work of its search, which equality ignores.
 
-    The counts: points of the tau grid and its expansion where the profile
-    NLL was evaluated, and evaluations of the profile score in the solve.
+    The counts: points of the tau grid where the profile NLL was
+    evaluated, and evaluations of the profile score in the solve.
     """
 
     params: GpdParams
@@ -228,59 +230,36 @@ def gpd_log_likelihood(params: GpdParams, excesses) -> float:
 _GRID_POINTS = 1 + 9 + 25 + 1 + 49
 
 
-def _tau_grids(means: np.ndarray, tau_mins: np.ndarray) -> np.ndarray:
+def _tau_grids(means: np.ndarray, y_mins: np.ndarray, y_maxs: np.ndarray) -> np.ndarray:
     """Coarse candidate ratios covering both tail regimes, one sorted row per sample.
 
     Clusters near the feasibility edge tau_min (short-tail optima pile up
     there), around zero (exponential neighborhood), and sweeps positive
-    ratios over many decades. A row can repeat a value, which the grid
-    evaluation skips.
+    ratios over many decades, from 1e-8/mean up to the top
+    2*(mean - y_min)/y_min**2, above which the profile score has no root
+    (Grimshaw 1993). The top is clipped to [1e-8/mean, 1e28/mean], so it
+    is positive where a rounded mean sits below y_min and finite where
+    y_min**2 underflows. The sweep's points above the top are clamped to
+    it and its last point is the top, so a row can repeat a value, which
+    the grid evaluation skips.
     """
     grid = np.empty((means.size, _GRID_POINTS))
     edge = 1.0 - 10.0 ** -np.arange(1.0, 10.0)
     step = max(1, _kernels.BLOCK_ELEMENTS // _GRID_POINTS)  # rows per chunk, so its temporaries stay in cache
     for i in range(0, means.size, step):
-        g, tau_min, s = grid[i : i + step], tau_mins[i : i + step], 1.0 / means[i : i + step]
+        g, mean, y_min = grid[i : i + step], means[i : i + step], y_mins[i : i + step]
+        s, tau_min = 1.0 / mean, -(1.0 - _FEASIBILITY_EPS) / y_maxs[i : i + step]
         g[:, 0] = tau_min
         np.multiply(tau_min[:, None], edge, out=g[:, 1:10])
         np.negative(np.geomspace(1e-8 * s, 0.9 * np.abs(tau_min), 25, axis=1), out=g[:, 10:35])
         g[:, 35] = 0.0
-        g[:, 36:] = np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1)
+        with np.errstate(divide="ignore", over="ignore"):  # a tiny y_min's top is inf, clipped next
+            top = 2.0 * (mean - y_min) / (y_min * y_min)
+        np.clip(top, 1e-8 * s, 1e28 * s, out=top)
+        np.minimum(np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1), top[:, None], out=g[:, 36:])
+        g[:, -1] = top
         g.sort(axis=1)
     return grid
-
-
-def _bracket(rows, grids, values, sums, live):
-    """Each row's least finite grid value and its nearest finite neighbours, the grid expanded to the right.
-
-    ``values`` and ``sums`` hold the profile NLL and its sum of
-    log1p(tau*y) where the lazy grid evaluated them, nan elsewhere. While a
-    ``live`` row's least value is its last finite one, a point ten times
-    further right is evaluated, at most 20 times, until one is not finite.
-    Returns x and f, the tau and NLL of the left neighbour, least value and
-    right neighbour (one row each), the least value's sum, whether each
-    neighbour exists, and the points evaluated per row.
-    """
-    count, size = values.shape
-    best, left, right = _kernels.least_and_neighbours(values, np.isfinite(values))
-    has = np.array([left >= 0, right < size])
-    at = (np.arange(count), np.array([left, best, right % size]))
-    x, f, l = grids[at], values[at], sums[np.arange(count), best]
-    points = np.count_nonzero(~np.isnan(values), axis=1)
-    grow = live & ~has[1]
-    for _ in range(20):
-        if not np.count_nonzero(grow):
-            break
-        nxt = x[1] * 10.0
-        value, sum_ = rows.profile_nll(np.where(grow, nxt, 0.0))
-        points += grow
-        ok = grow & np.isfinite(value)
-        grow = ok & (value < f[1])  # the new point is the least
-        stop = ok & ~grow  # the new point is the right neighbour
-        x[0, grow], f[0, grow], has[0, grow] = x[1, grow], f[1, grow], True
-        x[1, grow], f[1, grow], l[grow] = nxt[grow], value[grow], sum_[grow]
-        x[2, stop], f[2, stop], has[1, stop] = nxt[stop], value[stop], True
-    return x, f, l, has, points
 
 
 def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
@@ -401,16 +380,23 @@ def _search(rows, grids, values, sums) -> list:
     """
     n, e, mean, y_max = rows.n, rows.e, rows.mean, rows.y_max  # the block's order; rows.keep makes new arrays
     degenerate = y_max == rows.y_min
-    flat = ~np.isfinite(values).any(axis=1)
-    live = ~(degenerate | flat)
-    x, f, l_best, has, points = _bracket(rows, grids, values, sums, live)
+    # The least value and its nearest finite neighbours, each as x and f
+    # (tau and NLL), one row each. Every row has a least value: tau = 0 is
+    # on every grid, and its NLL n*(log(mean) + 1) is finite.
+    count, width = values.shape
+    best, left, right = _kernels.least_and_neighbours(values, np.isfinite(values))
+    has = np.array([left >= 0, right < width])
+    at = (np.arange(count), np.array([left, best, right % width]))
+    x, f, l_best = grids[at], values[at], sums[np.arange(count), best]
+    points = np.count_nonzero(~np.isnan(values), axis=1)
     lo, hi = np.where(has[0], x[0], x[1]), np.where(has[1], x[2], x[1])
     d1 = (f[1] - f[0]) / (x[1] - x[0])  # the solve starts at the convex parabola's vertex
     curvature = ((f[2] - f[1]) / (x[2] - x[1]) - d1) / (x[2] - x[0])
     first = np.where(has[0] & has[1] & (curvature > 0.0), 0.5 * (x[0] + x[1]) - d1 / (2.0 * curvature), math.nan)
-    tau, l, rooted, converged, evaluations = _solve_score(rows, lo, hi, x[1], f[1], l_best, first, live)
+    tau, l, rooted, converged, evaluations = _solve_score(rows, lo, hi, x[1], f[1], l_best, first, ~degenerate)
     # Without a root, the fit is the grid's least point: unconverged if
-    # that is inside, the feasibility edge (a boundary hit) otherwise.
+    # that is inside or the grid's top, the feasibility edge (a boundary
+    # hit) if it is the first.
     converged = np.where(rooted, converged, ~has[0])
     zero = tau == 0.0
     shape = np.where(zero, 0.0, l / n)
@@ -422,8 +408,6 @@ def _search(rows, grids, values, sums) -> list:
     for i, (size, xi, sigma, conv, edge, *counts) in enumerate(zip(*(c.tolist() for c in columns))):
         if degenerate[i]:
             results.append(DegenerateSample("all excesses are equal; the GPD likelihood diverges"))
-        elif flat[i]:
-            results.append(NonConvergence("profile likelihood is non-finite on the whole search grid"))
         elif not (sigma > 0.0) or not math.isfinite(sigma):
             results.append(NonConvergence(f"optimizer produced an invalid scale {sigma}"))
         else:
@@ -470,7 +454,7 @@ def fit_samples(samples):
 def _fit_block(rows) -> list:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
     rows.load()
-    grids = _tau_grids(rows.mean, -(1.0 - _FEASIBILITY_EPS) / rows.y_max)
+    grids = _tau_grids(rows.mean, rows.y_min, rows.y_max)
     results = _search(rows, grids, *rows.profile_nll_grid(grids))
     rows.clear()
     return results

@@ -25,8 +25,15 @@ def _loaded(samples):
     return rows
 
 
+def _profile_nll(rows, tau):
+    """Every row's profile NLL at its own tau in one pass, and the sum l it came from, as the lazy grid forms them."""
+    with np.errstate(all="ignore"):  # log1p(t) at t <= -1
+        l = rows.sums(tau, False)[0]
+    return _kernels.profile_nll_from_sum(rows.n, rows.mean, tau, l), l
+
+
 def _block_values(kernel, cases):
-    """``kernel`` (a Rows kernel, in row units) of one block holding sample_i at tau_i, for every (sample_i, tau_i).
+    """``kernel`` (of a block and its taus in row units) of one block holding sample_i at tau_i, for every (sample_i, tau_i).
 
     Each tau_i is in its sample's units; the kernel gets it in row units.
     """
@@ -105,7 +112,7 @@ class TestRows:
     def test_infeasible_tau(self):
         y = np.array([1.0, 2.0, 4.0])
         bad = -0.3  # 1 + tau*4 < 0
-        (value,), (l,) = _block_values(_kernels.Rows.profile_nll, [(y, bad)])
+        (value,), (l,) = _block_values(_profile_nll, [(y, bad)])
         assert value == math.inf and math.isnan(l)
         (score,), (l,) = _block_values(_kernels.Rows.profile_nll_deriv, [(y, bad)])
         assert math.isnan(score) and math.isnan(l)
@@ -116,9 +123,9 @@ class TestRows:
         for y in samples:
             tau_min = -(1.0 - 1e-10) / y.max()
             taus = [0.0, 1e-9, -1e-9, 0.5, 5.0, tau_min * 0.5, tau_min * 0.999, tau_min]
-            nll, nll_sums = _block_values(_kernels.Rows.profile_nll, [(y, tau) for tau in taus])
+            nll, nll_sums = _block_values(_profile_nll, [(y, tau) for tau in taus])
             deriv, sums = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau) for tau in taus])
-            assert nll_sums.tolist() == sums.tolist()  # both kernels keep the same sums
+            assert nll_sums.tolist() == sums.tolist()  # a value pass and a score pass keep the same sums
             row = _loaded([y])
             e = int(row.e[0])
             y_row = np.ldexp(y, -e)  # the kernels' values are those of the sample in row units
@@ -150,7 +157,7 @@ def test_the_least_values_nearest_finite_neighbours_are_pending():
         [0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0],
     ]
-    # the finite neighbours alone, as gpd._bracket takes them
+    # the finite neighbours alone, as gpd._search takes them
     best, left, right = _kernels.least_and_neighbours(f, np.isfinite(f))
     assert (best.tolist(), left.tolist(), right.tolist()) == ([3, 3, 2, 0], [0, 0, 1, -1], [5, 5, 3, 6])
 
@@ -162,7 +169,7 @@ class TestDerivative:
         other = np.random.default_rng(8).exponential(3.0, 250)
         h = 1e-7 * max(1.0, abs(tau))
         up, down, _ = _block_values(
-            _kernels.Rows.profile_nll, [(y, tau + h), (y, tau - h), (other, 0.1)]
+            _profile_nll, [(y, tau + h), (y, tau - h), (other, 0.1)]
         )[0].tolist()
         deriv = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau), (other, -0.1)])[0][0]
         # the NLL in row units differs by a constant; d/dtau is 2**e times d/dtau in row units
@@ -187,6 +194,9 @@ TAILS = [
                  HEAVY_TAIL, 10, id="tied_300"),
     pytest.param(gpd_sample(GpdParams(0.25, 1.0), 10, seed=4), HEAVY_TAIL, 3, id="heavy_10"),
     pytest.param(gpd_sample(GpdParams(-0.3, 2.0), 60, seed=5), SHORT_TAIL, 5, id="short_60"),
+    # log-uniform over 20 decades: 35 of its 55 roots lie past 1e8/mean,
+    # where the grid runs on to its top
+    pytest.param(10.0 ** np.random.default_rng(11).uniform(-10.0, 10.0, 60), HEAVY_TAIL, 5, id="decades_60"),
 ]
 
 
@@ -272,10 +282,10 @@ def test_the_tau_grids_are_built_in_chunks():
     rng = np.random.default_rng(1)
     extra = {}
     for count in (96, 768):
-        means, y_max = rng.uniform(0.1, 0.5, count), rng.uniform(0.5, 1.0, count)
+        means, y_min, y_max = rng.uniform(0.1, 0.5, count), rng.uniform(1e-9, 0.1, count), rng.uniform(0.5, 1.0, count)
         tracemalloc.start()
         try:
-            grids = gpd._tau_grids(means, -1.0 / y_max)
+            grids = gpd._tau_grids(means, y_min, y_max)
             extra[count] = tracemalloc.get_traced_memory()[1] - grids.nbytes
         finally:
             tracemalloc.stop()

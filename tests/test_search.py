@@ -10,9 +10,11 @@ deterministic tests on the bundled data count the grid points, score
 evaluations and kernel passes per fit.
 """
 
+import itertools
 import math
 import re
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -72,8 +74,7 @@ def _block(samples):
 
 def _grids(samples):
     """The tau grid of each sample, one row per sample; for samples in row units, that of their fits."""
-    tau_mins = -(1.0 - gpd._FEASIBILITY_EPS) / np.array([y.max() for y in samples])
-    return gpd._tau_grids(np.array([y.mean() for y in samples]), tau_mins)
+    return gpd._tau_grids(*(np.array([f(y) for y in samples]) for f in (np.mean, np.min, np.max)))
 
 
 def _grid_nll(y):
@@ -234,6 +235,76 @@ def test_the_iteration_cap_marks_the_fit_unconverged(monkeypatch):
     assert capped.params.shape == pytest.approx(fit_mle(sample).params.shape, rel=0.1)
 
 
+def test_the_grid_ends_at_grimshaws_root_bound():
+    # rows: a top below 1e8/mean; one above it; a y_min whose square
+    # underflows; a rounded mean below y_min
+    means = np.array([0.3, 0.3, 0.3, 0.1])
+    y_mins = np.array([0.01, 1e-9, 1e-200, np.nextafter(0.1, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grids = gpd._tau_grids(means, y_mins, np.full(4, 0.9))
+    tops = [2.0 * (m - a) / (a * a) for m, a in zip(means[:2], y_mins[:2])] + [1e28 * (1.0 / 0.3), 1e-8 * (1.0 / 0.1)]
+    assert (np.diff(grids, axis=1) >= 0.0).all()
+    # the sweep of 49 positive points, clamped to the top, ends at the top
+    sweeps = np.geomspace(1e-8 * (1.0 / means), 1e8 * (1.0 / means), 49, axis=1)
+    for grid, sweep, top in zip(grids, sweeps, tops):
+        assert grid[36:].tolist() == np.minimum(sweep[:-1], top).tolist() + [top]
+
+
+def _multi_decade_draw(index):
+    """Draw ``index`` of the 90 multi-decade samples that scripts/fit_digest.py fits."""
+    rng = np.random.default_rng(0)
+    draws = (
+        np.sort(10.0 ** rng.uniform(-span / 2, span / 2, n))
+        for span in (8, 10, 12, 16, 20, 30) for n in (15, 40, 200) for _ in range(5)
+    )
+    return next(itertools.islice(draws, index, None))
+
+
+def test_roots_beyond_the_lower_end_of_spots_interval_are_found():
+    # At 50 digits (mpmath), the profile scores of draws 60 and 76 have
+    # their roots at 1.044 and 1.0048 times 2*(mean - y_min)/(mean*y_min),
+    # which Siffer et al. (2017) restate as the lower end of their search
+    # interval; that of draw 77 lies at 1.16e28/mean, past the grid's top.
+    for index in (60, 76):
+        y = _multi_decade_draw(index)
+        (fit,) = fit_samples([y])
+        assert fit.converged and not fit.boundary_hit, (index, fit)
+        assert fit.params.shape / fit.params.scale > 2.0 * (y.mean() - y[0]) / (y.mean() * y[0])
+    y = _multi_decade_draw(77)
+    (fit,) = fit_samples([y])
+    assert not fit.converged and not fit.boundary_hit, fit
+    assert fit.params.shape / fit.params.scale == pytest.approx(1e28 / y.mean(), rel=1e-12)
+
+
+def test_a_sample_with_a_1e_200_minimum_fits_without_a_warning():
+    y = np.sort(np.append(gpd_sample(GpdParams(0.2, 1.0), 30, seed=31), 1e-200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (fit,) = fit_samples([y])
+    assert fit.converged and not fit.boundary_hit, fit
+
+
+def test_no_fit_evaluates_a_tau_outside_its_grid(monkeypatch):
+    taus = []  # every tau of every kernel pass
+    sums = _kernels.Rows.sums
+
+    def recorded(self, tau, deriv):
+        taus.append(tau.copy())
+        return sums(self, tau, deriv)
+
+    monkeypatch.setattr(_kernels.Rows, "sums", recorded)
+    tail, m = next(_bundled_tails())
+    samples = [_multi_decade_draw(i) for i in (*range(0, 90, 3), 76, 77)]
+    samples += [np.sort(tail[tail > u] - u) for u in candidate_thresholds(tail, m)[::20]]
+    for y in samples:
+        taus.clear()
+        (fit,) = fit_samples([y])  # one row, so each pass holds its tau
+        grid = _grids(_block([y])[1])[0]
+        passed = np.concatenate(taus)
+        assert ((grid[0] <= passed) & (passed <= grid[-1])).all(), (y.size, fit)
+
+
 def _bundled_tails():
     config = AnalysisConfig.from_json(bundled_data_path("synthetic_config.json"))
     returns = compute_returns(read_earnings_csv(bundled_data_path("synthetic_weekends.csv")))
@@ -295,8 +366,8 @@ def test_score_evaluations_per_fit_on_the_bundled_data(monkeypatch):
                 grid = _grids(scaled)[0]
                 values = rows.profile_nll_grid(grid[None])[0][0]
                 evaluated = ~np.isnan(values)
-                # No interior fit expands its grid, so its solve starts from
-                # the least grid value's finite neighbours.
+                # A fit evaluates its grid's points alone, and an interior
+                # fit's solve starts from the least value's finite neighbours.
                 assert fit.grid_points == np.count_nonzero(evaluated)
                 best, left, right = _minimum_and_neighbours(grid[evaluated], values[evaluated])
                 # in row units, where the solve ran; a power of two scales ulps alike
