@@ -113,6 +113,9 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_scan(args) -> None:
+    report.require_min_exceedances(args.min_exceedances)
+    if args.alpha is not None and args.format == "csv":
+        raise ValidationError("--alpha applies to json output only; drop it or use --format json")
     split = split_by_sign(read_returns_csv(args.input))
     if args.tail == "positive":
         tail, regime = split.positive.values, HEAVY_TAIL
@@ -128,7 +131,7 @@ def _cmd_scan(args) -> None:
         report.write_scan_csv(scan, out)
     else:
         out = args.out_dir / f"scan_{args.tail}.json"
-        report.write_json(report.scan_dict(scan, filtered), out)
+        report.write_scan_json(scan, filtered, out)
     print(f"wrote {out}")
 
 

@@ -127,20 +127,7 @@ def interpolate_criticals(shape: float) -> dict[float, tuple[float, float]]:
     Defined for shapes within the table's coverage only; extrapolation is
     refused and returns an empty mapping.
     """
-    table = CRITICAL_VALUE_TABLE
-    shapes = table.shapes
-    if shape < shapes[0] or shape > shapes[-1]:
-        return {}
-    hi_idx = next(i for i, s in enumerate(shapes) if s >= shape)
-    lo_idx = max(hi_idx - 1, 0)
-    lo, hi = shapes[lo_idx], shapes[hi_idx]
-    frac = 0.0 if hi == lo else (shape - lo) / (hi - lo)
-    out = {}
-    for j, alpha in enumerate(table.alphas):
-        w2c = table.w2[lo_idx][j] + frac * (table.w2[hi_idx][j] - table.w2[lo_idx][j])
-        a2c = table.a2[lo_idx][j] + frac * (table.a2[hi_idx][j] - table.a2[lo_idx][j])
-        out[alpha] = (w2c, a2c)
-    return out
+    return _verdict_rows([0.0], [0.0], [shape])[0][1]
 
 
 def verdicts_for(w2: float, a2: float, shape: float) -> tuple[dict[float, str], dict[float, tuple[float, float]]]:
@@ -149,15 +136,37 @@ def verdicts_for(w2: float, a2: float, shape: float) -> tuple[dict[float, str], 
     Accept at a level when neither statistic exceeds its interpolated
     critical value; not_applicable at every level outside table coverage.
     """
-    criticals = interpolate_criticals(shape)
-    verdicts = {}
-    for alpha in ALPHA_LEVELS:
-        if not criticals:
-            verdicts[alpha] = NOT_APPLICABLE
+    return _verdict_rows([w2], [a2], [shape])[0]
+
+
+def _verdict_rows(w2, a2, shapes) -> list:
+    """:func:`verdicts_for` of each (w2[r], a2[r], shapes[r]), with the criticals of all rows interpolated at once.
+
+    Row r interpolates between the first table row at or above its shape
+    and the row before it (the same row at the first shape), with the
+    same operations, so the criticals are bitwise those of one shape.
+    """
+    table = CRITICAL_VALUE_TABLE
+    rows = np.array(table.shapes)
+    xi = np.asarray(shapes, dtype=float)
+    covered = (xi >= rows[0]) & (xi <= rows[-1])
+    hi = np.minimum(np.searchsorted(rows, xi), rows.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    step = rows[hi] - rows[lo]
+    frac = np.where(step > 0.0, (xi - rows[lo]) / np.where(step > 0.0, step, 1.0), 0.0)[:, None]
+    w2t, a2t = np.array(table.w2), np.array(table.a2)
+    w2c = w2t[lo] + frac * (w2t[hi] - w2t[lo])
+    a2c = a2t[lo] + frac * (a2t[hi] - a2t[lo])
+    accept = (np.asarray(w2, dtype=float)[:, None] <= w2c) & (np.asarray(a2, dtype=float)[:, None] <= a2c)
+    # an object array, so that every verdict is one of the two constant strings
+    verdicts = np.array([REJECT, ACCEPT], dtype=object)[accept.astype(np.intp)]
+    out = []
+    for ok, texts, w2_row, a2_row in zip(covered.tolist(), verdicts.tolist(), w2c.tolist(), a2c.tolist()):
+        if ok:
+            out.append((dict(zip(table.alphas, texts)), dict(zip(table.alphas, zip(w2_row, a2_row)))))
         else:
-            w2c, a2c = criticals[alpha]
-            verdicts[alpha] = ACCEPT if (w2 <= w2c and a2 <= a2c) else REJECT
-    return verdicts, criticals
+            out.append((dict.fromkeys(ALPHA_LEVELS, NOT_APPLICABLE), {}))
+    return out
 
 
 def test_gpd_fit(excesses, params: GpdParams) -> GofReport:
@@ -183,13 +192,14 @@ def gof_reports(xs, starts, thresholds, params) -> list:
     logs as one 2-d array, one row per fit, right-aligned, with the
     statistics' reductions made per row by np.sum over contiguous slices.
     So each report is bitwise the one that :func:`cramer_von_mises` and
-    :func:`anderson_darling` give on the sorted, nonzero transforms.
+    :func:`anderson_darling` give on the sorted, nonzero transforms. The
+    criticals and verdicts of all fits are then interpolated at once.
     Raises, for the first fit that has them, the errors those would.
     """
     xs = np.asarray(xs, dtype=float)
     starts = np.asarray(starts, dtype=np.intp)
     thresholds = np.asarray(thresholds, dtype=float)
-    reports, r = [], 0
+    w2s, a2s, r = [], [], 0
     while r < len(params):
         # A block takes rows no longer than its first and at least half as
         # long, within BLOCK_ELEMENTS elements, so that its padding stays
@@ -202,13 +212,20 @@ def gof_reports(xs, starts, thresholds, params) -> list:
             and width >= xs.size - starts[end] >= width / 2
         ):
             end += 1
-        reports += _gof_block(xs[starts[r] :], starts[r:end] - starts[r], thresholds[r:end], params[r:end])
+        _gof_block(xs[starts[r] :], starts[r:end] - starts[r], thresholds[r:end], params[r:end], w2s, a2s)
         r = end
-    return reports
+    shapes = [p.shape for p in params]
+    return [
+        GofReport(w2=w2, a2=a2, shape_used=shape, verdicts=verdicts, interpolated_criticals=criticals)
+        for w2, a2, shape, (verdicts, criticals) in zip(w2s, a2s, shapes, _verdict_rows(w2s, a2s, shapes))
+    ]
 
 
-def _gof_block(tail, offsets, thresholds, params) -> list:
-    """Reports of the fits whose excesses are ``tail[offsets[r]:] - thresholds[r]``, offsets ascending."""
+def _gof_block(tail, offsets, thresholds, params, w2s, a2s) -> None:
+    """Append to ``w2s`` and ``a2s`` the statistics of the fits on ``tail[offsets[r]:] - thresholds[r]``.
+
+    The offsets are ascending.
+    """
     width = tail.size
     col = np.arange(width)
     xi = np.array([p.shape for p in params])
@@ -229,22 +246,16 @@ def _gof_block(tail, offsets, thresholds, params) -> list:
         # pairs with first + width - 1 - c.
         reverse = np.minimum((first + (width - 1))[:, None] - col, width - 1)
         a_terms = q * (np.log(clipped) + np.take_along_axis(log_tail, reverse, axis=1))
-    reports = []
-    for r, p in enumerate(params):
+    for r in range(len(params)):
         a, count = int(first[r]), int(n[r])
         if offsets[r] == width:
             raise EmptySample("cannot transform an empty excess sample")
         if count == 0:
             raise EmptySample("all transformed values are zero")
-        w2 = float(np.sum(w_terms[r, a:]) + 1.0 / (12.0 * count))
+        w2s.append(float(np.sum(w_terms[r, a:]) + 1.0 / (12.0 * count)))
         if np.isnan(z[r, -1]):
             raise BoundaryValue("A² input contains values at 0 or 1 after clamping")
-        a2 = float(-count - np.sum(a_terms[r, a:]) / count)
-        verdicts, criticals = verdicts_for(w2, a2, p.shape)
-        reports.append(
-            GofReport(w2=w2, a2=a2, shape_used=p.shape, verdicts=verdicts, interpolated_criticals=criticals)
-        )
-    return reports
+        a2s.append(float(-count - np.sum(a_terms[r, a:]) / count))
 
 
 def require_alpha(alpha: float) -> float:

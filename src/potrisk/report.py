@@ -5,6 +5,10 @@ threshold scan and writes a versioned JSON report plus CSV exports. The
 report is fully deterministic: floats are rounded to 12 significant digits
 before serialization, so reruns produce byte-identical files and every
 reported number can be recomputed by the library from the recorded inputs.
+
+``report.json`` and ``trend.json`` are written by :func:`write_json`. A
+scan's JSON, thousands of estimates, is streamed by :func:`write_scan_json`
+from one template per estimate, in the bytes ``write_json`` would give.
 """
 
 import datetime
@@ -41,6 +45,7 @@ from .series import (
     box_plot,
     compute_returns,
     csv_rows,
+    format_chunks,
     python_values,
     read_earnings_csv,
     split_by_period,
@@ -56,12 +61,13 @@ __all__ = [
     "parse_period",
     "read_curve_csv",
     "read_scan_csv",
-    "scan_dict",
+    "require_min_exceedances",
     "trend_coefficients",
     "trend_dict",
     "write_curve_csv",
     "write_json",
     "write_scan_csv",
+    "write_scan_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -84,6 +90,12 @@ def parse_period(text: str) -> tuple[datetime.date, datetime.date]:
     return start, end
 
 
+def require_min_exceedances(m) -> None:
+    """A ValidationError unless ``m`` is an int >= 2 (a bool is not)."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
+        raise ValidationError(f"min_exceedances must be an integer >= 2, got {m!r}")
+
+
 @dataclass
 class AnalysisConfig:
     input_path: Path
@@ -97,9 +109,7 @@ class AnalysisConfig:
         """A ValidationError unless p is in (0, 1), min_exceedances an int >= 2 and alpha_filter None or a level."""
         if not (isinstance(self.p, numbers.Real) and 0.0 < self.p < 1.0):
             raise InvalidProbability(f"p must lie in (0, 1), got {self.p!r}")
-        m = self.min_exceedances
-        if isinstance(m, bool) or not isinstance(m, int) or m < 2:
-            raise ValidationError(f"min_exceedances must be an integer >= 2, got {m!r}")
+        require_min_exceedances(self.min_exceedances)
         if self.alpha_filter is not None:
             self.alpha_filter = require_alpha(self.alpha_filter)
 
@@ -248,15 +258,71 @@ def write_json(doc, path) -> None:
         fh.write("\n")
 
 
-def scan_dict(scan: ThresholdScan, alpha_filtered: RiskEstimate | None = None) -> dict:
-    """JSON-ready mirror of a ThresholdScan (estimates ordered by threshold)."""
-    return {
-        "regime": scan.regime,
-        "diagnostics": asdict(scan.diagnostics),
-        "selected_index": scan.selected_index,
-        "estimates": [_estimate_dict(e) for e in scan.estimates],
-        "alpha_filtered": None if alpha_filtered is None else _estimate_dict(alpha_filtered),
-    }
+def write_scan_json(scan: ThresholdScan, alpha_filtered: RiskEstimate | None, path) -> None:
+    """Write a ThresholdScan (estimates ordered by threshold) as :func:`write_json` would its mirror.
+
+    The mirror holds the regime, diagnostics and selected index, each
+    estimate as :func:`_estimate_dict` gives it, and ``alpha_filtered``.
+    The estimates are formatted straight into their text, a chunk of
+    ``series.CHUNK_ROWS`` at a time.
+    """
+    head = {"regime": scan.regime, "diagnostics": asdict(scan.diagnostics), "selected_index": scan.selected_index}
+    line, row = _estimate_json(4)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "estimates": [')  # the head without its "\n}"
+        if scan.estimates:
+            fh.write("\n    ")
+            fh.writelines(format_chunks(line, map(row, scan.estimates), sep=",\n    "))
+            fh.write("\n  ")
+        fh.write('],\n  "alpha_filtered": ')
+        if alpha_filtered is None:
+            fh.write("null")
+        else:
+            line, row = _estimate_json(2)
+            fh.write(line.format(*row(alpha_filtered)))
+        fh.write("\n}\n")
+
+
+def _json12(x) -> str:
+    """``json.dumps(_round12(x))``: the .12g text itself where it is that already.
+
+    A .12g text with a point and no exponent has |x| >= 1e-4, so it holds
+    the shortest digits of its double, in the notation of repr.
+    """
+    text = f"{x:.12g}"
+    return text if "." in text and "e" not in text else json.dumps(float(text))
+
+
+def _estimate_json(indent: int):
+    """A line template and a row function that give ``json.dumps(_estimate_dict(e), indent=2)`` nested ``indent`` deep.
+
+    The verdicts of a GoF report, keyed by alpha level, take few distinct
+    values, so their text is kept per tuple of (level, verdict) items.
+    """
+    pad = "\n" + " " * indent
+    keys = ("u", "shape", "scale", "n", "n_u", "p", "var", "es", "gof")
+    line = "{{" + ",".join(f'{pad}  "{key}": {{}}' for key in keys) + pad + "}}"
+    verdict_texts = {}
+
+    def gof_text(gof) -> str:
+        if gof is None:
+            return "null"
+        verdicts = tuple(gof.verdicts.items())
+        if (text := verdict_texts.get(verdicts)) is None:
+            doc = {f"{a:g}": v for a, v in verdicts}
+            text = verdict_texts[verdicts] = json.dumps(doc, indent=2).replace("\n", pad + "    ")
+        return (
+            f'{{{pad}    "w2": {_json12(gof.w2)},{pad}    "a2": {_json12(gof.a2)},'
+            f'{pad}    "verdicts": {text}{pad}  }}'
+        )
+
+    def row(e: RiskEstimate) -> tuple:
+        return (
+            _json12(e.u), _json12(e.params.shape), _json12(e.params.scale), e.n, e.n_u, _json12(e.p),
+            _json12(e.var), "null" if e.es is None else _json12(e.es), gof_text(e.gof),
+        )
+
+    return line, row
 
 
 def _estimate_dict(est: RiskEstimate) -> dict:

@@ -5,7 +5,9 @@ simulate, gof-table and trend outputs) and the figures are written a
 chunk of ``series.CHUNK_ROWS`` rows at a time. The references below
 format them the way the writers did before, one line (or one SVG element)
 per row, joined into one string, or with csv.writer and json.dump; the
-tests compare bytes around the chunk boundaries.
+tests compare bytes around the chunk boundaries. The scan JSON is
+compared with json.dumps of its estimates as ``_estimate_dict`` gives
+them, around the chunk boundaries and on random estimates.
 """
 
 import csv
@@ -18,14 +20,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potrisk import figures
 from potrisk.cli import main
 from potrisk.excess import MeanExcessCurve
-from potrisk.gof import table_rows
+from potrisk.gof import ACCEPT, ALPHA_LEVELS, NOT_APPLICABLE, REJECT, GofReport, table_rows
 from potrisk.gpd import GpdParams, gpd_sample
-from potrisk.report import read_curve_csv, trend_coefficients, write_curve_csv, write_scan_csv
-from potrisk.risk import HEAVY_TAIL, scan_thresholds
+from potrisk.report import (
+    _estimate_dict,
+    read_curve_csv,
+    trend_coefficients,
+    write_curve_csv,
+    write_scan_csv,
+    write_scan_json,
+)
+from potrisk.risk import HEAVY_TAIL, RiskEstimate, ScanDiagnostics, ThresholdScan, scan_thresholds
 from potrisk.series import CHUNK_ROWS, ReturnSeries, box_plot, read_returns_csv, write_returns_csv
 
 from helpers import weekly_returns
@@ -91,6 +102,17 @@ def _scan_text(scan):
     return "".join(lines)
 
 
+def _scan_json_text(scan, alpha_filtered):
+    doc = {
+        "regime": scan.regime,
+        "diagnostics": dataclasses.asdict(scan.diagnostics),
+        "selected_index": scan.selected_index,
+        "estimates": [_estimate_dict(e) for e in scan.estimates],
+        "alpha_filtered": None if alpha_filtered is None else _estimate_dict(alpha_filtered),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 class _JoinedCanvas(figures._Canvas):
     """The canvas with every element formatted when it is added, and the SVG joined into one string."""
 
@@ -147,6 +169,70 @@ def test_the_scan_csv_is_byte_identical(tmp_path, size):
     assert len(scan.estimates) == size
     write_scan_csv(scan, tmp_path / "s.csv")
     assert (tmp_path / "s.csv").read_bytes() == _scan_text(scan).encode()
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["alone", "alpha_filtered"])
+@pytest.mark.parametrize("size", SIZES)
+def test_the_scan_json_is_byte_identical(tmp_path, size, filtered):
+    scan = _scan(size)
+    assert len(scan.estimates) == size
+    alpha_filtered = scan.estimates[-1] if filtered else None
+    write_scan_json(scan, alpha_filtered, tmp_path / "s.json")
+    assert (tmp_path / "s.json").read_bytes() == _scan_json_text(scan, alpha_filtered).encode()
+
+
+# Floats where the .12g text and repr differ or are at their edges: whole
+# numbers, [1e12, 1e16) (.12g has an exponent there, repr none), signed
+# zeros, the least subnormal and the largest doubles, and texts that round
+# up a decade.
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1e-4,
+    9.99999999999995e-05, 0.999999999999995, 999999999999.5, 1e12, 123456789012345.6, 1e16, 3.0, -42.0,
+    float("nan"), float("inf"), float("-inf"),
+]
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-(10**17), 10**17).map(float),
+    st.floats(1e12, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+_finite = _floats.filter(lambda x: x == x and abs(x) != float("inf"))
+_verdicts = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries({a: st.sampled_from([ACCEPT, REJECT]) for a in ALPHA_LEVELS}),
+    st.just(dict.fromkeys(ALPHA_LEVELS, NOT_APPLICABLE)),
+    st.dictionaries(st.sampled_from(ALPHA_LEVELS), st.sampled_from([ACCEPT, REJECT, NOT_APPLICABLE])),
+)
+_gofs = st.builds(
+    GofReport, w2=_floats, a2=_floats, shape_used=_floats, verdicts=_verdicts, interpolated_criticals=st.just({})
+)
+_estimates = st.builds(
+    RiskEstimate,
+    u=_floats,
+    params=st.builds(GpdParams, shape=_finite, scale=_finite.filter(lambda x: x > 0.0)),
+    n=st.integers(0, 10**12),
+    n_u=st.integers(0, 10**12),
+    p=_floats,
+    var=_floats,
+    es=st.none() | _floats,
+    gof=st.none() | _gofs,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    estimates=st.lists(_estimates, max_size=6),
+    alpha_filtered=st.none() | _estimates,
+    diagnostics=st.builds(ScanDiagnostics, *[st.integers(0, 10**6)] * 6),
+    selected_index=st.integers(0, 5),
+)
+def test_the_scan_json_is_json_dumps_of_random_estimates(
+    tmp_path_factory, estimates, alpha_filtered, diagnostics, selected_index
+):
+    scan = ThresholdScan(tuple(estimates), selected_index, HEAVY_TAIL, diagnostics)
+    path = tmp_path_factory.mktemp("scan") / "s.json"
+    write_scan_json(scan, alpha_filtered, path)
+    assert path.read_bytes() == _scan_json_text(scan, alpha_filtered).encode()
 
 
 # "-True": the markers are connected, as in every scatter figure.

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from potrisk.errors import BoundaryValue, EmptySample, PotriskError, UnknownAlphaLevel
 from potrisk.gof import (
+    ACCEPT,
     ALPHA_LEVELS,
     CRITICAL_VALUE_TABLE,
+    NOT_APPLICABLE,
+    REJECT,
     GofReport,
+    _verdict_rows,
     anderson_darling,
     cramer_von_mises,
     gof_reports,
@@ -178,6 +182,49 @@ class TestVerdicts:
         assert anderson_darling(transform_to_uniform(ya, a)) == pytest.approx(
             anderson_darling(transform_to_uniform(yb, b)), abs=1e-12
         )
+
+
+def _loop_verdicts(w2, a2, shape):
+    """verdicts_for as one shape's loop over the table: the reference for the batched interpolation."""
+    table = CRITICAL_VALUE_TABLE
+    if shape < table.shapes[0] or shape > table.shapes[-1]:
+        return dict.fromkeys(ALPHA_LEVELS, NOT_APPLICABLE), {}
+    hi = next(i for i, s in enumerate(table.shapes) if s >= shape)
+    lo = max(hi - 1, 0)
+    frac = 0.0 if hi == lo else (shape - table.shapes[lo]) / (table.shapes[hi] - table.shapes[lo])
+    criticals, verdicts = {}, {}
+    for j, alpha in enumerate(table.alphas):
+        w2c = table.w2[lo][j] + frac * (table.w2[hi][j] - table.w2[lo][j])
+        a2c = table.a2[lo][j] + frac * (table.a2[hi][j] - table.a2[lo][j])
+        criticals[alpha] = (w2c, a2c)
+        verdicts[alpha] = ACCEPT if (w2 <= w2c and a2 <= a2c) else REJECT
+    return verdicts, criticals
+
+
+def _bits(criticals):
+    return [(alpha, w2c.hex(), a2c.hex()) for alpha, (w2c, a2c) in criticals.items()]
+
+
+# The table's rows, their neighbouring doubles and signed zero.
+_EDGE_SHAPES = [0.0, -0.0, 5e-324, -5e-324, 0.1, 0.2, 0.3, 0.30000000000000004, 0.29999999999999993,
+                0.09999999999999999, 0.10000000000000002, -0.36, 0.31]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 2.0), st.floats(-0.1, 0.4) | st.sampled_from(_EDGE_SHAPES)),
+    min_size=1, max_size=40,
+))
+def test_the_batched_verdicts_are_the_table_loop_bit_for_bit(rows):
+    w2s, a2s, shapes = map(list, zip(*rows))
+    if 0.0 <= shapes[0] <= 0.3:  # statistics at their criticals, which accept
+        w2s[0], a2s[0] = _loop_verdicts(0.0, 0.0, shapes[0])[1][0.05]
+    for (w2, a2, shape), (verdicts, criticals) in zip(zip(w2s, a2s, shapes), _verdict_rows(w2s, a2s, shapes)):
+        want_verdicts, want_criticals = _loop_verdicts(w2, a2, shape)
+        assert list(verdicts.items()) == list(want_verdicts.items())
+        assert _bits(criticals) == _bits(want_criticals)
+        assert verdicts_for(w2, a2, shape) == (verdicts, criticals)
+        assert _bits(interpolate_criticals(shape)) == _bits(want_criticals)
 
 
 def _report_from_parts(excesses, params):

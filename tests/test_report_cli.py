@@ -587,3 +587,36 @@ def test_a_config_input_must_be_a_path(tmp_path):
     with pytest.raises(ValidationError, match="input must be a path, got 5") as info:
         AnalysisConfig.from_json(config)
     assert str(info.value).startswith(f"{config}: ")
+
+
+def _write_bundled_returns(path):
+    from potrisk.series import compute_returns, read_earnings_csv
+
+    write_returns_csv(compute_returns(read_earnings_csv(bundled_data_path("synthetic_weekends.csv"))), path)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1"])
+def test_scan_rejects_min_exceedances_below_2_as_analyze_does(tmp_path, capsys, value):
+    _write_bundled_returns(tmp_path / "returns.csv")
+    out_dir = tmp_path / "out"
+    code = main(["scan", "--input", str(tmp_path / "returns.csv"), "--tail", "positive",
+                 "--min-exceedances", value, "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err == f"error: min_exceedances must be an integer >= 2, got {value}\n"
+    assert not out_dir.exists()
+    with pytest.raises(ValidationError, match=f"min_exceedances must be an integer >= 2, got {value}$"):
+        AnalysisConfig(input_path=tmp_path / "returns.csv", min_exceedances=int(value)).validate()
+
+
+@pytest.mark.parametrize("tail", ["positive", "negative"])
+def test_scan_rejects_alpha_with_csv_output(tmp_path, capsys, tail):
+    _write_bundled_returns(tmp_path / "returns.csv")
+    out_dir = tmp_path / "out"
+    code = main(["scan", "--input", str(tmp_path / "returns.csv"), "--tail", tail, "--format", "csv",
+                 "--alpha", "0.05", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err == "error: --alpha applies to json output only; drop it or use --format json\n"
+    assert "Traceback" not in captured.err + captured.out
+    assert not out_dir.exists()
