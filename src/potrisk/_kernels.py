@@ -14,7 +14,10 @@ at the row's own tau in one pass (the profile score,
 :meth:`Rows.profile_nll_deriv`), or the profile NLL at a grid of taus per
 row, lazily (:meth:`Rows.profile_nll_grid`): bounds from a few bins of
 each sample rule out nearly every point as the row's minimum, so that it
-evaluates about three points per row.
+evaluates about three points per row. The kernel passes and the bounds
+write into scratch buffers, made once per fit_samples call or per block
+and reused, the bounds' in chunks of rows (see ``BLOCK_ELEMENTS``), so
+that what they cost is arithmetic rather than allocation.
 
 Every sample comes sorted ascending (a threshold scan cuts each one from
 its tail sorted once) and is stored times 2**-e, e the exponent of its
@@ -59,14 +62,24 @@ BACKEND = "numpy"
 # points (long_history). A kernel pass runs one row group (at most
 # BLOCK_ELEMENTS elements, or one longer row) at a time through the scratch
 # buffers, so its arithmetic stays in cache, and the temporaries of the tau
-# grids and bin bounds are made in chunks of rows of about BLOCK_ELEMENTS
-# elements. Buffers are allocated once per fit_samples call and reused,
-# since a numpy array above glibc's 128 KiB mmap threshold gets fresh pages
-# on every allocation and costs about three times as much per element; the
-# data buffer is past it, but only its touched pages are resident. Doubling
-# the data buffer from 8 * BLOCK_ELEMENTS cut the long_history scans by 16%
-# and tail_scan's by 2% in alternating in-process runs (2-core Xeon VM);
-# raising the row cap from 96 cut paper_analyze by about 10% (perfbench).
+# grids are made in chunks of rows of about BLOCK_ELEMENTS elements.
+# Buffers are allocated once per fit_samples call and reused, since a numpy
+# array above glibc's 128 KiB mmap threshold gets fresh pages on every
+# allocation and costs about three times as much per element; the data
+# buffer is past it, but only its touched pages are resident. Doubling the
+# data buffer from 8 * BLOCK_ELEMENTS cut the long_history scans by 16% and
+# tail_scan's by 2% in alternating in-process runs (2-core Xeon VM); raising
+# the row cap from 96 cut paper_analyze by about 10% (perfbench).
+#
+# The bin bounds of the lazy grid run in chunks of rows whose arrays of bins
+# x points hold about 2 * BLOCK_ELEMENTS elements, and write their six such
+# arrays into one scratch buffer (768 KiB at most) made once per block; the
+# bins' own temporaries go through the kernel scratch buffers. Against
+# fresh arrays in chunks of BLOCK_ELEMENTS this cut Rows._floors to
+# 0.74-0.77, 0.77-0.83 and 0.88-0.90 of its time on the blocks of the
+# perfbench workloads (alternating in-process runs, same VM). Chunks of 3
+# or 4 * BLOCK_ELEMENTS saved about 0.07 more of that time, but raised the
+# peak RSS of paper_analyze by about 0.7 and 1.2 MB, against 0.4 MB.
 BLOCK_ELEMENTS = 1 << 13
 
 # profile_nll_grid bounds k(tau) from bins of each sorted row of width w:
@@ -232,17 +245,20 @@ class Rows:
         """The floor of :func:`_bounds` at every point of ``taus``, and each row's ``pending`` point of least estimate.
 
         The bounds are made in chunks of rows whose arrays of bins x points
-        hold about ``BLOCK_ELEMENTS`` elements, so that they stay in cache,
+        hold about ``2 * BLOCK_ELEMENTS`` elements, so that they stay in
+        cache, through one scratch buffer that every chunk writes over; it
         and the bins are freed before the caller makes its arrays of values.
         """
         bins = self._order_bins()
         count, size = taus.shape
         floor, best = np.empty(taus.shape), np.empty(count, dtype=np.intp)
-        step = max(1, BLOCK_ELEMENTS // (size * bins.shape[2]))
+        per_row = size * bins.shape[2]
+        step = max(1, 2 * BLOCK_ELEMENTS // per_row)
+        scratch = np.empty(6 * min(step, count) * per_row)
         with np.errstate(all="ignore"):
             for i in range(0, count, step):
                 rows = slice(i, i + step)
-                _, _, floor[rows], guess = _bounds(taus[rows], bins[:, rows], self.n[rows, None])
+                _, _, floor[rows], guess = _bounds(taus[rows], bins[:, rows], self.n[rows, None], scratch)
                 best[rows] = np.argmin(np.where(pending[rows] & ~np.isnan(guess), guess, math.inf), axis=1)
         return floor, best
 
@@ -253,7 +269,8 @@ class Rows:
         of its width, cut also where their values start; the first bin, all
         zeros, adds nothing and is dropped. Per bin: its count c, least and
         greatest values a and b, the sum of y - a and the root of half the
-        sum of (y - a)**2.
+        sum of (y - a)**2, with y - a and its square made in the group's
+        scratch views.
         """
         stops = [_bin_stops(g.width)[:-1] for g in self._groups]
         bins = np.zeros((5, self.count, max(s.size for s in stops)))
@@ -265,8 +282,8 @@ class Rows:
             cuts = (cuts + np.arange(0, rows * width, width)[:, None]).ravel()
             s = g.y.ravel()
             counts = np.diff(cuts, append=s.size)
-            d = s - np.repeat(s[cuts], counts)
-            root = np.sqrt(0.5 * np.add.reduceat(np.square(d), cuts))
+            d = np.subtract(s, np.repeat(s[cuts], counts), out=g.t.ravel())
+            root = np.sqrt(0.5 * np.add.reduceat(np.square(d, out=g.w.ravel()), cuts))
             table = counts, s[cuts], s[cuts + counts - 1], np.add.reduceat(d, cuts), root
             bins[:, g.start : g.stop, : stop.size] = np.reshape(table, (5, rows, -1))[:, :, 1:]
         return bins
@@ -371,20 +388,21 @@ def _bin_stops(n) -> np.ndarray:  # the bounds of the bins of n values, ascendin
     return np.array([stops[-1] * i // parts for i in range(parts)] + stops[::-1])
 
 
-def _bounds(taus, bins, n):
+def _bounds(taus, bins, n, scratch):
     """Bounds on k = sum(log1p(tau*y))/n and on the profile NLL as computed, at each point of ``taus``.
 
     ``bins`` come from :meth:`Rows._order_bins`, ``n`` holds the rows'
-    sizes. The bounds of :func:`_bin_sums` on the sums are widened by
-    8(w + 4) ulps (w the row's width) of the sum of the terms' sizes, a
-    size being the larger of |l| and |t/(1 + t)|, which is what a rounding
-    of t = tau*y costs near t = -1. Given k, the profile NLL
-    n*(log(k/tau) + k + 1) increases with k for tau > 0 and is concave in
-    k for tau < 0, so its floor is its least value at the two bounds,
-    widened by the rounding of its terms. Returns (k_lo, k_hi, floor,
-    guess), guess the NLL at the middle of the unwidened bounds.
+    sizes and ``scratch`` is :func:`_bin_sums`'. The bounds of
+    :func:`_bin_sums` on the sums are widened by 8(w + 4) ulps (w the row's
+    width) of the sum of the terms' sizes, a size being the larger of |l|
+    and |t/(1 + t)|, which is what a rounding of t = tau*y costs near
+    t = -1. Given k, the profile NLL n*(log(k/tau) + k + 1) increases with
+    k for tau > 0 and is concave in k for tau < 0, so its floor is its
+    least value at the two bounds, widened by the rounding of its terms.
+    Returns (k_lo, k_hi, floor, guess), guess the NLL at the middle of the
+    unwidened bounds.
     """
-    lo, hi, size = _bin_sums(taus, bins)
+    lo, hi, size = _bin_sums(taus, bins, scratch)
     rel = 8.0 * (bins[0].sum(axis=1)[:, None] + 4.0) * _EPS
     k_lo, k_hi, k_mid = (lo - rel * size) / n, (hi + rel * size) / n, (lo + hi) / (2.0 * n)
     log_lo, log_hi = np.log(k_lo / taus), np.log(k_hi / taus)
@@ -394,7 +412,7 @@ def _bounds(taus, bins, n):
     return k_lo, k_hi, bound - rel * magnitude, n * (np.log(k_mid / taus) + k_mid + 1.0)
 
 
-def _bin_sums(taus, bins):
+def _bin_sums(taus, bins, scratch):
     """Lower and upper bounds on each row's sum of l(y) = log1p(tau*y) at each point of ``taus``, and its terms' size.
 
     Over a bin [a, b], l is concave, so it lies above its chord; by
@@ -402,32 +420,36 @@ def _bin_sums(taus, bins):
     q*(y - a)**2/2, q between the values of -l'' = (tau/(1 + tau*y))**2 at
     a and b. Summed over a bin, the chord and the larger Taylor form bound
     its sum from below, the other form from above; the size sums
-    max(l(b), -b*l'(b)) over the bins. At most six arrays of bins x rows x
-    points live at once: each step writes over a value that is no longer
-    needed, and the b end's terms are made before the a end's.
+    max(l(b), -b*l'(b)) over the bins. The terms live in six arrays of
+    bins x rows x points, views of the 1-d ``scratch`` (of at least six
+    times that many elements, whose values are not read): each step writes
+    over a value that is no longer needed, and the b end's terms are made
+    before the a end's.
     """
     c, a, b, d1, root = (x.T[:, :, None] for x in bins)
     t = taus[None]
-    u = t * b
-    lb = np.log1p(u)
+    shape = (6, *b.shape[:2], taus.shape[1])
+    u, lb, qb, la, qa, most = scratch[: math.prod(shape)].reshape(shape)
+    np.multiply(t, b, out=u)
+    np.log1p(u, out=lb)
     u += 1.0
     np.divide(t, u, out=u)  # l'(b)
-    qb = u * root
+    np.multiply(u, root, out=qb)
     np.square(qb, out=qb)
     np.multiply(-b, u, out=u)
     np.maximum(lb, u, out=u)
     size = np.multiply(c, u, out=u).sum(axis=0)
     ua = np.multiply(t, a, out=u)
-    la = np.log1p(ua)
+    np.log1p(ua, out=la)
     ua += 1.0
     np.divide(t, ua, out=ua)  # l'(a)
     np.subtract(lb, la, out=lb)
     np.multiply(np.divide(d1, b - a, out=np.zeros(d1.shape), where=b > a), lb, out=lb)  # the chord's rise
     np.multiply(c, la, out=la)  # the sums of l(a)
-    qa = ua * root
+    np.multiply(ua, root, out=qa)
     np.square(qa, out=qa)
     np.multiply(ua, d1, out=ua)  # and of the first-order terms
-    most = np.maximum(qa, qb)
+    np.maximum(qa, qb, out=most)
     least = np.minimum(qa, qb, out=qb)
     np.subtract(ua, most, out=most)
     np.maximum(lb, most, out=most)

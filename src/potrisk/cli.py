@@ -12,7 +12,7 @@ from . import figures, report
 from .errors import NonConvergence, NoSurvivingCandidates, NotApplicable, ValidationError
 from .gof import table_rows
 from .gpd import DEFAULT_MIN_EXCEEDANCES, GpdParams, gpd_sample
-from .risk import HEAVY_TAIL, SHORT_TAIL, scan_thresholds, scan_with_alpha_filter
+from .risk import HEAVY_TAIL, SHORT_TAIL, require_alpha_filter, scan_thresholds, scan_with_alpha_filter
 from .series import (
     box_plot,
     compute_returns,
@@ -114,13 +114,13 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_scan(args) -> None:
     report.require_min_exceedances(args.min_exceedances)
-    if args.alpha is not None and args.format == "csv":
-        raise ValidationError("--alpha applies to json output only; drop it or use --format json")
+    regime = HEAVY_TAIL if args.tail == "positive" else SHORT_TAIL
+    if args.alpha is not None:
+        if args.format == "csv":
+            raise ValidationError("--alpha applies to json output only; drop it or use --format json")
+        require_alpha_filter(args.alpha, regime)
     split = split_by_sign(read_returns_csv(args.input))
-    if args.tail == "positive":
-        tail, regime = split.positive.values, HEAVY_TAIL
-    else:
-        tail, regime = split.negative.values, SHORT_TAIL
+    tail = split.positive.values if args.tail == "positive" else split.negative.values
     scan = scan_thresholds(tail, p=args.p, regime=regime, min_exceedances=args.min_exceedances)
     filtered = None
     if args.alpha is not None:

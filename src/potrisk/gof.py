@@ -189,12 +189,14 @@ def gof_reports(xs, starts, thresholds, params) -> list:
     monotone, and so are the rounded steps that compute it (a product,
     log1p, a quotient and expm1). Fits are taken in blocks of
     consecutive rows: each block computes its transforms, clipping and
-    logs as one 2-d array, one row per fit, right-aligned, with the
-    statistics' reductions made per row by np.sum over contiguous slices.
-    So each report is bitwise the one that :func:`cramer_von_mises` and
-    :func:`anderson_darling` give on the sorted, nonzero transforms. The
-    criticals and verdicts of all fits are then interpolated at once.
-    Raises, for the first fit that has them, the errors those would.
+    logs as one 2-d array, one row per fit, right-aligned, and sums each
+    statistic's terms of all its rows in one np.add.reduceat, every row's
+    sum starting at a zero before its kept terms, which is the order np.sum
+    takes over those terms. So each report is bitwise the one that
+    :func:`cramer_von_mises` and :func:`anderson_darling` give on the
+    sorted, nonzero transforms. The criticals and verdicts of all fits are
+    then interpolated at once. Raises, for the first fit that has them, the
+    errors those would.
     """
     xs = np.asarray(xs, dtype=float)
     starts = np.asarray(starts, dtype=np.intp)
@@ -226,14 +228,18 @@ def _gof_block(tail, offsets, thresholds, params, w2s, a2s) -> None:
 
     The offsets are ascending.
     """
-    width = tail.size
+    rows, width = len(params), tail.size + 1
     col = np.arange(width)
     xi = np.array([p.shape for p in params])
     sigma = np.array([p.scale for p in params])
-    z = gpd_cdf_rows(xi, sigma, tail - thresholds[:, None])
+    # A column of padding leads every row, so that each fit's kept
+    # transforms follow one that is dropped.
+    y = np.zeros((rows, width))
+    np.subtract(tail, thresholds[:, None], out=y[:, 1:])
+    z = gpd_cdf_rows(xi, sigma, y)
     # a row whose transforms are all zero has n = 0 and raises below
     with np.errstate(all="ignore"):
-        z[col < offsets[:, None]] = 0.0
+        z[col <= offsets[:, None]] = 0.0
         # Zero transforms (and the padding) lead each row; fit r keeps the
         # n = width - first[r] transforms from first[r] on.
         first = np.count_nonzero(z == 0.0, axis=1)
@@ -246,16 +252,24 @@ def _gof_block(tail, offsets, thresholds, params, w2s, a2s) -> None:
         # pairs with first + width - 1 - c.
         reverse = np.minimum((first + (width - 1))[:, None] - col, width - 1)
         a_terms = q * (np.log(clipped) + np.take_along_axis(log_tail, reverse, axis=1))
-    for r in range(len(params)):
-        a, count = int(first[r]), int(n[r])
-        if offsets[r] == width:
+    bad = (n == 0) | np.isnan(z[:, -1])  # n is 0 also where the offset is the tail's size
+    if bad.any():
+        r = np.argmax(bad)
+        if offsets[r] == tail.size:
             raise EmptySample("cannot transform an empty excess sample")
-        if count == 0:
+        if n[r] == 0:
             raise EmptySample("all transformed values are zero")
-        w2s.append(float(np.sum(w_terms[r, a:]) + 1.0 / (12.0 * count)))
-        if np.isnan(z[r, -1]):
-            raise BoundaryValue("A² input contains values at 0 or 1 after clamping")
-        a2s.append(float(-count - np.sum(a_terms[r, a:]) / count))
+        raise BoundaryValue("A² input contains values at 0 or 1 after clamping")
+    # Row r's sum runs from its last dropped term, set to zero, to the row's
+    # end: the order np.sum takes over its kept terms alone. The segments
+    # between them are dropped, and the last one ends with the array.
+    segments = np.repeat(np.arange(width, rows * width + 1, width), 2)[:-1]  # each row's end, twice
+    segments[::2] -= n + 1  # then its last dropped term and its end
+    starts = segments[::2]
+    w_terms, a_terms = w_terms.ravel(), a_terms.ravel()
+    w_terms[starts] = a_terms[starts] = 0.0
+    w2s.extend((np.add.reduceat(w_terms, segments)[::2] + 1.0 / (12.0 * n)).tolist())
+    a2s.extend((-n - np.add.reduceat(a_terms, segments)[::2] / n).tolist())
 
 
 def require_alpha(alpha: float) -> float:

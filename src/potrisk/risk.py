@@ -35,6 +35,7 @@ __all__ = [
     "ScanDiagnostics",
     "ThresholdScan",
     "expected_shortfall",
+    "require_alpha_filter",
     "scan_thresholds",
     "scan_with_alpha_filter",
     "value_at_risk",
@@ -231,14 +232,24 @@ def _argmax_var(estimates) -> int:
     return best
 
 
-def scan_with_alpha_filter(scan: ThresholdScan, alpha: float) -> RiskEstimate:
-    """Max-VaR estimate among those whose fit is accepted at ``alpha``."""
+def require_alpha_filter(alpha: float, regime: str) -> float:
+    """The tabulated level of ``alpha``, if a scan of ``regime`` can be filtered at it.
+
+    Raises the errors of :func:`scan_with_alpha_filter`, so that a caller
+    can raise them before it scans.
+    """
     alpha = require_alpha(alpha)
-    if scan.regime == SHORT_TAIL:
+    if regime == SHORT_TAIL:
         raise NotApplicable(
             "the critical-value table does not cover negative shapes; "
             "the short-tail scan has no goodness-of-fit verdicts"
         )
+    return alpha
+
+
+def scan_with_alpha_filter(scan: ThresholdScan, alpha: float) -> RiskEstimate:
+    """Max-VaR estimate among those whose fit is accepted at ``alpha``."""
+    alpha = require_alpha_filter(alpha, scan.regime)
     survivors = [
         e for e in scan.estimates
         if e.gof is not None and e.gof.verdicts.get(alpha) == ACCEPT

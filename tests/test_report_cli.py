@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from potrisk import bundled_data_path
+from potrisk import bundled_data_path, cli
 from potrisk.cli import main
 from potrisk.errors import TooFewObservations, ValidationError
 from potrisk.excess import MeanExcessCurve
-from potrisk.gof import test_gpd_fit as gof_report
+from potrisk.gof import ALPHA_LEVELS, test_gpd_fit as gof_report
 from potrisk.gpd import GpdParams, gpd_sample
 from potrisk.report import (
     AnalysisConfig,
@@ -619,4 +619,25 @@ def test_scan_rejects_alpha_with_csv_output(tmp_path, capsys, tail):
     assert code == 2, captured.err
     assert captured.err == "error: --alpha applies to json output only; drop it or use --format json\n"
     assert "Traceback" not in captured.err + captured.out
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("tail, alpha, message", [
+    pytest.param("negative", "0.05", "the critical-value table does not cover negative shapes; "
+                 "the short-tail scan has no goodness-of-fit verdicts", id="short_tail"),
+    pytest.param("positive", "0.07", f"alpha must be one of {ALPHA_LEVELS}, got 0.07", id="unknown_level"),
+    pytest.param("negative", "0.07", f"alpha must be one of {ALPHA_LEVELS}, got 0.07", id="unknown_level_short_tail"),
+])
+def test_scan_checks_alpha_before_reading_and_scanning(tmp_path, capsys, monkeypatch, tail, alpha, message):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_thresholds was called")
+
+    monkeypatch.setattr(cli, "scan_thresholds", no_scan)
+    out_dir = tmp_path / "out"
+    # the input does not exist, so reading it first would fail with another message
+    code = main(["scan", "--input", str(tmp_path / "missing.csv"), "--tail", tail, "--alpha", alpha,
+                 "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err == f"error: {message}\n"
     assert not out_dir.exists()

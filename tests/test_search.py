@@ -126,8 +126,8 @@ def test_the_lazy_grid_finds_the_full_grids_minimum_and_neighbours(family, data)
 def test_the_lazy_grid_does_not_depend_on_its_first_guess(monkeypatch):
     bounds = _kernels._bounds
 
-    def worst_first(taus, bins, n):
-        k_lo, k_hi, floor, guess = bounds(taus, bins, n)
+    def worst_first(taus, bins, n, scratch):
+        k_lo, k_hi, floor, guess = bounds(taus, bins, n, scratch)
         return k_lo, k_hi, floor, -guess  # the first round takes the worst estimate
 
     monkeypatch.setattr(_kernels, "_bounds", worst_first)
@@ -149,8 +149,10 @@ def _check_bounds(samples):
     rows, samples = _block(samples)
     grids = _grids(samples)
     n = np.array([[float(y.size)] for y in samples])
+    bins = rows._order_bins()
+    scratch = np.full(6 * bins.shape[2] * grids.size + 1, np.nan)  # longer than needed; never read
     with np.errstate(all="ignore"):  # at tau = 0, k/tau is 0/0
-        k_lo, k_hi, floor, _ = _kernels._bounds(grids, rows._order_bins(), n)
+        k_lo, k_hi, floor, _ = _kernels._bounds(grids, bins, n, scratch)
     for i, (y, grid) in enumerate(zip(samples, grids)):
         values = scalar_oracle.profile_nll_grid_numpy(y, grid)
         for j, tau in enumerate(grid):
@@ -160,6 +162,46 @@ def _check_bounds(samples):
             assert k_lo[i, j] <= k <= k_hi[i, j], (y.size, tau, k_lo[i, j], k, k_hi[i, j])
             if math.isfinite(values[j]):
                 assert not floor[i, j] > values[j], (y.size, tau, floor[i, j], values[j])
+
+
+def test_the_floors_do_not_depend_on_the_blocking(monkeypatch):
+    # _floors runs _bounds on chunks of rows through one scratch buffer. A
+    # row's floors and guesses over a block of N rows are those of the row
+    # loaded alone, bit for bit, for N at 1, at one chunk and at one chunk
+    # plus one row. The samples have one size, so that each row's bins are
+    # those it has alone (bins are cut at the width of a row's group).
+    guesses = []
+    bounds = _kernels._bounds
+
+    def spy(taus, bins, n, scratch):
+        out = bounds(taus, bins, n, scratch)
+        guesses.append(out[3])
+        return out
+
+    monkeypatch.setattr(_kernels, "_bounds", spy)
+
+    def floors(samples):
+        rows = _kernels.Rows()
+        for y in samples:
+            rows.add(y)
+        rows.load()
+        grids = gpd._tau_grids(rows.mean, rows.y_min, rows.y_max)
+        guesses.clear()
+        floor, best = rows._floors(grids, np.ones(grids.shape, dtype=bool))
+        return floor, best, np.concatenate(guesses), [g.shape[0] for g in guesses]
+
+    samples = [np.sort(gpd_sample(GpdParams(xi, 1.0), 40, seed))
+               for seed, xi in enumerate([0.3, -0.2, 0.05, 0.8, -0.6] * 40)]
+    chunk = floors(samples)[3][0]
+    assert 1 < chunk < len(samples)
+    alone = [floors([y]) for y in samples[: chunk + 1]]
+    for count, chunks in ((1, [1]), (chunk, [chunk]), (chunk + 1, [chunk, 1])):
+        floor, best, guess, sizes = floors(samples[:count])
+        assert sizes == chunks
+        for i, (want_floor, want_best, want_guess, _) in enumerate(alone[:count]):
+            assert floor[i].tobytes() == want_floor[0].tobytes()
+            assert best[i] == want_best[0]
+            assert guess[i].tobytes() == want_guess[0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
