@@ -7,7 +7,9 @@ quartiles and runs, the pair count, and in how many pairs the change was
 better (in the metric's direction; ties count for neither). It also records
 the provenance that perfbench prints for the change's runs: the backend,
 the Python and numpy versions, the core count and the CPU. A run that
-fails, or whose tasks are not all correct, stops the script.
+fails, or whose tasks are not all correct, stops the script. The file also
+records ``src_lines``: the summed line count of ``src/potrisk/*.py`` in
+each checkout, as ``wc -l`` counts it.
 
 Run from the repository root, one workload per call; each call adds its
 workload to ``--out``, keeping the others:
@@ -40,6 +42,11 @@ def run(checkout: Path, args) -> tuple[dict, dict]:
         sys.exit(f"{checkout}: {result['failed']} of {result['attempted']} tasks failed")
     provenance = json.loads(next(line for line in lines if line.startswith("provenance: "))[12:])
     return {name: m["value"] for name, m in result["metrics"].items()}, provenance
+
+
+def src_lines(checkout: Path) -> int:
+    """The summed line count of ``src/potrisk/*.py`` in ``checkout``."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "potrisk").glob("*.py"))
 
 
 def summary(values: list) -> dict:
@@ -88,6 +95,7 @@ def main(argv=None) -> int:
         }
     out = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"workloads": {}}
     out["workloads"][args.workload] = entry
+    out["src_lines"] = {"parent": src_lines(args.parent.resolve()), "change": src_lines(ROOT)}
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 

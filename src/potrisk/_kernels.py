@@ -301,33 +301,6 @@ class Rows:
         l[rows, cols] = sums[rows, slots]
         f[rows, cols] = profile_nll_from_sum(n[rows], self.mean[rows], tau, l[rows, cols])
 
-    def keep(self, positions) -> None:
-        """Compact the block to the rows at ``positions`` (ascending), in order.
-
-        Each group keeps its place in the data buffer and moves its kept
-        rows to its front; a group with none left is dropped, and one that
-        keeps all its rows is only renumbered.
-        """
-        groups, i, start = [], 0, 0
-        for g in self._groups:
-            local = []
-            while i < len(positions) and positions[i] < g.stop:
-                local.append(positions[i] - g.start)
-                i += 1
-            if not local:
-                continue
-            if len(local) < len(g.sizes):
-                g.y[: len(local)] = g.y[local]
-                g.sizes = [g.sizes[j] for j in local]
-                g.build(self._y, self._t, self._w, start)
-            else:
-                g.start, g.stop = start, start + len(local)
-            start = g.stop
-            groups.append(g)
-        self._groups, self.count = groups, start
-        for name in ("n", "e", "mean", "y_max", "y_min", "score0"):
-            setattr(self, name, getattr(self, name)[positions])
-
     def sums(self, tau: np.ndarray, deriv: bool):
         """Per-row sums at one tau per row; a group whose taus are all 0 is not computed.
 

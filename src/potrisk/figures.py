@@ -11,6 +11,7 @@ figure of any length holds one chunk's text at once.
 
 import itertools
 import math
+import sys
 
 from .errors import ValidationError
 from .series import BoxPlotSummary, format_chunks
@@ -46,21 +47,26 @@ def _fmt(x: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round ticks k*step over [lo, hi], each from its integer k; the ends alone if a fifth of the width is subnormal."""
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / 5  # about five ticks
+    if raw < sys.float_info.min:
+        return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
-    return ticks
+    step = next(mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag)
+    ticks = (k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 2))
+    return [0.0 if abs(t) < 1e-12 * step else t for t in ticks if t - hi <= 1e-9 * step]
+
+
+def _limits(lo: float, hi: float) -> tuple[float, float]:
+    """An axis' ends, ``lo`` and ``hi`` moved apart if they are equal; their width must be finite."""
+    if hi <= lo:
+        pad = max(abs(lo), 1.0) * 0.05
+        lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise ValidationError("a figure needs data whose range has a finite width")
+    return lo, hi
 
 
 class _Canvas:
@@ -72,15 +78,7 @@ class _Canvas:
     """
 
     def __init__(self, xlim, ylim, title, xlabel, ylabel):
-        xlo, xhi = xlim
-        ylo, yhi = ylim
-        if xhi <= xlo:
-            pad = max(abs(xlo), 1.0) * 0.05
-            xlo, xhi = xlo - pad, xhi + pad
-        if yhi <= ylo:
-            pad = max(abs(ylo), 1.0) * 0.05
-            ylo, yhi = ylo - pad, yhi + pad
-        self.xlo, self.xhi, self.ylo, self.yhi = xlo, xhi, ylo, yhi
+        (self.xlo, self.xhi), (self.ylo, self.yhi) = _limits(*xlim), _limits(*ylim)
         self.parts = []
         self._frame(title, xlabel, ylabel)
 

@@ -280,94 +280,68 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     [lo, hi], is not finite inside it, or the NLL is too far) keeps
     ``x_best`` and its sum ``l_best``.
 
-    A step computes every searching row's next point by the IEEE operations
-    of its search alone, in the same order, then evaluates all of them in
-    one pass; the block is compacted when at most half its rows are still
-    searching. Returns arrays over the rows: the root or ``x_best``, its
-    sum of log1p(tau*y), whether a root was kept and converged, and the
-    score evaluations.
+    The state is arrays over all the block's rows, which never move. A row
+    that stops, for whatever reason, leaves the mask ``searching``, and its
+    results are set then; its state is still stepped with the others', but
+    no result is read from it again. A step computes each row's next point
+    by the IEEE operations of its search alone, in the same order, and
+    evaluates the searching rows' in one pass, the stopped rows' at tau = 0.
+    Returns arrays over the rows: the root or ``x_best``, its sum of
+    log1p(tau*y), whether a root was kept and converged, and the score
+    evaluations.
     """
-    n, mean, count = rows.n, rows.mean, live.size
-    place = np.arange(count)  # each row's position in the compacted block
     tau_hat, l_hat = x_best.copy(), l_best.copy()
-    rooted, converged = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    evaluations = np.full(count, 2)
-
-    def deriv(i, tau):  # the score and sum of rows i at tau
-        if i.size == rows.count:  # the block holds just these rows
-            return rows.profile_nll_deriv(tau)
-        at, t = place[i], np.zeros(rows.count)
-        t[at] = tau
-        score, l = rows.profile_nll_deriv(t)
-        return score[at], l[at]
-
-    i = np.flatnonzero(live)
-    fa, la = deriv(i, lo[i])
-    fb, lb = deriv(i, hi[i])
-    ok = (fa < 0.0) & (0.0 <= fb) & (fb < math.inf)
-    # The bracket ends a and b as e[0] and e[1], each its tau, score,
-    # scaled score and sum, over the rows i still searching.
-    e = np.array([[lo[i], fa, fa, la], [hi[i], fb, fb, lb]])
-    if np.count_nonzero(ok) < i.size:
-        e, i = e[:, :, ok], i[ok]
-    first = first[i]
-    width, steps = e[1, 0] - e[0, 0], np.zeros(i.size, dtype=np.intp)  # at the last check, secant steps since
-    last = np.full(i.size, 2, dtype=np.int8)  # the end the last step replaced: 1 a, 0 b, 2 neither
-    it = 0  # steps made
-    while True:
-        a, b = e[:, 0]
-        magnitude = np.abs(e[:, 0])
-        tol = 2.0 * np.spacing(np.maximum(magnitude[0], magnitude[1]))
-        span = b - a
-        capped = it == _MAX_ITERATIONS
-        done = np.ones(i.size, dtype=bool) if capped else (e[1, 1] == 0.0) | (span <= 2.0 * tol)
-        if np.count_nonzero(done):
-            r, ends = i[done], e[:, :, done]
-            take_a = -ends[0, 1] < ends[1, 1]
-            root, l = np.where(take_a, ends[0, [0, 3]], ends[1, [0, 3]])
-            f = _kernels.profile_nll_from_sum(n[r], mean[r], root, l)
-            ok = np.isfinite(f) & (f <= f_best[r] + 1e-6 * (1.0 + np.abs(f_best[r])))
-            tau_hat[r[ok]], l_hat[r[ok]], rooted[r], converged[r] = root[ok], l[ok], ok, ok & (not capped)
-            evaluations[r] = 2 + it
-            e, i, width, steps, last = (x[..., ~done] for x in (e, i, width, steps, last))
-            first = None if first is None else first[~done]
-            continue  # with the rows still searching
-        if not i.size:
-            break
-        if i.size <= rows.count // 2:
-            rows.keep(place[i])
-            place[i] = np.arange(i.size)
-        ga, gb = e[:, 2]
-        c = b - gb * (span / (gb - ga))
-        if first is not None:  # the first step
-            c = np.where((a < first) & (first < b), first, c)
-            first = None
-        limit = b - tol
-        c = np.where(c < limit, np.where(a + tol > c, a + tol, c), limit)
-        third = steps == 3
-        if np.count_nonzero(third):
+    rooted, converged = np.zeros(rows.count, dtype=bool), np.zeros(rows.count, dtype=bool)
+    evaluations = np.full(rows.count, 2)
+    with np.errstate(all="ignore"):  # a stopped row's state can overflow or be nan
+        fa, la = rows.profile_nll_deriv(np.where(live, lo, 0.0))
+        fb, lb = rows.profile_nll_deriv(np.where(live, hi, 0.0))
+        searching = live & (fa < 0.0) & (0.0 <= fb) & (fb < math.inf)
+        # The bracket ends a and b as e[0] and e[1], each its tau, score,
+        # scaled score and sum.
+        e = np.array([[lo, fa, fa, la], [hi, fb, fb, lb]])
+        width, steps = hi - lo, np.zeros(rows.count, dtype=np.intp)  # at the last check, secant steps since
+        last = np.full(rows.count, 2, dtype=np.int8)  # the end the last step replaced: 1 a, 0 b, 2 neither
+        it = 0  # steps made
+        while True:
+            a, b = e[:, 0]
+            magnitude = np.abs(e[:, 0])
+            tol = 2.0 * np.spacing(np.maximum(magnitude[0], magnitude[1]))
+            span = b - a
+            capped = it == _MAX_ITERATIONS
+            done = searching if capped else searching & ((e[1, 1] == 0.0) | (span <= 2.0 * tol))
+            if done.any():
+                root, l = np.where(-e[0, 1] < e[1, 1], e[0, [0, 3]], e[1, [0, 3]])
+                f = _kernels.profile_nll_from_sum(rows.n, rows.mean, np.where(done, root, math.nan), l)
+                ok = done & np.isfinite(f) & (f <= f_best + 1e-6 * (1.0 + np.abs(f_best)))
+                tau_hat, l_hat = np.where(ok, (root, l), (tau_hat, l_hat))
+                rooted, converged = rooted | ok, converged | (ok & (not capped))
+                searching &= ~done
+            if not searching.any():
+                break
+            ga, gb = e[:, 2]
+            c = b - gb * (span / (gb - ga))
+            if it == 0:
+                c = np.where((a < first) & (first < b), first, c)
+            limit = b - tol
+            c = np.where(c < limit, np.where(a + tol > c, a + tol, c), limit)
+            third = steps == 3
             bisect = third & (span > 0.5 * width)
             width = np.where(third, np.where(bisect, 0.5 * span, span), width)
             c = np.where(bisect, 0.5 * (a + b), c)
             steps = np.where(third, ~bisect, steps + 1)
-        else:
-            steps += 1
-        fc, lc = deriv(i, c)
-        it += 1
-        finite = np.isfinite(fc)
-        if np.count_nonzero(finite) < i.size:
-            evaluations[i[~finite]] = 2 + it
-            e, i, width, steps, last, c, fc, lc = (x[..., finite] for x in (e, i, width, steps, last, c, fc, lc))
-        # c replaces the end on its score's side; when that end was also
-        # replaced last, the other end's scaled score shrinks.
-        side = np.empty((2, 1, i.size), dtype=bool)
-        neg = np.less(fc, 0.0, out=side[0, 0])
-        np.logical_not(neg, out=side[1, 0])
-        m = 1.0 - fc / np.where(neg, e[0, 1], e[1, 1])
-        g = e[:, 2]  # scaled at both ends, the replaced one overwritten next
-        np.multiply(g, np.where(m > 0.0, m, 0.5), out=g, where=last == neg)
-        np.copyto(e, np.array([c, fc, fc, lc]), where=side)
-        last = neg.view(np.int8)
+            fc, lc = rows.profile_nll_deriv(np.where(searching, c, 0.0))
+            it += 1
+            evaluations += searching
+            searching &= np.isfinite(fc)
+            # c replaces the end on its score's side; when that end was also
+            # replaced last, the other end's scaled score shrinks.
+            neg = fc < 0.0
+            m = 1.0 - fc / np.where(neg, e[0, 1], e[1, 1])
+            g = e[:, 2]  # scaled at both ends, the replaced one overwritten next
+            np.multiply(g, np.where(m > 0.0, m, 0.5), out=g, where=last == neg)
+            np.copyto(e, np.array([c, fc, fc, lc]), where=np.array([neg, ~neg])[:, None])
+            last = neg.view(np.int8)
     return tau_hat, l_hat, rooted, converged, evaluations
 
 
@@ -378,7 +352,7 @@ def _search(rows, grids, values, sums) -> list:
     profile NLL and its sum where the lazy grid evaluated them, nan
     elsewhere, all in row units; the scales are returned in the samples'.
     """
-    n, e, mean, y_max = rows.n, rows.e, rows.mean, rows.y_max  # the block's order; rows.keep makes new arrays
+    n, e, mean, y_max = rows.n, rows.e, rows.mean, rows.y_max
     degenerate = y_max == rows.y_min
     # The least value and its nearest finite neighbours, each as x and f
     # (tau and NLL), one row each. Every row has a least value: tau = 0 is

@@ -155,23 +155,27 @@ def trend_coefficients(returns: ReturnSeries) -> tuple[float, float, list[tuple[
     """OLS trend of yearly average returns over the year index.
 
     Years are calendar years of the return dates; the regressor is the
-    zero-based index of the year within the observed range. Returns
-    (slope, intercept, [(year, mean), ...]).
+    zero-based index of the year within the observed range, and all sums
+    are in units of 2**e, e the largest return's exponent, so none overflows.
+    Returns (slope, intercept, [(year, mean), ...]).
     """
     if len(returns) == 0:
         raise TooFewObservations("no returns to aggregate")
+    e = math.frexp(float(np.max(np.abs(returns.values))))[1]
     by_year: dict[int, list[float]] = {}
-    for d, v in zip(returns.dates, returns.values):
-        by_year.setdefault(d.year, []).append(float(v))
+    for d, v in zip(returns.dates, np.ldexp(returns.values, -e).tolist()):
+        by_year.setdefault(d.year, []).append(v)
     years = sorted(by_year)
     if len(years) < 2:
         raise TooFewObservations("trend needs at least 2 yearly averages")
-    means = [float(np.mean(by_year[y])) for y in years]
+    ys = np.array([np.mean(by_year[y]) for y in years])
     xs = np.array([y - years[0] for y in years], dtype=float)
-    ys = np.array(means)
     xbar, ybar = xs.mean(), ys.mean()
-    slope = float(np.sum((xs - xbar) * (ys - ybar)) / np.sum((xs - xbar) ** 2))
-    intercept = float(ybar - slope * xbar)
+    slope = np.sum((xs - xbar) * (ys - ybar)) / np.sum((xs - xbar) ** 2)
+    with np.errstate(over="ignore"):
+        slope, intercept, *means = np.ldexp([slope, ybar - slope * xbar, *ys], e).tolist()
+    if not np.isfinite([slope, intercept, *means]).all():
+        raise ValidationError("the trend of the yearly mean returns is beyond the double range")
     return slope, intercept, list(zip(years, means))
 
 

@@ -98,17 +98,6 @@ class TestRows:
             assert np.ldexp(rows.score0[i], e) == y.size * (y.mean() - np.mean(y * y) / (2.0 * y.mean()))
             assert np.ldexp([rows.y_max[i], rows.y_min[i]], e).tolist() == [y.max(), y.min()]
 
-    def test_keep_compacts_in_order(self):
-        samples = self._samples()
-        rows = _loaded(samples)
-        taus = np.ldexp(self._taus(samples), rows.e)
-        full = rows.sums(taus, deriv=False)[0]
-        rows.keep([1, 3, 4])
-        assert rows.count == 3
-        assert rows.sums(taus[[1, 3, 4]], deriv=False)[0].tolist() == full[[1, 3, 4]].tolist()
-        assert rows.n.tolist() == [samples[i].size for i in (1, 3, 4)]
-        assert np.ldexp(rows.y_max, rows.e).tolist() == [samples[i].max() for i in (1, 3, 4)]
-
     def test_infeasible_tau(self):
         y = np.array([1.0, 2.0, 4.0])
         bad = -0.3  # 1 + tau*4 < 0

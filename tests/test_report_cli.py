@@ -641,3 +641,51 @@ def test_scan_checks_alpha_before_reading_and_scanning(tmp_path, capsys, monkeyp
     assert code == 2, captured.err
     assert captured.err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+_HUGE_RETURNS = "date,return\n2020-01-03,1.5e308\n2020-01-10,1.5e308\n2021-01-08,0.1\n2021-01-15,0.2\n"
+
+
+@pytest.mark.parametrize("kind, text, drawn", [
+    # t + 1 == t at 1e16: a tick loop that adds its step never ends
+    pytest.param("mean-excess", "u,mean_excess,count\n1e16,1.0,3\n10000000000000004,2.0,2\n", True, id="1e16"),
+    # a fifth of the width underflows to 0
+    pytest.param("mean-excess", "u,mean_excess,count\n0,1.0,3\n5e-324,2.0,2\n", True, id="5e-324"),
+    # the width overflows
+    pytest.param("mean-excess", "u,mean_excess,count\n-1e308,1.0,3\n1e308,2.0,2\n", False, id="2e308"),
+    pytest.param("trend", _HUGE_RETURNS, True, id="trend"),
+    pytest.param("box", _HUGE_RETURNS, False, id="box"),  # the box's fences are infinite
+])
+def test_plot_of_extreme_finite_data_draws_or_exits_2(tmp_path, kind, text, drawn):
+    (tmp_path / "in.csv").write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "potrisk.cli", "plot", "--kind", kind, "--input", str(tmp_path / "in.csv"),
+         "--out-dir", str(tmp_path)], capture_output=True, text=True, timeout=60,
+    )
+    if drawn:
+        assert done.returncode == 0 and not done.stderr, done.stderr
+        svg = next(tmp_path.glob("*.svg")).read_text()
+        assert svg.count('class="grid"') < 30 and "nan" not in svg and "inf" not in svg
+    else:
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["error: a figure needs data whose range has a finite width"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_trend_of_huge_returns_is_finite_or_exits_2(tmp_path, capsys, fmt):
+    # np.mean of the two 1.5e308 returns of 2020 overflows; the mean itself does not
+    (tmp_path / "in.csv").write_text(_HUGE_RETURNS)
+    assert main(["trend", "--input", str(tmp_path / "in.csv"), "--format", fmt, "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / f"trend.{fmt}").read_text()
+    assert not any(word in text.lower() for word in ("nan", "inf"))
+    if fmt == "csv":
+        assert text == "year,mean_return\n2020,1.5e+308\n2021,0.15\n"
+    else:
+        doc = json.loads(text)
+        assert (doc["slope"], doc["intercept"]) == (-1.5e308, 1.5e308)
+        assert [m["mean"] for m in doc["yearly_means"]] == [1.5e308, 0.15]
+    # a slope of -3e308 is beyond the double range
+    (tmp_path / "in.csv").write_text("date,return\n2020-01-03,1.5e308\n2021-01-08,-1.5e308\n")
+    capsys.readouterr()
+    assert main(["trend", "--input", str(tmp_path / "in.csv"), "--format", fmt, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: the trend of the yearly mean returns is beyond the double range\n"

@@ -277,6 +277,83 @@ def test_the_iteration_cap_marks_the_fit_unconverged(monkeypatch):
     assert capped.params.shape == pytest.approx(fit_mle(sample).params.shape, rel=0.1)
 
 
+def _bits(fit):
+    """A fit's numbers as bits, its flags and its score evaluations; or the name of the error in its place.
+
+    Not its grid points, which can depend on the rows that share its group.
+    """
+    if isinstance(fit, Exception):
+        return type(fit).__name__
+    numbers = (fit.params.shape, fit.params.scale, fit.log_likelihood)
+    return tuple(x.hex() for x in numbers), fit.converged, fit.boundary_hit, fit.score_evaluations
+
+
+def _mixed_block():
+    """GPD samples of several shapes and sizes, sorted; sizes fall so that rows share groups."""
+    cases = [(0.3, 120), (-0.25, 90), (0.05, 80), (0.7, 60), (-0.45, 45), (0.15, 30), (0.5, 20), (-0.1, 12)]
+    return [np.sort(gpd_sample(GpdParams(xi, 1.0), n, seed)) for seed, (xi, n) in enumerate(cases, 40)]
+
+
+def test_rows_capped_in_a_block_are_their_lone_fits(monkeypatch):
+    samples = _mixed_block()
+    monkeypatch.setattr(gpd, "_MAX_ITERATIONS", 6)
+    fits = list(fit_samples(samples))
+    capped = [not f.converged and f.score_evaluations == 2 + 6 for f in fits]
+    assert any(capped) and not all(capped)
+    for y, fit in zip(samples, fits):
+        (lone,) = fit_samples([y])
+        assert _bits(fit) == _bits(lone)
+
+
+def test_a_row_whose_score_is_not_finite_keeps_its_grid_point(monkeypatch):
+    samples = _mixed_block()
+    lone = [_bits(fit) for y in samples for fit in fit_samples([y])]
+    # a converged row still searching at the 3rd step
+    at = row = next(i for i, bits in enumerate(lone) if bits[1] and bits[3] > 2 + 3)
+    deriv, solve = _kernels.Rows.profile_nll_deriv, gpd._solve_score
+    calls, solved = [], []
+
+    def poisoned(self, tau):  # the score of row ``at`` is nan at the solve's 3rd step
+        score, l = deriv(self, tau)
+        calls.append(None)
+        if len(calls) == 2 + 3:
+            score[at] = math.nan
+        return score, l
+
+    def recorded(rows, lo, hi, x_best, *args):
+        out = solve(rows, lo, hi, x_best, *args)
+        solved.append((x_best, out))
+        return out
+
+    monkeypatch.setattr(_kernels.Rows, "profile_nll_deriv", poisoned)
+    monkeypatch.setattr(gpd, "_solve_score", recorded)
+    fits = list(fit_samples(samples))
+    ((x_best, (tau, _, rooted, converged, evaluations)),) = solved
+    assert (tau[row], rooted[row], converged[row], evaluations[row]) == (x_best[row], False, False, 2 + 3)
+    assert fits[row].score_evaluations == 2 + 3
+    assert [_bits(f) for i, f in enumerate(fits) if i != row] == [b for i, b in enumerate(lone) if i != row]
+    # Alone, the row is the block's last: its solve stops there, with no
+    # pass after the one that gave the nan.
+    calls.clear()
+    at = 0
+    (alone,) = fit_samples([samples[row]])
+    assert len(calls) == 2 + 3
+    assert _bits(alone) == _bits(fits[row])
+
+
+def test_the_solve_leaves_the_block_as_it_was_loaded():
+    rows = _kernels.Rows()
+    for y in _mixed_block():
+        rows.add(y)
+    rows.load()
+    names = ("n", "e", "mean", "y_max", "y_min", "score0")
+    before = rows.count, rows._y[: rows._used].tobytes(), [getattr(rows, name).tobytes() for name in names]
+    grids = gpd._tau_grids(rows.mean, rows.y_min, rows.y_max)
+    fits = gpd._search(rows, grids, *rows.profile_nll_grid(grids))
+    assert len({f.score_evaluations for f in fits}) > 2  # rows stop at different steps
+    assert (rows.count, rows._y[: rows._used].tobytes(), [getattr(rows, name).tobytes() for name in names]) == before
+
+
 def test_the_grid_ends_at_grimshaws_root_bound():
     # rows: a top below 1e8/mean; one above it; a y_min whose square
     # underflows; a rounded mean below y_min
