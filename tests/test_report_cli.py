@@ -347,15 +347,16 @@ class TestCli:
                        "--count", "500", "--seed", "7", "--out-dir", str(d))
             assert out.returncode == 0
         assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
-        values = [float(r["value"]) for r in csv.DictReader(open(a / "samples.csv"))]
+        with open(a / "samples.csv", newline="") as fh:
+            values = [float(r["value"]) for r in csv.DictReader(fh)]
         assert max(values) <= 2.0
 
     def test_simulate_mean_matches_model(self, tmp_path):
         out = _cli("simulate", "--shape", "0.2", "--scale", "1.0",
                    "--count", "100000", "--seed", "11", "--out-dir", str(tmp_path))
         assert out.returncode == 0
-        values = np.array([float(r["value"])
-                           for r in csv.DictReader(open(tmp_path / "samples.csv"))])
+        with open(tmp_path / "samples.csv", newline="") as fh:
+            values = np.array([float(r["value"]) for r in csv.DictReader(fh)])
         mean_true = 1.0 / 0.8
         se = np.std(values) / np.sqrt(values.size)
         assert abs(values.mean() - mean_true) < 3 * se
