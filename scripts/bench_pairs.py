@@ -11,6 +11,15 @@ fails, or whose tasks are not all correct, stops the script. The file also
 records ``src_lines``: the summed line count of ``src/potrisk/*.py`` in
 each checkout, as ``wc -l`` counts it.
 
+With ``--trace``, the pairs are traced runs (``perfbench/run.py --trace 1``)
+and the file records, under ``"layers"``, each side's median, quartiles and
+runs of every per-layer metric, read from the ``"layers"`` of each run's
+``.perfbench_work/<workload>/result.json`` (itself the median over that
+run's tasks). These are raw seconds and counts: unlike the end-to-end
+metrics they are not scaled to the machine's reference speed, and a traced
+task also pays for its spans, so a difference between the sides is only as
+good as the machine's steadiness between their runs.
+
 Run from the repository root, one workload per call; each call adds its
 workload to ``--out``, keeping the others:
 
@@ -30,9 +39,9 @@ PROVENANCE = ("backend", "python", "numpy", "nproc", "cpu")
 
 
 def run(checkout: Path, args) -> tuple[dict, dict]:
-    """One perfbench run in ``checkout``: its end-to-end metrics and its provenance."""
+    """One perfbench run in ``checkout``: its end-to-end metrics (with ``--trace``, its layers) and its provenance."""
     command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds)]
+               "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(int(args.trace))]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode or not lines:
@@ -41,6 +50,9 @@ def run(checkout: Path, args) -> tuple[dict, dict]:
     if not result["correct"] or result["failed"]:
         sys.exit(f"{checkout}: {result['failed']} of {result['attempted']} tasks failed")
     provenance = json.loads(next(line for line in lines if line.startswith("provenance: "))[12:])
+    if args.trace:
+        result_path = checkout / ".perfbench_work" / args.workload / "result.json"
+        return json.loads(result_path.read_text(encoding="utf-8"))["layers"], provenance
     return {name: m["value"] for name, m in result["metrics"].items()}, provenance
 
 
@@ -54,6 +66,20 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def compare(metric: dict, runs: dict) -> dict:
+    """Each side's summary of an end-to-end ``metric`` of BENCHMARK.json, and the pairs the change won."""
+    name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+    parent = [m[name] for m in runs["parent"]]
+    change = [m[name] for m in runs["change"]]
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "parent": summary(parent),
+        "change": summary(change),
+        "change_wins": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="the parent's source checkout")
@@ -62,6 +88,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=38.0)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced pairs and record their per-layer metrics (raw, not reference-scaled)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to have quartiles")
@@ -73,28 +101,25 @@ def main(argv=None) -> int:
             metrics, provenance[side] = run(checkout, args)
             runs[side].append(metrics)
         print(f"{args.workload} pair {i + 1}: " + ", ".join(
-            f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}" for name in runs["change"][-1]
+            f"{name} {runs['parent'][-1].get(name, 0.0):.4g} -> {value:.4g}"
+            for name, value in runs["change"][-1].items()
         ), flush=True)
     entry = {
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
         "provenance": {key: provenance["change"][key] for key in PROVENANCE},
-        "metrics": {},
     }
-    for metric in benchmark["end_to_end"]:
-        name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
-        parent = [m[name] for m in runs["parent"]]
-        change = [m[name] for m in runs["change"]]
-        entry["metrics"][name] = {
-            "unit": metric["unit"],
-            "better": metric["better"],
-            "parent": summary(parent),
-            "change": summary(change),
-            "change_wins": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
+    if args.trace:
+        entry["note"] = "raw seconds and counts of traced tasks, not scaled to the reference speed"
+        entry["layers"] = {
+            name: {side: summary([m.get(name, 0.0) for m in runs[side]]) for side in runs}
+            for name in runs["change"][-1]
         }
+    else:
+        entry["metrics"] = {metric["name"]: compare(metric, runs) for metric in benchmark["end_to_end"]}
     out = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"workloads": {}}
-    out["workloads"][args.workload] = entry
+    out.setdefault("layers" if args.trace else "workloads", {})[args.workload] = entry
     out["src_lines"] = {"parent": src_lines(args.parent.resolve()), "change": src_lines(ROOT)}
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -15,8 +15,8 @@ from .gpd import DEFAULT_MIN_EXCEEDANCES, GpdParams, gpd_sample
 from .risk import HEAVY_TAIL, SHORT_TAIL, require_alpha_filter, scan_thresholds, scan_with_alpha_filter
 from .series import (
     box_plot,
+    column_chunks,
     compute_returns,
-    python_values,
     read_earnings_csv,
     read_returns_csv,
     split_by_sign,
@@ -165,14 +165,14 @@ def _cmd_simulate(args) -> None:
     samples = gpd_sample(params, args.count, args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "samples.csv"
-    write_rows(out, "value\n", "{!r}\n", ((v,) for v in python_values(samples)))
+    write_rows(out, "value\n", "{!r}\n", column_chunks([samples]))
     print(f"wrote {out}")
 
 
 def _cmd_gof_table(args) -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "gof_table.csv"
-    write_rows(out, "xi,alpha,w2,a2\n", "{:g},{:g},{:g},{:g}\n", table_rows())
+    write_rows(out, "xi,alpha,w2,a2\n", "{:g},{:g},{:g},{:g}\n", column_chunks(list(zip(*table_rows()))))
     print(f"wrote {out}")
 
 
@@ -182,7 +182,7 @@ def _cmd_trend(args) -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         out = args.out_dir / "trend.csv"
-        write_rows(out, "year,mean_return\n", "{},{:.15g}\n", yearly)
+        write_rows(out, "year,mean_return\n", "{},{:.15g}\n", column_chunks(list(zip(*yearly))))
     else:
         out = args.out_dir / "trend.json"
         report.write_json(report.trend_dict(slope, intercept, yearly), out)

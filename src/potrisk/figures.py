@@ -5,16 +5,19 @@ data marker carries its original value in ``data-x``/``data-y`` attributes
 at full precision, so a figure can be parsed back and checked against the
 numbers it claims to show. Screen coordinates are an affine map of data
 coordinates; nothing is ever resampled. Polyline points and markers are
-formatted while the figure is written, a chunk of points at a time, so a
-figure of any length holds one chunk's text at once.
+mapped to the screen and formatted while the figure is written, a chunk of
+points at a time, so a figure of any length holds one chunk's arrays and
+text at once.
 """
 
 import itertools
 import math
 import sys
 
+import numpy as np
+
 from .errors import ValidationError
-from .series import BoxPlotSummary, format_chunks
+from .series import CHUNK_ROWS, BoxPlotSummary, format_chunks
 
 __all__ = [
     "box_figure",
@@ -111,17 +114,29 @@ class _Canvas:
         )
 
     def polyline(self, xs, ys):
-        """A polyline through the points of the iterables ``xs`` and ``ys``, read when the figure is written."""
-        points = format_chunks("{:.12g},{:.12g}", ((self.sx(x), self.sy(y)) for x, y in zip(xs, ys)), " ")
+        """A polyline through the points of the sequences ``xs`` and ``ys``, read when the figure is written."""
+        points = format_chunks("{:.12g},{:.12g}", self._screen(xs, ys, data=False), " ")
         self.parts.append(itertools.chain(['<polyline class="line" points="'], points, ['"/>']))
 
     def markers(self, xs, ys):
-        """One marker per point of the nonempty iterables ``xs`` and ``ys``, read when the figure is written."""
+        """One marker per point of the nonempty sequences ``xs`` and ``ys``, read when the figure is written."""
         item = (
             '<circle class="marker" cx="{:.12g}" cy="{:.12g}" '
             'r="3.0" data-x="{:.12g}" data-y="{:.12g}"/>'
         )
-        self.parts.append(format_chunks(item, ((self.sx(x), self.sy(y), x, y) for x, y in zip(xs, ys)), "\n"))
+        self.parts.append(format_chunks(item, self._screen(xs, ys, data=True), "\n"))
+
+    def _screen(self, xs, ys, data: bool):
+        """The points of ``xs`` and ``ys`` as chunks of columns: screen x and y, then with ``data`` x and y.
+
+        Each chunk of CHUNK_ROWS points is taken as float arrays and mapped
+        by :meth:`sx` and :meth:`sy`, the same operations as on one float.
+        """
+        for start in range(0, len(xs), CHUNK_ROWS):
+            x = np.array(xs[start : start + CHUNK_ROWS], dtype=float)
+            y = np.array(ys[start : start + CHUNK_ROWS], dtype=float)
+            columns = [self.sx(x).tolist(), self.sy(y).tolist()]
+            yield columns + [x.tolist(), y.tolist()] if data else columns
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -151,8 +166,8 @@ def scatter_figure(xs, ys, path, title, xlabel, ylabel):
     ylim = min(map(float, ys)), max(map(float, ys))
     canvas = _Canvas(xlim, ylim, title, xlabel, ylabel)
     if len(xs) > 1:
-        canvas.polyline(map(float, xs), map(float, ys))
-    canvas.markers(map(float, xs), map(float, ys))
+        canvas.polyline(xs, ys)
+    canvas.markers(xs, ys)
     canvas.write(path)
 
 

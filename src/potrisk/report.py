@@ -15,6 +15,7 @@ import datetime
 import json
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -41,12 +42,13 @@ from .risk import (
     scan_with_alpha_filter,
 )
 from .series import (
+    CHUNK_ROWS,
     ReturnSeries,
     box_plot,
     compute_returns,
-    csv_rows,
+    column_chunks,
+    csv_table,
     format_chunks,
-    python_values,
     read_earnings_csv,
     split_by_period,
     split_by_sign,
@@ -191,55 +193,93 @@ def trend_dict(slope: float, intercept: float, yearly) -> dict:
 # -- CSV exports ---------------------------------------------------------------
 
 def write_curve_csv(curve: MeanExcessCurve, path) -> None:
-    columns = (python_values(curve.thresholds), python_values(curve.mean_excesses), python_values(curve.counts))
-    rows = ((u, e, int(c)) for u, e, c in zip(*columns))
-    write_rows(path, "u,mean_excess,count\n", "{:.15g},{:.15g},{}\n", rows)
+    columns = [curve.thresholds, curve.mean_excesses, curve.counts.astype(np.int64, copy=False)]
+    write_rows(path, "u,mean_excess,count\n", "{:.15g},{:.15g},{}\n", column_chunks(columns))
 
 
 def read_curve_csv(path) -> tuple[list[float], list[float], list[int]]:
-    reader = csv_rows(path)
-    header = next(reader, None)
+    header, chunks = csv_table(path)
     if header is None or [c.strip().lower() for c in header] != ["u", "mean_excess", "count"]:
         raise ValidationError(f"{path}: expected header 'u,mean_excess,count', got {header}")
-    us, means, counts = _read_columns(path, reader, "curve", [(0, float), (1, float), (2, int)])
+    us, means, counts = _read_columns(path, chunks, "curve", [(0, float), (1, float), (2, int)])
     return us, means, counts
 
 
 def write_scan_csv(scan: ThresholdScan, path) -> None:
     header = "u,xi,sigma,n_u,var,es,w2,a2,accepted_alphas\n"
-    write_rows(path, header, "{:.15g},{:.15g},{:.15g},{},{:.15g},{},{}{}\n", map(_scan_row, scan.estimates))
+    line = "{:.15g},{:.15g},{:.15g},{},{:.15g},{},{}{}\n"
+    write_rows(path, header, line, column_chunks(_scan_columns(scan.estimates)))
 
 
-def _scan_row(e: RiskEstimate) -> tuple:
-    gof = e.gof
-    es = "" if e.es is None else f"{e.es:.15g}"
-    tests = ",," if gof is None else f"{gof.w2:.15g},{gof.a2:.15g},"
-    accepted = "" if gof is None else ";".join(f"{a:g}" for a in gof.accepted_alphas())
-    return e.u, e.params.shape, e.params.scale, e.n_u, e.var, es, tests, accepted
+def _scan_columns(estimates) -> list[list]:
+    """The scan CSV's columns: u, xi, sigma, n_u, var, and the texts of es, of w2 and a2, and of the accepted alphas.
+
+    The accepted alphas of a GoF report follow from its verdicts, which
+    take few distinct values, so their text is kept per tuple of (level,
+    verdict) items.
+    """
+    accepted_texts = {}
+
+    def accepted(gof) -> str:
+        if gof is None:
+            return ""
+        verdicts = tuple(gof.verdicts.items())
+        if (text := accepted_texts.get(verdicts)) is None:
+            text = accepted_texts[verdicts] = ";".join(f"{a:g}" for a in gof.accepted_alphas())
+        return text
+
+    gofs = [e.gof for e in estimates]
+    return [
+        [e.u for e in estimates],
+        [e.params.shape for e in estimates],
+        [e.params.scale for e in estimates],
+        [e.n_u for e in estimates],
+        [e.var for e in estimates],
+        ["" if e.es is None else f"{e.es:.15g}" for e in estimates],
+        [",," if gof is None else f"{gof.w2:.15g},{gof.a2:.15g}," for gof in gofs],
+        list(map(accepted, gofs)),
+    ]
 
 
 def read_scan_csv(path) -> tuple[list[float], list[float]]:
     """(u, var) pairs from a scan export, e.g. for plotting."""
-    reader = csv_rows(path)
-    header = next(reader, None)
+    header, chunks = csv_table(path)
     if header is None or not header or header[0].strip().lower() != "u":
         raise ValidationError(f"{path}: not a scan export (header {header})")
     try:
         var_idx = [c.strip().lower() for c in header].index("var")
     except ValueError as exc:
         raise ValidationError(f"{path}: scan export lacks a 'var' column") from exc
-    us, vars_ = _read_columns(path, reader, "scan", [(0, float), (var_idx, float)])
+    us, vars_ = _read_columns(path, chunks, "scan", [(0, float), (var_idx, float)])
     return us, vars_
 
 
-def _read_columns(path, reader, kind: str, columns) -> list[list]:
-    """The ``columns`` ((index, type) pairs) of the rows left in ``reader``, one list each.
-
-    Empty rows are skipped. A row that does not parse, or whose first two
-    (float) columns are not finite, names the file and line.
-    """
+def _read_columns(path, chunks, kind: str, columns) -> list[list]:
+    """The ``columns`` ((index, type) pairs) of the (line, chunk) pairs ``chunks`` of ``csv_table``, one list each."""
     out = [[] for _ in columns]
-    for lineno, row in enumerate(reader, start=2):
+    for line, chunk in chunks:
+        for column, values in zip(out, _chunk_columns(path, kind, line, chunk, columns)):
+            column += values
+    return out
+
+
+def _chunk_columns(path, kind: str, line: int, chunk, columns) -> list[list]:
+    """The ``columns`` of ``chunk``, the records of a curve or scan CSV from ``line`` on.
+
+    Each column is converted at once. A chunk where that fails (an empty
+    record, a short one, a value that does not parse, or a first or second
+    (float) value that is not finite) is walked a record at a time,
+    skipping empty records and naming the file and line of the first bad one.
+    """
+    try:
+        if chunk and min(map(len, chunk)) > max(i for i, _ in columns):
+            parsed = [list(map(kind_of, map(operator.itemgetter(i), chunk))) for i, kind_of in columns]
+            if all(map(math.isfinite, parsed[0])) and all(map(math.isfinite, parsed[1])):
+                return parsed
+    except ValueError:
+        pass
+    out = [[] for _ in columns]
+    for lineno, row in enumerate(chunk, start=line):
         if not row:
             continue
         try:
@@ -271,19 +311,21 @@ def write_scan_json(scan: ThresholdScan, alpha_filtered: RiskEstimate | None, pa
     ``series.CHUNK_ROWS`` at a time.
     """
     head = {"regime": scan.regime, "diagnostics": asdict(scan.diagnostics), "selected_index": scan.selected_index}
-    line, row = _estimate_json(4)
+    line, columns = _estimate_json(4)
+    estimates = scan.estimates
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "estimates": [')  # the head without its "\n}"
-        if scan.estimates:
+        if estimates:
             fh.write("\n    ")
-            fh.writelines(format_chunks(line, map(row, scan.estimates), sep=",\n    "))
+            chunks = (columns(estimates[i : i + CHUNK_ROWS]) for i in range(0, len(estimates), CHUNK_ROWS))
+            fh.writelines(format_chunks(line, chunks, sep=",\n    "))
             fh.write("\n  ")
         fh.write('],\n  "alpha_filtered": ')
         if alpha_filtered is None:
             fh.write("null")
         else:
-            line, row = _estimate_json(2)
-            fh.write(line.format(*row(alpha_filtered)))
+            line, columns = _estimate_json(2)
+            fh.writelines(format_chunks(line, [columns([alpha_filtered])]))
         fh.write("\n}\n")
 
 
@@ -298,10 +340,11 @@ def _json12(x) -> str:
 
 
 def _estimate_json(indent: int):
-    """A line template and a row function that give ``json.dumps(_estimate_dict(e), indent=2)`` nested ``indent`` deep.
+    """A line template and a function of estimates to its columns: each as ``json.dumps(_estimate_dict(e), indent=2)``.
 
-    The verdicts of a GoF report, keyed by alpha level, take few distinct
-    values, so their text is kept per tuple of (level, verdict) items.
+    The text is nested ``indent`` deep. The verdicts of a GoF report, keyed
+    by alpha level, take few distinct values, so their text is kept per
+    tuple of (level, verdict) items.
     """
     pad = "\n" + " " * indent
     keys = ("u", "shape", "scale", "n", "n_u", "p", "var", "es", "gof")
@@ -320,13 +363,20 @@ def _estimate_json(indent: int):
             f'{pad}    "verdicts": {text}{pad}  }}'
         )
 
-    def row(e: RiskEstimate) -> tuple:
-        return (
-            _json12(e.u), _json12(e.params.shape), _json12(e.params.scale), e.n, e.n_u, _json12(e.p),
-            _json12(e.var), "null" if e.es is None else _json12(e.es), gof_text(e.gof),
-        )
+    def columns(estimates) -> list[list]:
+        return [
+            [_json12(e.u) for e in estimates],
+            [_json12(e.params.shape) for e in estimates],
+            [_json12(e.params.scale) for e in estimates],
+            [e.n for e in estimates],
+            [e.n_u for e in estimates],
+            [_json12(e.p) for e in estimates],
+            [_json12(e.var) for e in estimates],
+            ["null" if e.es is None else _json12(e.es) for e in estimates],
+            [gof_text(e.gof) for e in estimates],
+        ]
 
-    return line, row
+    return line, columns
 
 
 def _estimate_dict(est: RiskEstimate) -> dict:

@@ -9,6 +9,7 @@ positive threshold.
 import csv
 import datetime
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -35,9 +36,10 @@ __all__ = [
     "write_returns_csv",
 ]
 
-# Rows per chunk of an export. Each chunk is formatted by one str.format
-# call and written before the next is taken, so an export holds one chunk's
-# text at a time (well under 1 MB), however many rows it has.
+# Rows per chunk of an export or an input. Each export chunk is formatted by
+# one str.format call and written before the next is taken, so an export
+# holds one chunk's text at a time (well under 1 MB), however many rows it
+# has. Each input chunk is converted a column at a time.
 CHUNK_ROWS = 1024
 
 
@@ -52,7 +54,7 @@ class EarningsSeries:
         rev = np.asarray(self.revenues, dtype=float)
         if len(self.dates) != rev.size:
             raise ValidationError("dates and revenues must have equal length")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if any(map(operator.le, self.dates[1:], self.dates)):
             raise ValidationError("dates must be strictly increasing")
         if np.any(rev < 0.0) or np.any(~np.isfinite(rev)):
             raise ValidationError("revenues must be finite and nonnegative")
@@ -171,11 +173,11 @@ def split_by_sign(returns: ReturnSeries) -> SignSplit:
     pos = vals > 0.0
     neg = vals < 0.0
     positive = ReturnSeries(
-        dates=tuple(d for d, m in zip(returns.dates, pos) if m),
+        dates=tuple(itertools.compress(returns.dates, pos.tolist())),
         values=vals[pos],
     )
     negative = ReturnSeries(
-        dates=tuple(d for d, m in zip(returns.dates, neg) if m),
+        dates=tuple(itertools.compress(returns.dates, neg.tolist())),
         values=-vals[neg],
     )
     return SignSplit(
@@ -233,16 +235,44 @@ def box_plot(returns: ReturnSeries) -> BoxPlotSummary:
 # -- CSV interfaces -----------------------------------------------------------
 
 def csv_rows(path):
-    """The rows of the UTF-8 CSV file at ``path``, read one at a time.
+    """The records of the UTF-8 CSV file at ``path``, in lists of up to CHUNK_ROWS.
 
     Raises ValidationError, naming the file, for bytes that are not UTF-8
-    or that the csv module cannot parse.
+    or that the csv module cannot parse, once the records before them have
+    been handed out.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield from csv.reader(fh)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        while True:
+            chunk, error = [], None
+            try:
+                chunk.extend(itertools.islice(reader, CHUNK_ROWS))  # keeps the records read before an error
+            except (UnicodeDecodeError, csv.Error) as exc:
+                error = exc
+            if chunk:
+                yield chunk
+            if error is not None:
+                raise ValidationError(f"{path}: not a UTF-8 CSV file: {error}") from error
+            if len(chunk) < CHUNK_ROWS:
+                return
+
+
+def csv_table(path):
+    """The header of the UTF-8 CSV file at ``path`` (None if it has no record) and its other records.
+
+    The records come in the chunks of :func:`csv_rows`, as (line, chunk)
+    pairs, with the line of the chunk's first record (the header's is 1).
+    """
+    chunks = csv_rows(path)
+    first = next(chunks, [None])
+
+    def numbered():
+        line = 2
+        for chunk in itertools.chain([first[1:]], chunks):
+            yield line, chunk
+            line += len(chunk)
+
+    return first[0], numbered()
 
 
 def _read_dated_csv(path, column: str, series):
@@ -253,11 +283,34 @@ def _read_dated_csv(path, column: str, series):
     """
     dates = []
     values = []
-    reader = csv_rows(path)
-    header = next(reader, None)
+    header, chunks = csv_table(path)
     if header is None or [c.strip().lower() for c in header] != ["date", column]:
         raise ValidationError(f"{path}: expected header 'date,{column}', got {header}")
-    for lineno, row in enumerate(reader, start=2):
+    for line, chunk in chunks:
+        chunk_dates, chunk_values = _dated_columns(path, column, line, chunk)
+        dates += chunk_dates
+        values += chunk_values
+    try:
+        return series(tuple(dates), np.asarray(values))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _dated_columns(path, column: str, line: int, chunk) -> tuple[list, list]:
+    """The dates and values of ``chunk``, the records of a `date,<column>` CSV from ``line`` on.
+
+    Each column is converted at once. A chunk where that fails (a blank
+    record, a record of another width, a bad date or value) is walked a
+    record at a time, skipping blank records and naming the first bad one.
+    """
+    try:
+        if set(map(len, chunk)) == {2}:
+            texts, numbers = zip(*chunk)
+            return list(map(datetime.date.fromisoformat, map(str.strip, texts))), list(map(float, numbers))
+    except ValueError:
+        pass
+    dates, values = [], []
+    for lineno, row in enumerate(chunk, start=line):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
@@ -270,10 +323,7 @@ def _read_dated_csv(path, column: str, series):
             values.append(float(row[1]))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: bad {column} {row[1]!r}") from exc
-    try:
-        return series(tuple(dates), np.asarray(values))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return dates, values
 
 
 def read_earnings_csv(path) -> EarningsSeries:
@@ -288,32 +338,48 @@ def read_returns_csv(path) -> ReturnSeries:
 
 def write_returns_csv(returns: ReturnSeries, path) -> None:
     """Write a `date,return` CSV with 15 significant digits."""
-    rows = ((d.isoformat(), v) for d, v in zip(returns.dates, python_values(returns.values)))
-    write_rows(path, "date,return\n", "{},{:.15g}\n", rows)
+    dates, values = returns.dates, returns.values
+    chunks = (
+        [list(map(datetime.date.isoformat, dates[i : i + CHUNK_ROWS])), values[i : i + CHUNK_ROWS].tolist()]
+        for i in range(0, len(dates), CHUNK_ROWS)
+    )
+    write_rows(path, "date,return\n", "{},{:.15g}\n", chunks)
 
 
-def python_values(values: np.ndarray):
-    """The elements of a 1-d array as Python numbers, converted one chunk at a time."""
-    for start in range(0, values.size, CHUNK_ROWS):
-        yield from values[start : start + CHUNK_ROWS].tolist()
+def column_chunks(columns):
+    """The equal-length sequences ``columns`` as chunks of CHUNK_ROWS rows, each a list of the columns' slices.
 
-
-def format_chunks(line: str, rows, sep: str = ""):
-    """``line`` formatted with each tuple of ``rows`` and joined by ``sep``, as one string per CHUNK_ROWS rows.
-
-    ``line`` holds one replacement field per value of a row. Each chunk is
-    one str.format call of ``line`` repeated, so the text held at once
-    does not grow with the number of rows.
+    A numpy array's slice is taken as a list of Python numbers.
     """
-    rows = iter(rows)
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        parts = [column[start : start + CHUNK_ROWS] for column in columns]
+        yield [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
+
+
+def format_chunks(line: str, chunks, sep: str = ""):
+    """``line`` formatted with each row of ``chunks`` and joined by ``sep``, as one string per chunk.
+
+    A chunk is a list of columns, equal-length sequences holding one value
+    per row for each replacement field of ``line``. Each chunk is one
+    str.format call of ``line`` repeated, on its columns interleaved into
+    one list, so the text held at once does not grow with the number of
+    chunks.
+    """
     lead = ""
-    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-        yield lead + sep.join([line] * len(chunk)).format(*itertools.chain.from_iterable(chunk))
+    for columns in chunks:
+        k, m = len(columns), len(columns[0])
+        flat = [None] * (k * m)
+        for j, column in enumerate(columns):
+            flat[j::k] = column
+        yield lead + sep.join([line] * m).format(*flat)
         lead = sep
 
 
-def write_rows(path, header: str, line: str, rows) -> None:
-    """Write ``header``, then ``line`` formatted with each tuple of ``rows``, to a UTF-8 file, a chunk at a time."""
+def write_rows(path, header: str, line: str, chunks) -> None:
+    """Write ``header``, then ``line`` formatted with each row of ``chunks``, to a UTF-8 file.
+
+    ``chunks`` are lists of columns, as :func:`format_chunks` takes them.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header)
-        fh.writelines(format_chunks(line, rows))
+        fh.writelines(format_chunks(line, chunks))

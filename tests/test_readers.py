@@ -40,7 +40,8 @@ READERS = {
         "date": ("2001-02-30,1.0", f"bad date '2001-02-30': {_iso_error('2001-02-30')}"),
         "value": ("2001-02-28,abc", "bad revenue 'abc'"),
         "width": ("2001-02-28,1.0,2", "expected 2 columns, got 3"),
-        "non_finite": (lambda i: _dated(i - 1).split(",")[0] + ",inf", (None, "revenues must be finite and nonnegative")),
+        "non_finite": (lambda i: _dated(i - 1).split(",")[0] + ",inf",
+                       (None, "revenues must be finite and nonnegative")),
     }),
     "returns": (read_returns_csv, "date,return", _dated, {
         "date": ("01/02/2001,0.5", f"bad date '01/02/2001': {_iso_error('01/02/2001')}"),
@@ -58,7 +59,8 @@ READERS = {
              lambda i: f"{i * 0.5},0.1,1,{i},{2.0 + i},,0.01,0.1,0.05;0.1", {
         "value": ("x,0.1,1,3,2.5,,,,", "malformed scan row ['x', '0.1', '1', '3', '2.5', '', '', '', '']"),
         "width": ("0.5,0.1,1", "malformed scan row ['0.5', '0.1', '1']"),
-        "non_finite": ("0.5,0.1,1,3,nan,,,,", "non-finite value in scan row ['0.5', '0.1', '1', '3', 'nan', '', '', '', '']"),
+        "non_finite": ("0.5,0.1,1,3,nan,,,,",
+                       "non-finite value in scan row ['0.5', '0.1', '1', '3', 'nan', '', '', '', '']"),
     }),
 }
 CASES = [
