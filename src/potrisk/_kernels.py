@@ -93,29 +93,39 @@ _EPS = math.ulp(1.0)
 class _Group:
     """Consecutive rows of a block, stored as one zero-padded rectangle of the data buffer."""
 
-    __slots__ = ("offset", "width", "sizes", "start", "stop", "y", "t", "w", "t_flat", "w_flat", "segments")
+    __slots__ = ("offset", "width", "sizes", "start", "stop", "y", "t", "w", "t_flat", "segments", "scratch", "whole")
 
     def __init__(self, offset, width):
         self.offset = offset
         self.width = width
         self.sizes = []
 
-    def build(self, data, t, w, start) -> None:
-        """Point the group's views at the data and scratch buffers; its rows begin at row ``start``."""
+    def build(self, data, scratch, start) -> None:
+        """Point the group's views at the data and the three scratch buffers; its rows begin at row ``start``."""
         rows = len(self.sizes)
-        used = rows * self.width
         self.start, self.stop = start, start + rows
-        self.y = data[self.offset : self.offset + used].reshape(rows, self.width)
-        self.t, self.w = (buf[:used].reshape(rows, self.width) for buf in (t, w))
-        # The scratch views hold one element past the rows so that the last
-        # segment has an end.
-        self.t_flat, self.w_flat = t[: used + 1], w[: used + 1]
+        self.scratch = scratch
+        self.y = data[self.offset : self.offset + rows * self.width].reshape(rows, self.width)
         # Row i's segment runs from its leading zero to the row's end; every
         # other segment covers padding and is dropped.
         ends = np.arange(1, rows + 1, dtype=np.intp) * self.width
         self.segments = np.empty(2 * rows, dtype=np.intp)
         self.segments[0::2] = ends - 1 - np.asarray(self.sizes, dtype=np.intp)
         self.segments[1::2] = ends
+        self.whole = self.span(0, rows)
+        (self.t, self.w, _), (self.t_flat, _, _) = self.whole[1:3]
+
+    def span(self, i, j):
+        """The group's rows i to j - 1: their data, their rows and flat views of the scratch buffers, and their segments.
+
+        The scratch rows are the first j - i of each buffer, and the segments
+        are shifted to match. The flat views hold one element past the rows
+        so that the last segment has an end. ``whole`` holds those of all rows.
+        """
+        size = (j - i) * self.width
+        rows = tuple(buf[:size].reshape(j - i, self.width) for buf in self.scratch)
+        flats = tuple(buf[: size + 1] for buf in self.scratch)
+        return self.y[i:j], rows, flats, self.segments[2 * i : 2 * j] - i * self.width
 
 
 class Rows:
@@ -136,7 +146,8 @@ class Rows:
     """
 
     def __init__(self):
-        self._y = self._t = self._w = np.empty(0)
+        self._y = np.empty(0)
+        self._scratch = (np.empty(0),) * 3
         self.passes = self.elements = 0  # calls of sums, elements computed in them
         self.clear()
 
@@ -184,11 +195,11 @@ class Rows:
     def load(self) -> np.ndarray:
         """Finish the block: build the group views, segments and row constants; return the rows' sizes."""
         scratch = max(len(g.sizes) * g.width for g in self._groups) + 1
-        if scratch > self._t.size:
-            self._t, self._w = (np.zeros(max(scratch, BLOCK_ELEMENTS + 1)) for _ in range(2))
+        if scratch > self._scratch[0].size:
+            self._scratch = tuple(np.zeros(max(scratch, BLOCK_ELEMENTS + 1)) for _ in range(3))
         start = 0
         for g in self._groups:
-            g.build(self._y, self._t, self._w, start)
+            g.build(self._y, self._scratch, start)
             start = g.stop
         self.n = np.array([size for g in self._groups for size in g.sizes], dtype=float)
         self.y_max, self.e = np.frexp(self._maxima)
@@ -301,38 +312,48 @@ class Rows:
         l[rows, cols] = sums[rows, slots]
         f[rows, cols] = profile_nll_from_sum(n[rows], self.mean[rows], tau, l[rows, cols])
 
-    def sums(self, tau: np.ndarray, deriv: bool):
-        """Per-row sums at one tau per row; a group whose taus are all 0 is not computed.
+    def sums(self, tau: np.ndarray, deriv: int):
+        """Per-row sums at one tau per row, t = tau*y; a group is computed only from its first to its last row whose tau is not 0.
 
-        Returns (l, None, None) with l the sums of log1p(tau*y), or with
-        ``deriv`` (l, w, w - l) where w sums t/(1 + t) and the last sums
-        t/(1 + t) - log1p(t), t = tau*y; each an array over the rows.
+        ``deriv`` is the highest derivative of the profile NLL that the sums
+        serve. Returns a tuple of arrays over the rows: (l,) with l the sums
+        of log1p(t) for 0 (False); (l, w, d) for 1 (True), where w sums
+        s = t/(1 + t) and d sums s - log1p(t); and (l, w, d, s2, s3) for 3,
+        the sums of s**2 and s**3 added. At tau = +-0 each term is tau or
+        0, which is what a computed row sums to.
         """
-        l = np.empty(self.count)
-        w_sums, d_sums = (np.empty(self.count), np.empty(self.count)) if deriv else (None, None)
+        out = np.empty((5 if deriv > 1 else 3 if deriv else 1, self.count))
         self.passes += 1
         for g in self._groups:
-            rows = slice(g.start, g.stop)
-            if not np.count_nonzero(tau[rows]):  # every tau is +-0: log1p(tau*y) = t/(1 + t) = tau
-                l[rows] = tau[rows]
-                if deriv:
-                    w_sums[rows], d_sums[rows] = tau[rows], 0.0
-                continue
-            self.elements += g.t.size
-            t = g.t
-            np.multiply(g.y, tau[rows, None], out=t)
+            taus = tau[g.start : g.stop]
+            busy = np.flatnonzero(taus)
+            if busy.size < taus.size:  # every term at tau = +-0: log1p(t) = s = s**3 = tau, s - log1p(t) = s**2 = 0
+                out[:, g.start : g.stop] = taus
+                out[2:4, g.start : g.stop] = 0.0
+                if not busy.size:
+                    continue
+            i, j = busy[0], busy[-1] + 1
+            y, (t, w, u), (t_flat, w_flat, u_flat), segments = g.whole if j - i == taus.size else g.span(i, j)
+            rows = slice(g.start + i, g.start + j)
+            self.elements += t.size
+            np.multiply(y, taus[i:j, None], out=t)
             if deriv:
-                np.add(t, 1.0, out=g.w)
-                np.divide(t, g.w, out=g.w)
+                np.add(t, 1.0, out=w)
+                np.divide(t, w, out=w)
             np.log1p(t, out=t)
-            l[rows] = np.add.reduceat(g.t_flat, g.segments)[::2]
+            out[0, rows] = np.add.reduceat(t_flat, segments)[::2]
             if deriv:
-                w_sums[rows] = np.add.reduceat(g.w_flat, g.segments)[::2]
-                np.subtract(g.w, t, out=g.w)
-                d_sums[rows] = np.add.reduceat(g.w_flat, g.segments)[::2]
-        return l, w_sums, d_sums
+                out[1, rows] = np.add.reduceat(w_flat, segments)[::2]
+                if deriv > 1:
+                    np.multiply(w, w, out=u)
+                    out[3, rows] = np.add.reduceat(u_flat, segments)[::2]
+                    np.multiply(u, w, out=u)
+                    out[4, rows] = np.add.reduceat(u_flat, segments)[::2]
+                np.subtract(w, t, out=w)
+                out[2, rows] = np.add.reduceat(w_flat, segments)[::2]
+        return tuple(out)
 
-    def profile_nll_deriv(self, tau: np.ndarray):
+    def profile_nll_deriv(self, tau: np.ndarray, halley: bool = False):
         """Derivative in tau of every row's profile NLL at its own tau (the profile score), in one pass.
 
         Equal to n * (k'/k - 1/tau + k'). The first two terms cancel near
@@ -344,12 +365,31 @@ class Rows:
         which :func:`profile_nll_from_sum` gives the NLL at tau. At tau = 0
         the score is its limit ``score0`` and l is 0; where tau is
         infeasible the score is nan, and l nan or -inf.
+
+        With ``halley`` the same pass also sums s**2 and s**3, s = t/(1 + t),
+        and returns (score, l, g2, g3), the NLL's second and third
+        derivatives. Up to a constant the NLL is n*log(l) - n*log(tau) + l,
+        whose l has the derivatives w/tau, -s2/tau**2 and 2*s3/tau**3, so
+        with r = w/l:
+
+            g2 = (n/tau**2) * (1 - s2/l - r**2 - s2/n)
+            g3 = (n/tau**3) * (2*s3/l + 3*r*s2/l + 2*r**3 - 2 + 2*s3/n)
+
+        They share the score's cancellation near tau = 0, and are not
+        finite at tau = 0. The score and l are those of the plain pass.
         """
         with np.errstate(all="ignore"):
-            l, w, d = self.sums(tau, True)
+            l, w, d, *powers = self.sums(tau, 3 if halley else 1)
             n = self.n
             score = n * ((d / n) / (tau * (l / n)) + (w / n) / tau)
-        return np.where(tau == 0.0, self.score0, score), l
+            score = np.where(tau == 0.0, self.score0, score)
+            if not halley:
+                return score, l
+            s2, s3 = powers
+            r, q2 = w / l, s2 / l
+            g2 = n / (tau * tau) * (1.0 - q2 - r * r - s2 / n)
+            g3 = n / (tau * tau * tau) * (2.0 * (s3 / l) + 3.0 * r * q2 + 2.0 * (r * r * r) - 2.0 + 2.0 * (s3 / n))
+        return score, l, g2, g3
 
 
 def _bin_stops(n) -> np.ndarray:  # the bounds of the bins of n values, ascending from 0 to n

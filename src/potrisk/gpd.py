@@ -9,9 +9,13 @@ a threshold. The fit maximizes the log-likelihood
 over the feasible region sigma > 0, sigma + xi*y_i > 0, with the xi = 0
 exponential limit handled continuously. The search runs on the profiled
 one-dimensional objective over tau = xi/sigma (see _kernels), as Grimshaw
-(1993) does: a coarse grid brackets the optimum, and a safeguarded
-false-position solve finds the root of the analytic derivative (the
-profile score) in that bracket to within 4 ulps. The grid ends at
+(1993) does: a coarse grid brackets the optimum, and a bracketed Halley
+solve finds the root of the analytic derivative (the profile score) in
+that bracket to within 4 ulps, each step from one kernel pass that gives
+the score and its two derivatives. It starts at the vertex of the
+parabola through the grid's least point and its neighbours, and never
+evaluates the bracket's ends, apart from the least point of a row that
+has one neighbour only, where it starts. The grid ends at
 Grimshaw's bound 2*(mean - y_min)/y_min**2 on the score's positive roots,
 so no search looks beyond it. The grid is evaluated lazily, where bounds
 from bins of the sorted sample cannot rule a point out, with the minimum
@@ -267,17 +271,26 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
 
     Comparing objective values cannot localize a minimum better than the
     square root of their rounding noise; the score's sign can, down to
-    the last bits. Anderson-Bjorck false position keeps score(a) < 0 <=
-    score(b). Each step is a secant step between the endpoints (the first
-    is ``first`` if that lies inside), placed at least half the stopping
-    width inside them; an endpoint kept twice in a row has its score
-    scaled down so that it cannot stall the bracket, and a bisection is
-    forced when three secant steps have not halved the bracket. A row
-    stops when its bracket is within 4 ulps or its score is exactly 0,
-    unconverged after ``_MAX_ITERATIONS`` steps. Its root, the end with
-    the smaller score, is kept if the NLL its sum gives is within slack of
-    ``f_best``. A row without one (the score does not change sign over
-    [lo, hi], is not finite inside it, or the NLL is too far) keeps
+    the last bits. The solve keeps a bracket [a, b] with score(a) < 0 <=
+    score(b) and takes Halley steps (Traub 1964) from the point it
+    evaluated last, with the score's two derivatives from the same kernel
+    pass. It bisects where a step leaves the bracket or the curvature (the
+    score's derivative) is not positive, and it steps one tolerance past a
+    root that a step shorter than the tolerance has nearly reached, so
+    that the next point closes the bracket; every point stays a tolerance
+    inside it. A row starts at ``first``: its grid neighbours' parabola
+    vertex, or their midpoint where that is nan or not inside; or
+    ``x_best`` where that is an end of [lo, hi], the row having one grid
+    neighbour only. That first evaluation decides whether the score has
+    the end's sign (below 0 at lo, at least 0 at hi); a row without it has
+    no root. No other end is evaluated: it is taken to have its sign, and
+    a row whose bracket closes on it has no root.
+
+    A row stops when its bracket is within 4 ulps or its score is exactly
+    0, unconverged after ``_MAX_ITERATIONS`` steps. Its root, the evaluated
+    end with the smaller score, is kept if the NLL its sum gives is within
+    slack of ``f_best``. A row without one (the score does not change sign
+    over [lo, hi], is not finite inside it, or the NLL is too far) keeps
     ``x_best`` and its sum ``l_best``.
 
     The state is arrays over all the block's rows, which never move. A row
@@ -292,56 +305,50 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     """
     tau_hat, l_hat = x_best.copy(), l_best.copy()
     rooted, converged = np.zeros(rows.count, dtype=bool), np.zeros(rows.count, dtype=bool)
-    evaluations = np.full(rows.count, 2)
+    evaluations = np.zeros(rows.count, dtype=np.intp)
+    searching = live.copy()
+    at_lo, at_hi = first == lo, first == hi
+    # The bracket ends a and b as e[0] and e[1], each its tau, score and
+    # sum; an end not yet evaluated has the score -inf (a) or inf (b).
+    inf, unknown = np.full(rows.count, math.inf), np.full(rows.count, math.nan)
+    e = np.array([[lo, -inf, unknown], [hi, inf, unknown]])
     with np.errstate(all="ignore"):  # a stopped row's state can overflow or be nan
-        fa, la = rows.profile_nll_deriv(np.where(live, lo, 0.0))
-        fb, lb = rows.profile_nll_deriv(np.where(live, hi, 0.0))
-        searching = live & (fa < 0.0) & (0.0 <= fb) & (fb < math.inf)
-        # The bracket ends a and b as e[0] and e[1], each its tau, score,
-        # scaled score and sum.
-        e = np.array([[lo, fa, fa, la], [hi, fb, fb, lb]])
-        width, steps = hi - lo, np.zeros(rows.count, dtype=np.intp)  # at the last check, secant steps since
-        last = np.full(rows.count, 2, dtype=np.int8)  # the end the last step replaced: 1 a, 0 b, 2 neither
         it = 0  # steps made
         while True:
-            a, b = e[:, 0]
-            magnitude = np.abs(e[:, 0])
-            tol = 2.0 * np.spacing(np.maximum(magnitude[0], magnitude[1]))
-            span = b - a
+            (a, fa, _), (b, fb, _) = e
+            tol = 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
             capped = it == _MAX_ITERATIONS
-            done = searching if capped else searching & ((e[1, 1] == 0.0) | (span <= 2.0 * tol))
+            done = searching if capped else searching & ((fb == 0.0) | (b - a <= 2.0 * tol))
             if done.any():
-                root, l = np.where(-e[0, 1] < e[1, 1], e[0, [0, 3]], e[1, [0, 3]])
+                root, l = np.where(-fa < fb, e[0, [0, 2]], e[1, [0, 2]])
                 f = _kernels.profile_nll_from_sum(rows.n, rows.mean, np.where(done, root, math.nan), l)
-                ok = done & np.isfinite(f) & (f <= f_best + 1e-6 * (1.0 + np.abs(f_best)))
+                closed = capped | (fb == 0.0) | ((-math.inf < fa) & (fb < math.inf))
+                ok = done & closed & np.isfinite(f) & (f <= f_best + 1e-6 * (1.0 + np.abs(f_best)))
                 tau_hat, l_hat = np.where(ok, (root, l), (tau_hat, l_hat))
                 rooted, converged = rooted | ok, converged | (ok & (not capped))
                 searching &= ~done
             if not searching.any():
                 break
-            ga, gb = e[:, 2]
-            c = b - gb * (span / (gb - ga))
-            if it == 0:
-                c = np.where((a < first) & (first < b), first, c)
-            limit = b - tol
-            c = np.where(c < limit, np.where(a + tol > c, a + tol, c), limit)
-            third = steps == 3
-            bisect = third & (span > 0.5 * width)
-            width = np.where(third, np.where(bisect, 0.5 * span, span), width)
-            c = np.where(bisect, 0.5 * (a + b), c)
-            steps = np.where(third, ~bisect, steps + 1)
-            fc, lc = rows.profile_nll_deriv(np.where(searching, c, 0.0))
+            mid = 0.5 * (a + b)
+            if it:
+                step = -2.0 * h * g2 / (2.0 * g2 * g2 - h * g3)
+                c = x + np.where(np.abs(step) < tol, step + np.copysign(tol, step), step)
+                c = np.where((g2 > 0.0) & (a < c) & (c < b), c, mid)
+            else:
+                c = np.where((a < first) & (first < b), first, mid)
+            c = np.minimum(np.maximum(c, a + tol), b - tol)
+            if not it:  # a start at an end is that end
+                c = np.where(at_lo | at_hi, first, c)
+            x = np.where(searching, c, 0.0)
+            h, l, g2, g3 = rows.profile_nll_deriv(x, halley=True)
             it += 1
             evaluations += searching
-            searching &= np.isfinite(fc)
-            # c replaces the end on its score's side; when that end was also
-            # replaced last, the other end's scaled score shrinks.
-            neg = fc < 0.0
-            m = 1.0 - fc / np.where(neg, e[0, 1], e[1, 1])
-            g = e[:, 2]  # scaled at both ends, the replaced one overwritten next
-            np.multiply(g, np.where(m > 0.0, m, 0.5), out=g, where=last == neg)
-            np.copyto(e, np.array([c, fc, fc, lc]), where=np.array([neg, ~neg])[:, None])
-            last = neg.view(np.int8)
+            neg = h < 0.0
+            searching &= np.isfinite(h)
+            if it == 1:
+                searching &= (~at_lo | neg) & (~at_hi | ~neg)
+            # x replaces the end on its score's side
+            np.copyto(e, np.array([x, h, l]), where=np.array([neg, ~neg])[:, None])
     return tau_hat, l_hat, rooted, converged, evaluations
 
 
@@ -364,9 +371,11 @@ def _search(rows, grids, values, sums) -> list:
     x, f, l_best = grids[at], values[at], sums[np.arange(count), best]
     points = np.count_nonzero(~np.isnan(values), axis=1)
     lo, hi = np.where(has[0], x[0], x[1]), np.where(has[1], x[2], x[1])
-    d1 = (f[1] - f[0]) / (x[1] - x[0])  # the solve starts at the convex parabola's vertex
+    # The solve starts at the convex parabola's vertex, or with one neighbour at the least point.
+    d1 = (f[1] - f[0]) / (x[1] - x[0])
     curvature = ((f[2] - f[1]) / (x[2] - x[1]) - d1) / (x[2] - x[0])
-    first = np.where(has[0] & has[1] & (curvature > 0.0), 0.5 * (x[0] + x[1]) - d1 / (2.0 * curvature), math.nan)
+    vertex = np.where(curvature > 0.0, 0.5 * (x[0] + x[1]) - d1 / (2.0 * curvature), math.nan)
+    first = np.where(has[0] & has[1], vertex, x[1])
     tau, l, rooted, converged, evaluations = _solve_score(rows, lo, hi, x[1], f[1], l_best, first, ~degenerate)
     # Without a root, the fit is the grid's least point: unconverged if
     # that is inside or the grid's top, the feasibility edge (a boundary
