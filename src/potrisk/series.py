@@ -9,6 +9,7 @@ positive threshold.
 import csv
 import datetime
 import itertools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -117,8 +118,10 @@ class BoxPlotSummary:
 def compute_returns(series: EarningsSeries) -> ReturnSeries:
     """Relative week-over-week returns, dated by the later week.
 
-    Raises TooFewObservations for fewer than two revenue rows and
-    ZeroDenominator when any revenue other than the last is zero.
+    Raises TooFewObservations for fewer than two revenue rows,
+    ZeroDenominator when any revenue other than the last is zero, and
+    ValidationError, naming its date, for the first return beyond the
+    double range (a revenue far larger than a subnormal one before it).
     """
     if len(series) < 2:
         raise TooFewObservations("need at least 2 observations to compute returns")
@@ -129,7 +132,15 @@ def compute_returns(series: EarningsSeries) -> ReturnSeries:
         raise ZeroDenominator(
             f"revenue at {series.dates[idx].isoformat()} is zero and is used as a denominator"
         )
-    values = np.diff(rev) / denom
+    with np.errstate(over="ignore"):  # an overflowing ratio is inf, reported next
+        values = np.diff(rev) / denom
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"return at {series.dates[i + 1].isoformat()} is beyond the double range "
+            f"(revenue {float(rev[i + 1])!r} after {float(rev[i])!r})"
+        )
     return ReturnSeries(dates=series.dates[1:], values=values)
 
 
@@ -210,16 +221,22 @@ def box_plot(returns: ReturnSeries) -> BoxPlotSummary:
 
     Quartiles interpolate linearly between the closest order statistics.
     Outlier fields carry the sample min/max only when they fall outside
-    the whiskers.
+    the whiskers. A whisker whose fence lies beyond the double range is
+    the data's extreme on its side, beyond which no value lies. Raises
+    ValidationError when the interquartile range itself overflows.
     """
     vals = returns.values
     if vals.size < 4:
         raise TooFewObservations("box plot needs at least 4 data points")
-    q1, median, q3 = _quartiles(vals)
+    with np.errstate(over="ignore", invalid="ignore"):  # a quartile between huge values of opposite sign
+        q1, median, q3 = _quartiles(vals)
     iqr = q3 - q1
-    whisker_low = q1 - 1.5 * iqr
-    whisker_high = q3 + 1.5 * iqr
+    if not math.isfinite(iqr):
+        raise ValidationError("a box plot needs returns whose interquartile range is within the double range")
     lo, hi = float(vals.min()), float(vals.max())
+    whisker_low, whisker_high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    whisker_low = whisker_low if math.isfinite(whisker_low) else lo
+    whisker_high = whisker_high if math.isfinite(whisker_high) else hi
     return BoxPlotSummary(
         q1=q1,
         median=median,

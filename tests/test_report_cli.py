@@ -655,7 +655,8 @@ _HUGE_RETURNS = "date,return\n2020-01-03,1.5e308\n2020-01-10,1.5e308\n2021-01-08
     # the width overflows
     pytest.param("mean-excess", "u,mean_excess,count\n-1e308,1.0,3\n1e308,2.0,2\n", False, id="2e308"),
     pytest.param("trend", _HUGE_RETURNS, True, id="trend"),
-    pytest.param("box", _HUGE_RETURNS, False, id="box"),  # the box's fences are infinite
+    # the box's fences are beyond the double range, so its whiskers are the data's extremes
+    pytest.param("box", _HUGE_RETURNS, True, id="box"),
 ])
 def test_plot_of_extreme_finite_data_draws_or_exits_2(tmp_path, kind, text, drawn):
     (tmp_path / "in.csv").write_text(text)
@@ -670,6 +671,19 @@ def test_plot_of_extreme_finite_data_draws_or_exits_2(tmp_path, kind, text, draw
     else:
         assert done.returncode == 2
         assert done.stderr.splitlines() == ["error: a figure needs data whose range has a finite width"]
+
+
+@pytest.mark.parametrize("command", ["returns", "analyze"])
+@pytest.mark.parametrize("tiny", ["5e-324", "1e-310"])
+def test_a_return_beyond_the_double_range_exits_2_naming_its_date(tmp_path, capsys, command, tiny):
+    # a normal revenue after a subnormal one: the ratio overflows
+    (tmp_path / "in.csv").write_text(f"date,revenue\n2020-01-03,1.0\n2020-01-10,{tiny}\n2020-01-17,2.0\n")
+    code = main([command, "--input", str(tmp_path / "in.csv"), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: return at 2020-01-17 is beyond the double range (revenue 2.0 after {float(tiny)!r})"
+    ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,4 +1,5 @@
 import datetime
+import math
 import re
 import subprocess
 import sys
@@ -62,6 +63,12 @@ class TestComputeReturns:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             compute_returns(_earnings([100.0, 0.0, 120.0]))
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+    def test_a_return_beyond_the_double_range_names_its_date(self, tiny):
+        earnings = _earnings([1.0, tiny, 3.0, 4.0])
+        with pytest.raises(ValidationError, match=r"^return at 1990-01-19 is beyond the double range"):
+            compute_returns(earnings)
 
     def test_trailing_zero_revenue_is_fine(self):
         out = compute_returns(_earnings([100.0, 0.0]))
@@ -177,6 +184,21 @@ class TestBoxPlot:
         with pytest.raises(TooFewObservations):
             box_plot(weekly_returns([1.0, 2.0, 3.0]))
 
+    def test_fences_beyond_the_double_range_are_the_data_extremes(self):
+        s = box_plot(weekly_returns([1.5e308, 1.5e308, 0.1, 0.2]))
+        assert (s.q3, s.iqr) == (1.5e308, 1.5e308 - s.q1) and s.q1 == pytest.approx(0.175)
+        assert (s.whisker_low, s.whisker_high) == (0.1, 1.5e308)
+        assert s.min_outlier is None and s.max_outlier is None
+        # one fence within the range keeps its value
+        s = box_plot(weekly_returns([0.0, 0.0, 1e308, 1e308]))
+        assert (s.whisker_low, s.whisker_high) == (-1.5e308, 1e308)
+
+    def test_an_interquartile_range_beyond_the_double_range_is_rejected(self):
+        m = 1.7e308
+        for values in ([-m, -m, -m, 0.0, m, m, m], [-m, -m, m, m]):  # the second's median overflows too
+            with pytest.raises(ValidationError, match="interquartile range"):
+                box_plot(weekly_returns(values))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_outlier_invariants(self, seed):
         rng = np.random.default_rng(seed)
@@ -194,8 +216,13 @@ class TestBoxPlot:
         min_size=4, max_size=60,
     ))
     def test_quartiles_are_np_quantiles_bit_for_bit(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.quantile(np.array(values), [0.25, 0.5, 0.75]).tolist()
+        if not math.isfinite(want[2] - want[0]):  # no box: its range is beyond the double range
+            with pytest.raises(ValidationError, match="interquartile range"):
+                box_plot(weekly_returns(values))
+            return
         s = box_plot(weekly_returns(values))
-        want = np.quantile(np.array(values), [0.25, 0.5, 0.75]).tolist()
         assert [q.hex() for q in (s.q1, s.median, s.q3)] == [q.hex() for q in want]
 
     def test_leaves_numpy_ma_unloaded(self):
