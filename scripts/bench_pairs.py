@@ -9,7 +9,10 @@ the provenance that perfbench prints for the change's runs: the backend,
 the Python and numpy versions, the core count and the CPU. A run that
 fails, or whose tasks are not all correct, stops the script. The file also
 records ``src_lines``: the summed line count of ``src/potrisk/*.py`` in
-each checkout, as ``wc -l`` counts it.
+each checkout, as ``wc -l`` counts it. Before the first pair, each
+checkout's ``src`` is compiled with ``python -m compileall -q src``: a
+``.pyc`` older than its source is recompiled on every import, which
+perfbench's ``setup_s`` would time.
 
 With ``--trace``, the pairs are traced runs (``perfbench/run.py --trace 1``)
 and the file records, under ``"layers"``, each side's median, quartiles and
@@ -56,6 +59,11 @@ def run(checkout: Path, args) -> tuple[dict, dict]:
     return {name: m["value"] for name, m in result["metrics"].items()}, provenance
 
 
+def compile_sources(checkout: Path) -> None:
+    """Rebuild the bytecode of ``checkout``'s ``src``, so that no run times the import of a stale ``.pyc``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
+
+
 def src_lines(checkout: Path) -> int:
     """The summed line count of ``src/potrisk/*.py`` in ``checkout``."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "potrisk").glob("*.py"))
@@ -95,8 +103,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2, to have quartiles")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs, provenance = {"parent": [], "change": []}, {}
+    sides = [("parent", args.parent.resolve()), ("change", ROOT)]
+    for _, checkout in sides:
+        compile_sources(checkout)
     for i in range(args.pairs):
-        sides = [("parent", args.parent.resolve()), ("change", ROOT)]
         for side, checkout in sides[:: 1 if i % 2 == 0 else -1]:
             metrics, provenance[side] = run(checkout, args)
             runs[side].append(metrics)
