@@ -101,7 +101,7 @@ class _Group:
         self.sizes = []
 
     def build(self, data, scratch, start) -> None:
-        """Point the group's views at the data and the three scratch buffers; its rows begin at row ``start``."""
+        """Point the group's views at the data and the two scratch buffers; its rows begin at row ``start``."""
         rows = len(self.sizes)
         self.start, self.stop = start, start + rows
         self.scratch = scratch
@@ -113,7 +113,7 @@ class _Group:
         self.segments[0::2] = ends - 1 - np.asarray(self.sizes, dtype=np.intp)
         self.segments[1::2] = ends
         self.whole = self.span(0, rows)
-        (self.t, self.w, _), (self.t_flat, _, _) = self.whole[1:3]
+        (self.t, self.w), (self.t_flat, _) = self.whole[1:3]
 
     def span(self, i, j):
         """The group's rows i to j - 1: their data, their rows and flat views of the scratch buffers, and their segments.
@@ -147,7 +147,7 @@ class Rows:
 
     def __init__(self):
         self._y = np.empty(0)
-        self._scratch = (np.empty(0),) * 3
+        self._scratch = (np.empty(0),) * 2
         self.passes = self.elements = 0  # calls of sums, elements computed in them
         self.clear()
 
@@ -196,7 +196,7 @@ class Rows:
         """Finish the block: build the group views, segments and row constants; return the rows' sizes."""
         scratch = max(len(g.sizes) * g.width for g in self._groups) + 1
         if scratch > self._scratch[0].size:
-            self._scratch = tuple(np.zeros(max(scratch, BLOCK_ELEMENTS + 1)) for _ in range(3))
+            self._scratch = tuple(np.zeros(max(scratch, BLOCK_ELEMENTS + 1)) for _ in range(2))
         start = 0
         for g in self._groups:
             g.build(self._y, self._scratch, start)
@@ -333,7 +333,7 @@ class Rows:
                 if not busy.size:
                     continue
             i, j = busy[0], busy[-1] + 1
-            y, (t, w, u), (t_flat, w_flat, u_flat), segments = g.whole if j - i == taus.size else g.span(i, j)
+            y, (t, w), (t_flat, w_flat), segments = g.whole if j - i == taus.size else g.span(i, j)
             rows = slice(g.start + i, g.start + j)
             self.elements += t.size
             np.multiply(y, taus[i:j, None], out=t)
@@ -344,13 +344,13 @@ class Rows:
             out[0, rows] = np.add.reduceat(t_flat, segments)[::2]
             if deriv:
                 out[1, rows] = np.add.reduceat(w_flat, segments)[::2]
-                if deriv > 1:
-                    np.multiply(w, w, out=u)
-                    out[3, rows] = np.add.reduceat(u_flat, segments)[::2]
-                    np.multiply(u, w, out=u)
-                    out[4, rows] = np.add.reduceat(u_flat, segments)[::2]
-                np.subtract(w, t, out=w)
-                out[2, rows] = np.add.reduceat(w_flat, segments)[::2]
+                np.subtract(w, t, out=t)
+                out[2, rows] = np.add.reduceat(t_flat, segments)[::2]
+            if deriv > 1:
+                np.multiply(w, w, out=t)
+                out[3, rows] = np.add.reduceat(t_flat, segments)[::2]
+                np.multiply(t, w, out=t)
+                out[4, rows] = np.add.reduceat(t_flat, segments)[::2]
         return tuple(out)
 
     def profile_nll_deriv(self, tau: np.ndarray, halley: bool = False):
