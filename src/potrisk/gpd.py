@@ -322,7 +322,7 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
             if done.any():
                 root, l = np.where(-fa < fb, e[0, [0, 2]], e[1, [0, 2]])
                 f = _kernels.profile_nll_from_sum(rows.n, rows.mean, np.where(done, root, math.nan), l)
-                closed = capped | (fb == 0.0) | ((-math.inf < fa) & (fb < math.inf))
+                closed = capped | (fb == 0.0) | (np.isfinite(fa) & np.isfinite(fb))  # both ends were evaluated
                 ok = done & closed & np.isfinite(f) & (f <= f_best + 1e-6 * (1.0 + np.abs(f_best)))
                 tau_hat, l_hat = np.where(ok, (root, l), (tau_hat, l_hat))
                 rooted, converged = rooted | ok, converged | (ok & (not capped))
