@@ -312,17 +312,16 @@ class Rows:
         l[rows, cols] = sums[rows, slots]
         f[rows, cols] = profile_nll_from_sum(n[rows], self.mean[rows], tau, l[rows, cols])
 
-    def sums(self, tau: np.ndarray, deriv: int):
+    def sums(self, tau: np.ndarray, deriv: bool):
         """Per-row sums at one tau per row, t = tau*y; a group is computed only from its first to its last row whose tau is not 0.
 
-        ``deriv`` is the highest derivative of the profile NLL that the sums
-        serve. Returns a tuple of arrays over the rows: (l,) with l the sums
-        of log1p(t) for 0 (False); (l, w, d) for 1 (True), where w sums
-        s = t/(1 + t) and d sums s - log1p(t); and (l, w, d, s2, s3) for 3,
-        the sums of s**2 and s**3 added. At tau = +-0 each term is tau or
-        0, which is what a computed row sums to.
+        Returns a tuple of arrays over the rows: (l,), l the sums of
+        log1p(t); or with ``deriv``, for the profile score and its two
+        derivatives, (l, w, d, s2, s3), where w sums s = t/(1 + t), d sums
+        s - log1p(t), and s2 and s3 sum s**2 and s**3. At tau = +-0 each
+        term is tau or 0, which is what a computed row sums to.
         """
-        out = np.empty((5 if deriv > 1 else 3 if deriv else 1, self.count))
+        out = np.empty((5 if deriv else 1, self.count))
         self.passes += 1
         for g in self._groups:
             taus = tau[g.start : g.stop]
@@ -346,46 +345,40 @@ class Rows:
                 out[1, rows] = np.add.reduceat(w_flat, segments)[::2]
                 np.subtract(w, t, out=t)
                 out[2, rows] = np.add.reduceat(t_flat, segments)[::2]
-            if deriv > 1:
                 np.multiply(w, w, out=t)
                 out[3, rows] = np.add.reduceat(t_flat, segments)[::2]
                 np.multiply(t, w, out=t)
                 out[4, rows] = np.add.reduceat(t_flat, segments)[::2]
         return tuple(out)
 
-    def profile_nll_deriv(self, tau: np.ndarray, halley: bool = False):
-        """Derivative in tau of every row's profile NLL at its own tau (the profile score), in one pass.
+    def profile_nll_deriv(self, tau: np.ndarray):
+        """Every row's profile score (the derivative in tau of its profile NLL) at its own tau, and two derivatives, in one pass.
 
-        Equal to n * (k'/k - 1/tau + k'). The first two terms cancel near
-        tau = 0, so they are evaluated as (tau*k' - k) / (tau*k) with the
-        numerator summed per element. Each of its terms t/(1+t) - log1p(t)
-        is O(t^2) but is formed as the difference of two rounded O(t)
-        values, so it loses about log10(1/|t|) digits near tau = 0 (ROADMAP
-        item 3). Returns (score, l), l each row's sum of log1p(tau*y), from
-        which :func:`profile_nll_from_sum` gives the NLL at tau. At tau = 0
-        the score is its limit ``score0`` and l is 0; where tau is
-        infeasible the score is nan, and l nan or -inf.
-
-        With ``halley`` the same pass also sums s**2 and s**3, s = t/(1 + t),
-        and returns (score, l, g2, g3), the NLL's second and third
-        derivatives. Up to a constant the NLL is n*log(l) - n*log(tau) + l,
-        whose l has the derivatives w/tau, -s2/tau**2 and 2*s3/tau**3, so
-        with r = w/l:
+        The score is n * (k'/k - 1/tau + k'). Its first two terms cancel
+        near tau = 0, so they are evaluated as (tau*k' - k) / (tau*k) with
+        the numerator summed per element. Each of its terms t/(1+t) -
+        log1p(t) is O(t^2) but is formed as the difference of two rounded
+        O(t) values, so it loses about log10(1/|t|) digits near tau = 0
+        (ROADMAP item 3). Returns (score, l, g2, g3): l each row's sum of
+        log1p(tau*y), from which :func:`profile_nll_from_sum` gives the NLL
+        at tau, and g2 and g3 the NLL's second and third derivatives. Up to
+        a constant the NLL is n*log(l) - n*log(tau) + l, whose l has the
+        derivatives w/tau, -s2/tau**2 and 2*s3/tau**3 (see :meth:`sums`),
+        so with r = w/l:
 
             g2 = (n/tau**2) * (1 - s2/l - r**2 - s2/n)
             g3 = (n/tau**3) * (2*s3/l + 3*r*s2/l + 2*r**3 - 2 + 2*s3/n)
 
-        They share the score's cancellation near tau = 0, and are not
-        finite at tau = 0. The score and l are those of the plain pass.
+        They share the score's cancellation near tau = 0. At tau = 0 the
+        score is its limit ``score0``, l is 0, and g2 and g3 are not
+        finite; where tau is infeasible the score is nan, and l nan or
+        -inf.
         """
         with np.errstate(all="ignore"):
-            l, w, d, *powers = self.sums(tau, 3 if halley else 1)
+            l, w, d, s2, s3 = self.sums(tau, True)
             n = self.n
             score = n * ((d / n) / (tau * (l / n)) + (w / n) / tau)
             score = np.where(tau == 0.0, self.score0, score)
-            if not halley:
-                return score, l
-            s2, s3 = powers
             r, q2 = w / l, s2 / l
             g2 = n / (tau * tau) * (1.0 - q2 - r * r - s2 / n)
             g3 = n / (tau * tau * tau) * (2.0 * (s3 / l) + 3.0 * r * q2 + 2.0 * (r * r * r) - 2.0 + 2.0 * (s3 / n))

@@ -340,7 +340,7 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
             if not it:  # a start at an end is that end
                 c = np.where(at_lo | at_hi, first, c)
             x = np.where(searching, c, 0.0)
-            h, l, g2, g3 = rows.profile_nll_deriv(x, halley=True)
+            h, l, g2, g3 = rows.profile_nll_deriv(x)
             it += 1
             evaluations += searching
             neg = h < 0.0

@@ -55,7 +55,7 @@ class TestRows:
         samples = self._samples()
         rows = _loaded(samples)
         taus = self._taus(samples)
-        l, w, d = rows.sums(np.ldexp(taus, rows.e), deriv=True)
+        l, w, d, s2, s3 = rows.sums(np.ldexp(taus, rows.e), deriv=True)
         for i, y in enumerate(samples):
             t = taus[i] * y
             lg = np.log1p(t)
@@ -63,19 +63,21 @@ class TestRows:
             assert l[i] == lg.sum()
             assert w[i] == wt.sum()
             assert d[i] == (wt - lg).sum()
+            assert s2[i] == (wt * wt).sum()
+            assert s3[i] == (wt * wt * wt).sum()
         assert rows.sums(np.ldexp(taus, rows.e), deriv=False)[0].tolist() == l.tolist()
 
     def test_groups_whose_taus_are_all_zero_are_not_computed(self):
         samples = self._samples()  # groups: row 0, row 1, rows 2-4
         rows = _loaded(samples)
         taus = np.array([0.5, 0.0, -0.0, 0.0, -0.0])
-        l, w, d = rows.sums(np.ldexp(taus, rows.e), deriv=True)
+        l, w, d, s2, s3 = rows.sums(np.ldexp(taus, rows.e), deriv=True)
         for i, y in enumerate(samples):
             t = taus[i] * np.concatenate([[0.0], y])  # with the row's leading zero
             lg = np.log1p(t)
             wt = t / (1.0 + t)
             # summed in order, as reduceat sums a computed row (the sign of a zero shows)
-            for got, terms in ((l[i], lg), (w[i], wt), (d[i], wt - lg)):
+            for got, terms in ((l[i], lg), (w[i], wt), (d[i], wt - lg), (s2[i], wt * wt), (s3[i], wt * wt * wt)):
                 assert got.hex() == functools.reduce(operator.add, terms.tolist()).hex()
         assert (rows.passes, rows.elements) == (1, 2)
 
@@ -103,7 +105,7 @@ class TestRows:
         bad = -0.3  # 1 + tau*4 < 0
         (value,), (l,) = _block_values(_profile_nll, [(y, bad)])
         assert value == math.inf and math.isnan(l)
-        (score,), (l,) = _block_values(_kernels.Rows.profile_nll_deriv, [(y, bad)])
+        (score,), (l,), *_ = _block_values(_kernels.Rows.profile_nll_deriv, [(y, bad)])
         assert math.isnan(score) and math.isnan(l)
 
     def test_kernels_match_scalar_oracle(self):
@@ -113,7 +115,7 @@ class TestRows:
             tau_min = -(1.0 - 1e-10) / y.max()
             taus = [0.0, 1e-9, -1e-9, 0.5, 5.0, tau_min * 0.5, tau_min * 0.999, tau_min]
             nll, nll_sums = _block_values(_profile_nll, [(y, tau) for tau in taus])
-            deriv, sums = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau) for tau in taus])
+            deriv, sums, *_ = _block_values(_kernels.Rows.profile_nll_deriv, [(y, tau) for tau in taus])
             assert nll_sums.tolist() == sums.tolist()  # a value pass and a score pass keep the same sums
             row = _loaded([y])
             e = int(row.e[0])
