@@ -216,6 +216,18 @@ def _quartiles(vals: np.ndarray) -> list[float]:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t).tolist()
 
 
+def _fence(q: float, iqr: float, extreme: float) -> float:
+    """The fence q + 1.5*iqr, or ``extreme`` where it lies beyond the double range.
+
+    Where 1.5*iqr alone overflows, the fence is formed at half scale,
+    which rounds as the full-scale sum would.
+    """
+    fence = q + 1.5 * iqr
+    if not math.isfinite(fence):
+        fence = 2.0 * (0.5 * q + 0.75 * iqr)
+    return fence if math.isfinite(fence) else extreme
+
+
 def box_plot(returns: ReturnSeries) -> BoxPlotSummary:
     """Five-number box-plot summary with 1.5*IQR whiskers.
 
@@ -234,9 +246,7 @@ def box_plot(returns: ReturnSeries) -> BoxPlotSummary:
     if not math.isfinite(iqr):
         raise ValidationError("a box plot needs returns whose interquartile range is within the double range")
     lo, hi = float(vals.min()), float(vals.max())
-    whisker_low, whisker_high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    whisker_low = whisker_low if math.isfinite(whisker_low) else lo
-    whisker_high = whisker_high if math.isfinite(whisker_high) else hi
+    whisker_low, whisker_high = _fence(q1, -iqr, lo), _fence(q3, iqr, hi)
     return BoxPlotSummary(
         q1=q1,
         median=median,

@@ -192,6 +192,11 @@ class TestBoxPlot:
         # one fence within the range keeps its value
         s = box_plot(weekly_returns([0.0, 0.0, 1e308, 1e308]))
         assert (s.whisker_low, s.whisker_high) == (-1.5e308, 1e308)
+        # a fence within the range whose 1.5*IQR alone overflows
+        s = box_plot(weekly_returns([-1.7e308, 4e307, 5e307, 1.7e308, 1.7e308]))
+        assert (s.q1, s.iqr) == (4e307, 1.7e308 - 4e307)
+        assert s.whisker_low == pytest.approx(-1.55e308, rel=1e-15)
+        assert (s.whisker_high, s.min_outlier, s.max_outlier) == (1.7e308, -1.7e308, None)
 
     def test_an_interquartile_range_beyond_the_double_range_is_rejected(self):
         m = 1.7e308
