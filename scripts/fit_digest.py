@@ -12,7 +12,8 @@ excesses over the threshold of the suffix of the tail sorted once, in
 ascending order, so both checkouts fit the same rows. Two checkouts
 whose fits are bit-identical print the same digests. Each input's line
 ends with the work of its fits' searches: the totals of
-``FitResult.grid_points`` and ``score_evaluations``, which can differ
+``FitResult.grid_points`` and ``score_evaluations`` and the most score
+evaluations of one fit, which can differ
 between checkouts whose fits do not, since a fit's grid points can depend
 on the rows that share its block.
 
@@ -107,12 +108,12 @@ def fits(batches) -> tuple:
     """The fits of the samples of ``batches``, each batch fitted by one ``fit_samples`` call, and their work.
 
     Returns a list with, per fit, (shape, scale, log-likelihood, converged,
-    boundary_hit) or the error's name, and the fits' total grid points and
-    score evaluations.
+    boundary_hit) or the error's name, and the fits' work: their total grid
+    points and score evaluations, and the most score evaluations of one.
     """
     from potrisk.gpd import FitResult, fit_samples
 
-    out, work = [], [0, 0]
+    out, work = [], [0, 0, 0]
     for samples in batches:
         for fit in fit_samples(samples):
             if isinstance(fit, FitResult):
@@ -120,6 +121,7 @@ def fits(batches) -> tuple:
                 out.append((p.shape, p.scale, fit.log_likelihood, fit.converged, fit.boundary_hit))
                 work[0] += fit.grid_points
                 work[1] += fit.score_evaluations
+                work[2] = max(work[2], fit.score_evaluations)
             else:
                 out.append(type(fit).__name__)
     return out, work
@@ -152,7 +154,7 @@ def _relative(a: float, b: float) -> float:
 
 
 def _work(work) -> str:
-    return f"grid_points {work[0]} score_evaluations {work[1]}"
+    return f"grid_points {work[0]} score_evaluations {work[1]} (at most {work[2]} per fit)"
 
 
 def compare(name, mine, theirs) -> bool:

@@ -313,8 +313,8 @@ def test_a_row_whose_score_is_not_finite_keeps_its_grid_point(monkeypatch):
     deriv, solve = _kernels.Rows.profile_nll_deriv, gpd._solve_score
     calls, solved = [], []
 
-    def poisoned(self, tau, **kwargs):  # the score of row ``at`` is nan at the solve's 3rd step
-        score, *rest = deriv(self, tau, **kwargs)
+    def poisoned(self, tau):  # the score of row ``at`` is nan at the solve's 3rd step
+        score, *rest = deriv(self, tau)
         calls.append(None)
         if len(calls) == 3:
             score[at] = math.nan
@@ -394,6 +394,15 @@ def test_roots_beyond_the_lower_end_of_spots_interval_are_found():
     (fit,) = fit_samples([y])
     assert not fit.converged and not fit.boundary_hit, fit
     assert fit.params.shape / fit.params.scale == pytest.approx(1e28 / y.mean(), rel=1e-12)
+
+
+def test_score_evaluations_per_fit_on_the_multi_decade_draws():
+    # Each bracket spans up to 30 decades, whose bisections cost the most
+    # steps; no fit comes near the solve's cap.
+    fits = list(fit_samples(_multi_decade_draw(i) for i in range(90)))  # one block, as fit_digest.py fits them
+    evaluations = [fit.score_evaluations for fit in fits]
+    assert sum(evaluations) <= 2817
+    assert max(evaluations) <= 63 < gpd._MAX_ITERATIONS
 
 
 def test_a_sample_with_a_1e_200_minimum_fits_without_a_warning():
@@ -519,6 +528,7 @@ def test_the_solve_passes_per_block_on_the_bundled_data(monkeypatch):
         assert solves[-1] == (len(fits), max(evaluations)), solves
     assert len(counts) == 1416
     assert statistics.median(counts) <= 7
+    assert max(counts) <= 29 < gpd._MAX_ITERATIONS
     # 29, 9, 11 and 8 passes: the first tail's slowest rows have shapes within
     # 0.001 of zero, where the score's derivatives are noise (ROADMAP item 3)
     assert sum(passes for _, passes in solves) <= 57, solves
