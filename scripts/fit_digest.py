@@ -25,14 +25,26 @@ and scale, each fit whose shape or scale moved by more than 1e-12
 relative, with its shape, and the work totals of both checkouts. It
 exits 1 if a count, a flag or an error type differs.
 
-Run from the repository root (each checkout's fits take about 5 s):
+With ``--dense N`` the script also checks that the tau grid misses no
+better optimum: for every converged, non-boundary fit of the bundled
+data, tail_scan and multi_decade (long_history's 14,000-point samples
+would take minutes), it evaluates the profile NLL, in plain numpy apart
+from the package, at N points from the feasibility edge to the grid's top
+(:func:`dense_taus`) and prints each fit with a point more likely than it
+by more than ``DENSE_SLACK`` relative, and the most likely such point. It
+exits 1 if there is one.
+
+Run from the repository root (each checkout's fits take about 5 s, the
+dense check at N = 4,000 about a minute):
 
     PYTHONPATH=src python scripts/fit_digest.py --seed 1
     PYTHONPATH=src python scripts/fit_digest.py --seed 1 --against ../other-checkout
+    PYTHONPATH=src python scripts/fit_digest.py --seed 1 --dense 4000
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -50,6 +62,7 @@ import inputs  # noqa: E402
 import workloads  # noqa: E402
 
 MOVED = 1e-12  # the relative move of a shape or scale that is listed
+DENSE_SLACK = 1e-12  # how much less than a fit's, relative, a dense point's NLL must be to be listed
 
 
 def bundled_tails():
@@ -190,17 +203,92 @@ def compare(name, mine, theirs) -> bool:
     return not (flags or errors)
 
 
+def dense_taus(y, points) -> np.ndarray:
+    """``points`` taus from the feasibility edge to the top of the tau grid of the sorted sample ``y``, and 0.
+
+    The edge and the top are the grid's (see ``gpd._tau_grids``): the edge
+    -(1 - 1e-10)/y_max, the top 2*(mean - y_min)/y_min**2 clipped to
+    [1e-8/mean, 1e28/mean]. A third of the points lie geometrically in
+    their distance from the edge, from 1e-10 to half of it; a third sweep
+    the negative taus geometrically from there to -1e-8/mean, and the rest
+    the positive ones from 1e-8/mean to the top.
+    """
+    mean, y_min = y.mean(), y[0]
+    s, edge = 1.0 / mean, -(1.0 - 1e-10) / y[-1]
+    with np.errstate(divide="ignore", over="ignore"):
+        top = float(np.clip(2.0 * (mean - y_min) / (y_min * y_min), 1e-8 * s, 1e28 * s))
+    third = points // 3
+    near_edge = edge * (1.0 - np.geomspace(1e-10, 0.5, third))
+    negative = -np.geomspace(0.5 * abs(edge), 1e-8 * s, third)
+    positive = np.geomspace(1e-8 * s, top, points - 2 * third)
+    return np.concatenate([near_edge, negative, [0.0], positive])
+
+
+def dense_nll(y, taus) -> np.ndarray:
+    """The profile NLL n*(log(k/tau) + k + 1), k = mean(log1p(tau*y)), of the sample ``y`` at each of ``taus``."""
+    out = np.empty(taus.size)
+    step = max(1, (1 << 20) // y.size)  # taus per chunk, so that a chunk holds about 2**20 terms
+    for i in range(0, taus.size, step):
+        tau = taus[i : i + step]
+        k = np.log1p(tau[:, None] * y).mean(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # tau = 0 is set below
+            out[i : i + step] = y.size * (np.log(k / tau) + k + 1.0)
+    out[taus == 0.0] = y.size * (math.log(y.mean()) + 1.0)
+    return out
+
+
+def dense_check(name, tails, points) -> bool:
+    """Print each converged, non-boundary fit of ``tails``' samples that a point of :func:`dense_taus` beats.
+
+    ``tails`` is a list of batches of samples, each fitted by one
+    ``fit_samples`` call. Returns whether there is none.
+    """
+    from potrisk.gpd import FitResult, fit_samples
+
+    checked, beaten, least = 0, [], math.inf  # least: the least (dense NLL - fit NLL)/|fit NLL| of all fits
+    index = itertools.count()
+    for samples in tails:
+        samples = list(samples)
+        for y, fit, i in zip(samples, fit_samples(samples), index):  # index last, so that no count is lost
+            if not isinstance(fit, FitResult) or not fit.converged or fit.boundary_hit:
+                continue
+            checked += 1
+            taus = dense_taus(y, points)
+            f = -fit.log_likelihood
+            margin = (dense_nll(y, taus) - f) / abs(f)
+            j = int(np.argmin(margin))
+            least = min(least, float(margin[j]))
+            if margin[j] < -DENSE_SLACK:
+                beaten.append((i, fit.params.shape, float(taus[j]), float(margin[j])))
+    print(f"{name}: {checked} converged interior fits, {len(beaten)} beaten by one of {points} dense taus "
+          f"by more than {DENSE_SLACK:g} relative; the least (dense NLL - fit NLL)/|fit NLL| is {least:.3g}")
+    for i, shape, tau, margin in beaten:
+        print(f"  fit {i}: shape {shape!r}, dense tau {tau!r} more likely by {-margin:.3g} relative")
+    return not beaten
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     parser.add_argument("--against", metavar="CHECKOUT", help="compare with the fits of this checkout's src")
+    parser.add_argument("--dense", type=int, metavar="N", help="check the fits against the NLL at N dense taus")
     args = parser.parse_args(argv)
+    if args.dense is not None and args.dense < 3:
+        parser.error("--dense must be at least 3")
     sys.path.insert(0, str(ROOT / "src"))
     mine = all_fits(args.seed)
     for name, (records, work) in mine.items():
         print(f"{name} {len(records)} {digest(records)} {_work(work)}")
+    ok = True
+    if args.dense is not None:
+        dense_inputs = {
+            "bundled": candidate_samples(bundled_tails()),
+            f"tail_scan@{args.seed}": candidate_samples(tail_scan_tails(args.seed)),
+            "multi_decade": [multi_decade_samples()],
+        }
+        ok = all([dense_check(name, tails, args.dense) for name, tails in dense_inputs.items()])
     if args.against is None:
-        return 0
+        return 0 if ok else 1
     # The other checkout's potrisk, driven by this script's functions.
     paths = [str(Path(args.against).resolve() / "src"), str(Path(__file__).resolve().parent)]
     code = (
@@ -211,11 +299,11 @@ def main(argv=None) -> int:
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     theirs = json.loads(run.stdout)
     print(f"against {args.against} (shape there -> here):")
-    ok = []
+    same = []
     for name in mine:
         records, work = theirs[name]
-        ok.append(compare(name, mine[name], ([r if isinstance(r, str) else tuple(r) for r in records], work)))
-    return 0 if all(ok) else 1
+        same.append(compare(name, mine[name], ([r if isinstance(r, str) else tuple(r) for r in records], work)))
+    return 0 if ok and all(same) else 1
 
 
 if __name__ == "__main__":

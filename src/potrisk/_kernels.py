@@ -53,7 +53,7 @@ BACKEND = "numpy"
 
 # Elements per kernel scratch buffer (2**13 doubles = 64 KiB), and the unit
 # of every block size. fit_samples gives a block up to 8 * (BLOCK_ELEMENTS //
-# gpd._GRID_POINTS) (768) samples, however long, while their padded rows fit
+# gpd._GRID_POINTS) (1,072) samples, however long, while their padded rows fit
 # a data buffer of 16 * BLOCK_ELEMENTS elements (which binds first on a
 # scan, at about 510 candidates); a longer sample gets a block of its own.
 # Per-block costs (the bound and neighbour rounds of the grid, every step of

@@ -9,13 +9,14 @@ a threshold. The fit maximizes the log-likelihood
 over the feasible region sigma > 0, sigma + xi*y_i > 0, with the xi = 0
 exponential limit handled continuously. The search runs on the profiled
 one-dimensional objective over tau = xi/sigma (see _kernels), as Grimshaw
-(1993) does: a coarse grid brackets the optimum, and a bracketed Halley
-solve finds the root of the analytic derivative (the profile score) in
-that bracket to within 4 ulps, each step from one kernel pass that gives
-the score and its two derivatives. It starts at the vertex of the
-parabola through the grid's least point and its neighbours, and never
-evaluates the bracket's ends, apart from the least point of a row that
-has one neighbour only, where it starts. The grid ends at
+(1993) does: a coarse grid of 61 points brackets the optimum, and a
+bracketed Halley solve finds the root of the analytic derivative (the
+profile score) in that bracket to within 4 ulps, each step from one kernel
+pass that gives the score and its two derivatives, bisecting a bracket
+whose ends have one sign at their geometric mean. It starts at the vertex
+of the parabola through the grid's least point and its neighbours, and
+never evaluates the bracket's ends, apart from the least point of a row
+that has one neighbour only, where it starts. The grid ends at
 Grimshaw's bound 2*(mean - y_min)/y_min**2 on the score's positive roots,
 so no search looks beyond it. The grid is evaluated lazily, where bounds
 from bins of the sorted sample cannot rule a point out, with the minimum
@@ -204,11 +205,21 @@ def gpd_quantile(params: GpdParams, q):
 
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
-    """Inverse-transform sample of ``count`` draws, deterministic in ``seed``."""
+    """Inverse-transform sample of ``count`` draws, deterministic in ``seed``.
+
+    Raises ValidationError, naming the first, where a draw lies beyond the
+    double range.
+    """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    return gpd_quantile(params, rng.random(count))
+    q = np.random.default_rng(seed).random(count)
+    with np.errstate(over="ignore"):  # an overflowing draw is inf, reported next
+        draws = gpd_quantile(params, q)
+    beyond = np.flatnonzero(~np.isfinite(draws))
+    if beyond.size:
+        i = beyond[0]
+        raise ValidationError(f"draw {i + 1} of {count} (probability {float(q[i])!r}) is beyond the double range")
+    return draws
 
 
 def gpd_log_likelihood(params: GpdParams, excesses) -> float:
@@ -230,8 +241,8 @@ def gpd_log_likelihood(params: GpdParams, excesses) -> float:
 # -- maximum likelihood fit ---------------------------------------------------
 
 # Points per row of the tau grid: tau_min, 9 near the edge, 25 negative, 0
-# and 49 positive.
-_GRID_POINTS = 1 + 9 + 25 + 1 + 49
+# and 25 positive.
+_GRID_POINTS = 1 + 9 + 25 + 1 + 25
 
 
 def _tau_grids(means: np.ndarray, y_mins: np.ndarray, y_maxs: np.ndarray) -> np.ndarray:
@@ -239,9 +250,9 @@ def _tau_grids(means: np.ndarray, y_mins: np.ndarray, y_maxs: np.ndarray) -> np.
 
     Clusters near the feasibility edge tau_min (short-tail optima pile up
     there), around zero (exponential neighborhood), and sweeps positive
-    ratios over many decades, from 1e-8/mean up to the top
-    2*(mean - y_min)/y_min**2, above which the profile score has no root
-    (Grimshaw 1993). The top is clipped to [1e-8/mean, 1e28/mean], so it
+    ratios in 25 points two thirds of a decade apart, from 1e-8/mean to
+    1e8/mean, up to the top 2*(mean - y_min)/y_min**2, above which the
+    profile score has no root (Grimshaw 1993). The top is clipped to [1e-8/mean, 1e28/mean], so it
     is positive where a rounded mean sits below y_min and finite where
     y_min**2 underflows. The sweep's points above the top are clamped to
     it and its last point is the top, so a row can repeat a value, which
@@ -260,7 +271,7 @@ def _tau_grids(means: np.ndarray, y_mins: np.ndarray, y_maxs: np.ndarray) -> np.
         with np.errstate(divide="ignore", over="ignore"):  # a tiny y_min's top is inf, clipped next
             top = 2.0 * (mean - y_min) / (y_min * y_min)
         np.clip(top, 1e-8 * s, 1e28 * s, out=top)
-        np.minimum(np.geomspace(1e-8 * s, 1e8 * s, 49, axis=1), top[:, None], out=g[:, 36:])
+        np.minimum(np.geomspace(1e-8 * s, 1e8 * s, 25, axis=1), top[:, None], out=g[:, 36:])
         g[:, -1] = top
         g.sort(axis=1)
     return grid
@@ -275,15 +286,17 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     score(b) and takes Halley steps (Traub 1964) from the point it
     evaluated last, with the score's two derivatives from the same kernel
     pass. It bisects where a step leaves the bracket or the curvature (the
-    score's derivative) is not positive, and it steps one tolerance past a
-    root that a step shorter than the tolerance has nearly reached, so
-    that the next point closes the bracket; every point stays a tolerance
-    inside it. A row starts at ``first``: its grid neighbours' parabola
-    vertex, or their midpoint where that is nan or not inside; or
-    ``x_best`` where that is an end of [lo, hi], the row having one grid
-    neighbour only. That first evaluation decides whether the score has
-    the end's sign (below 0 at lo, at least 0 at hi); a row without it has
-    no root. No other end is evaluated: it is taken to have its sign, and
+    score's derivative) is not positive: at the bracket's geometric mean
+    where its ends have one sign, so that a bracket of many decades halves
+    its decades, and at its midpoint where it holds 0. It steps one
+    tolerance past a root that a step shorter than the tolerance has
+    nearly reached, so that the next point closes the bracket; every point
+    stays a tolerance inside it. A row starts at ``first``: its grid
+    neighbours' parabola vertex, or the bracket's bisection point where
+    that is nan or not inside; or ``x_best`` where that is an end of
+    [lo, hi], the row having one grid neighbour only. That first
+    evaluation decides whether the score has the end's sign (below 0 at
+    lo, at least 0 at hi); a row without it has no root. No other end is evaluated: it is taken to have its sign, and
     a row whose bracket closes on it has no root.
 
     A row stops when its bracket is within 4 ulps or its score is exactly
@@ -329,7 +342,7 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
                 searching &= ~done
             if not searching.any():
                 break
-            mid = 0.5 * (a + b)
+            mid = np.where(a * b > 0.0, np.copysign(np.sqrt(a * b), a), 0.5 * (a + b))
             if it:
                 step = -2.0 * h * g2 / (2.0 * g2 * g2 - h * g3)
                 c = x + np.where(np.abs(step) < tol, step + np.copysign(tol, step), step)
@@ -409,7 +422,7 @@ def fit_samples(samples):
     It is consumed one block at a time, and the fits are
     yielded one block at a time, so neither all samples nor all results
     are in memory at once. A block takes up to ``8 * (BLOCK_ELEMENTS //
-    _GRID_POINTS)`` (768) consecutive samples, however long, while their
+    _GRID_POINTS)`` (1,072) consecutive samples, however long, while their
     zero-padded rows fit in the data buffer's 16 * ``BLOCK_ELEMENTS``
     elements, which binds first on a scan: its candidates shrink a point at
     a time, so a block holds at most about 510 of them. A longer sample

@@ -233,17 +233,18 @@ def _block_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_a_block_takes_768_samples_however_long(monkeypatch):
+def test_a_block_takes_1072_samples_however_long(monkeypatch):
     sizes = _block_sizes(monkeypatch)
     for (tail, min_exc), want in ((LONG, [4]), (MANY, [390])):
         sizes.clear()
         scan_thresholds(tail, min_exceedances=min_exc)
         assert sizes == want
-    # 768 = 8 * (BLOCK_ELEMENTS // _GRID_POINTS); a scan's candidates fill
+    # 1072 = 8 * (BLOCK_ELEMENTS // _GRID_POINTS); a scan's candidates fill
     # the data buffer first, so the cap binds on many short samples
+    assert 8 * (_kernels.BLOCK_ELEMENTS // gpd._GRID_POINTS) == 1072
     sizes.clear()
-    list(fit_samples(np.sort(gpd_sample(GpdParams(0.2, 1.0), 10, seed)) for seed in range(1000)))
-    assert sizes == [768, 232]
+    list(fit_samples(np.sort(gpd_sample(GpdParams(0.2, 1.0), 10, seed)) for seed in range(1300)))
+    assert sizes == [1072, 228]
 
 
 def test_the_bundled_tails_load_as_one_block_each(monkeypatch, tmp_path):
@@ -268,11 +269,12 @@ def test_the_data_buffer_caps_a_block_of_long_samples():
 
 
 def test_the_tau_grids_are_built_in_chunks():
-    # Of the tau grids of a block of 768 rows, only the result outgrows a
-    # chunk of 96 rows: the temporaries do not.
+    # Of the tau grids of a block of 1072 rows, only the result outgrows a
+    # chunk of 134 rows: the temporaries do not.
+    assert _kernels.BLOCK_ELEMENTS // gpd._GRID_POINTS == 134
     rng = np.random.default_rng(1)
     extra = {}
-    for count in (96, 768):
+    for count in (134, 1072):
         means, y_min, y_max = rng.uniform(0.1, 0.5, count), rng.uniform(1e-9, 0.1, count), rng.uniform(0.5, 1.0, count)
         tracemalloc.start()
         try:
@@ -280,7 +282,7 @@ def test_the_tau_grids_are_built_in_chunks():
             extra[count] = tracemalloc.get_traced_memory()[1] - grids.nbytes
         finally:
             tracemalloc.stop()
-    assert extra[768] <= 1.1 * extra[96], extra
+    assert extra[1072] <= 1.1 * extra[134], extra
 
 
 def _candidate_fits(tail, min_exc) -> list:

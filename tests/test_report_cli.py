@@ -704,3 +704,18 @@ def test_trend_of_huge_returns_is_finite_or_exits_2(tmp_path, capsys, fmt):
     capsys.readouterr()
     assert main(["trend", "--input", str(tmp_path / "in.csv"), "--format", fmt, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: the trend of the yearly mean returns is beyond the double range\n"
+
+
+def test_a_simulated_draw_beyond_the_double_range_exits_2(tmp_path, capsys):
+    # sigma/xi overflows, so the draws take the exponential limit, and two of
+    # the five quantiles -1.79e308 * log1p(-q) overflow
+    out = tmp_path / "out"
+    code = main(["simulate", "--shape", "0.75", "--scale", "1.79e308", "--count", "5", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: draw 1 of 5 (probability 0.6369616873214543) is beyond the double range"]
+    assert not out.exists()
+    # the same draws at a finite scale are written
+    assert main(["simulate", "--shape", "0.75", "--scale", "1e307", "--count", "5", "--out-dir", str(out)]) == 0
+    text = (out / "samples.csv").read_text()
+    assert len(text.splitlines()) == 6 and "inf" not in text
