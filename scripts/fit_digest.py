@@ -12,8 +12,8 @@ excesses over the threshold of the suffix of the tail sorted once, in
 ascending order, so both checkouts fit the same rows. Two checkouts
 whose fits are bit-identical print the same digests. Each input's line
 ends with the work of its fits' searches: the totals of
-``FitResult.grid_points`` and ``score_evaluations`` and the most score
-evaluations of one fit, which can differ
+``FitResult.grid_points`` and ``score_evaluations``, and the median, 90th
+percentile and most score evaluations of one fit, which can differ
 between checkouts whose fits do not, since a fit's grid points can depend
 on the rows that share its block.
 
@@ -22,8 +22,10 @@ that checkout's ``src`` in a subprocess and prints, per input: the fit
 count and how many fits are bit-identical, the flag and error-type
 mismatches, the max and 99th-percentile relative differences of shape
 and scale, each fit whose shape or scale moved by more than 1e-12
-relative, with its shape, and the work totals of both checkouts. It
-exits 1 if a count, a flag or an error type differs.
+relative, with its shape, and the work of both checkouts, so that a
+change to the solve shows how it moved the distribution of score
+evaluations, not only their sum. It exits 1 if a count, a flag or an
+error type differs.
 
 With ``--dense N`` the script also checks that the tau grid misses no
 better optimum: for every converged, non-boundary fit of the bundled
@@ -122,22 +124,23 @@ def fits(batches) -> tuple:
 
     Returns a list with, per fit, (shape, scale, log-likelihood, converged,
     boundary_hit) or the error's name, and the fits' work: their total grid
-    points and score evaluations, and the most score evaluations of one.
+    points and score evaluations, and the median, 90th percentile and most
+    score evaluations of one.
     """
     from potrisk.gpd import FitResult, fit_samples
 
-    out, work = [], [0, 0, 0]
+    out, grid_points, evaluations = [], 0, []
     for samples in batches:
         for fit in fit_samples(samples):
             if isinstance(fit, FitResult):
                 p = fit.params
                 out.append((p.shape, p.scale, fit.log_likelihood, fit.converged, fit.boundary_hit))
-                work[0] += fit.grid_points
-                work[1] += fit.score_evaluations
-                work[2] = max(work[2], fit.score_evaluations)
+                grid_points += fit.grid_points
+                evaluations.append(fit.score_evaluations)
             else:
                 out.append(type(fit).__name__)
-    return out, work
+    spread = np.percentile(evaluations, [50, 90, 100]).tolist() if evaluations else [0, 0, 0]
+    return out, [grid_points, sum(evaluations), *spread]
 
 
 def _bits(record) -> bytes:  # a record of fits()
@@ -167,7 +170,9 @@ def _relative(a: float, b: float) -> float:
 
 
 def _work(work) -> str:
-    return f"grid_points {work[0]} score_evaluations {work[1]} (at most {work[2]} per fit)"
+    points, evaluations, median, p90, most = work
+    return (f"grid_points {points} score_evaluations {evaluations} "
+            f"(per fit median {median:g}, p90 {p90:g}, at most {most:g})")
 
 
 def compare(name, mine, theirs) -> bool:

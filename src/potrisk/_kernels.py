@@ -359,12 +359,12 @@ class Rows:
         the numerator summed per element. Each of its terms t/(1+t) -
         log1p(t) is O(t^2) but is formed as the difference of two rounded
         O(t) values, so it loses about log10(1/|t|) digits near tau = 0
-        (ROADMAP item 3). Returns (score, l, g2, g3): l each row's sum of
-        log1p(tau*y), from which :func:`profile_nll_from_sum` gives the NLL
-        at tau, and g2 and g3 the NLL's second and third derivatives. Up to
-        a constant the NLL is n*log(l) - n*log(tau) + l, whose l has the
-        derivatives w/tau, -s2/tau**2 and 2*s3/tau**3 (see :meth:`sums`),
-        so with r = w/l:
+        (ROADMAP item 3). Returns (score, l, g2, g3, w, s2): l each row's
+        sum of log1p(tau*y), from which :func:`profile_nll_from_sum` gives
+        the NLL at tau, g2 and g3 the NLL's second and third derivatives,
+        and w and s2 the sums of s and s**2 of :meth:`sums`. Up to a
+        constant the NLL is n*log(l) - n*log(tau) + l, whose l has the
+        derivatives w/tau, -s2/tau**2 and 2*s3/tau**3, so with r = w/l:
 
             g2 = (n/tau**2) * (1 - s2/l - r**2 - s2/n)
             g3 = (n/tau**3) * (2*s3/l + 3*r*s2/l + 2*r**3 - 2 + 2*s3/n)
@@ -382,7 +382,7 @@ class Rows:
             r, q2 = w / l, s2 / l
             g2 = n / (tau * tau) * (1.0 - q2 - r * r - s2 / n)
             g3 = n / (tau * tau * tau) * (2.0 * (s3 / l) + 3.0 * r * q2 + 2.0 * (r * r * r) - 2.0 + 2.0 * (s3 / n))
-        return score, l, g2, g3
+        return score, l, g2, g3, w, s2
 
 
 def _bin_stops(n) -> np.ndarray:  # the bounds of the bins of n values, ascending from 0 to n

@@ -11,9 +11,10 @@ exponential limit handled continuously. The search runs on the profiled
 one-dimensional objective over tau = xi/sigma (see _kernels), as Grimshaw
 (1993) does: a coarse grid of 61 points brackets the optimum, and a
 bracketed Halley solve finds the root of the analytic derivative (the
-profile score) in that bracket to within 4 ulps, each step from one kernel
-pass that gives the score and its two derivatives, bisecting a bracket
-whose ends have one sign at their geometric mean. It starts at the vertex
+profile score) in that bracket, each step from one kernel pass that gives
+the score and its two derivatives, until a step is at most 2**-23 of its
+point or the bracket is within 4 ulps. It bisects a bracket whose ends
+have one sign at their geometric mean, starts at the vertex
 of the parabola through the grid's least point and its neighbours, and
 never evaluates the bracket's ends, apart from the least point of a row
 that has one neighbour only, where it starts. The grid ends at
@@ -72,6 +73,10 @@ _FEASIBILITY_EPS = 1e-10
 _BOUNDARY_MARGIN = 1e-6
 
 _MAX_ITERATIONS = 500
+
+# A solve stops after a Halley step of at most this share of its point: the
+# error left is about C*step**3 relative, C measured up to 50, so about 1e-19.
+_STEP_STOP = 2.0**-23
 
 
 @dataclass(frozen=True)
@@ -288,10 +293,8 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     pass. It bisects where a step leaves the bracket or the curvature (the
     score's derivative) is not positive: at the bracket's geometric mean
     where its ends have one sign, so that a bracket of many decades halves
-    its decades, and at its midpoint where it holds 0. It steps one
-    tolerance past a root that a step shorter than the tolerance has
-    nearly reached, so that the next point closes the bracket; every point
-    stays a tolerance inside it. A row starts at ``first``: its grid
+    its decades, and at its midpoint where it holds 0. Every point stays a
+    tolerance inside it. A row starts at ``first``: its grid
     neighbours' parabola vertex, or the bracket's bisection point where
     that is nan or not inside; or ``x_best`` where that is an end of
     [lo, hi], the row having one grid neighbour only. That first
@@ -299,9 +302,13 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     lo, at least 0 at hi); a row without it has no root. No other end is evaluated: it is taken to have its sign, and
     a row whose bracket closes on it has no root.
 
-    A row stops when its bracket is within 4 ulps or its score is exactly
-    0, unconverged after ``_MAX_ITERATIONS`` steps. Its root, the evaluated
-    end with the smaller score, is kept if the NLL its sum gives is within
+    A row stops at x + step once the Halley step from x has a positive
+    curvature, lands in the bracket and is at most ``_STEP_STOP * |x|`` or
+    the tolerance, with its sum a second-order Taylor step from x's (l has
+    the derivatives w/x and -s2/x**2), so no pass follows the step. Any
+    other row stops when its bracket is within 4 ulps or its score is exactly
+    0, unconverged after ``_MAX_ITERATIONS`` steps, its root the evaluated
+    end with the smaller score. A root is kept if the NLL its sum gives is within
     slack of ``f_best``. A row without one (the score does not change sign
     over [lo, hi], is not finite inside it, or the NLL is too far) keeps
     ``x_best`` and its sum ``l_best``.
@@ -326,34 +333,33 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     inf, unknown = np.full(rows.count, math.inf), np.full(rows.count, math.nan)
     e = np.array([[lo, -inf, unknown], [hi, inf, unknown]])
     with np.errstate(all="ignore"):  # a stopped row's state can overflow or be nan
-        it = 0  # steps made
+        it, x, c, step = 0, first, first, inf  # steps made; the last point, the next and the step between
         while True:
             (a, fa, _), (b, fb, _) = e
             tol = 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+            inside = (a <= c) & (c <= b)  # c is x, an end, where the step is below half its ulp
+            stopped = searching & inside & (np.abs(step) <= np.maximum(_STEP_STOP * np.abs(x), tol))
             capped = it == _MAX_ITERATIONS
-            done = searching if capped else searching & ((fb == 0.0) | (b - a <= 2.0 * tol))
+            done = searching if capped else searching & (stopped | (fb == 0.0) | (b - a <= 2.0 * tol))
             if done.any():
                 root, l = np.where(-fa < fb, e[0, [0, 2]], e[1, [0, 2]])
+                if np.any(stopped):  # at x + step, its sum a second-order Taylor step from x's
+                    taylor = lx + step * (w / x) - 0.5 * step * step * (s2 / (x * x))
+                    root, l = np.where(stopped, (c, taylor), (root, l))
                 f = _kernels.profile_nll_from_sum(rows.n, rows.mean, np.where(done, root, math.nan), l)
-                closed = capped | (fb == 0.0) | (np.isfinite(fa) & np.isfinite(fb))  # both ends were evaluated
+                closed = capped | stopped | (fb == 0.0) | (np.isfinite(fa) & np.isfinite(fb))  # or both ends evaluated
                 ok = done & closed & np.isfinite(f) & (f <= f_best + 1e-6 * (1.0 + np.abs(f_best)))
                 tau_hat, l_hat = np.where(ok, (root, l), (tau_hat, l_hat))
-                rooted, converged = rooted | ok, converged | (ok & (not capped))
+                rooted, converged = rooted | ok, converged | (ok & (stopped | (not capped)))
                 searching &= ~done
             if not searching.any():
                 break
             mid = np.where(a * b > 0.0, np.copysign(np.sqrt(a * b), a), 0.5 * (a + b))
-            if it:
-                step = -2.0 * h * g2 / (2.0 * g2 * g2 - h * g3)
-                c = x + np.where(np.abs(step) < tol, step + np.copysign(tol, step), step)
-                c = np.where((g2 > 0.0) & (a < c) & (c < b), c, mid)
-            else:
-                c = np.where((a < first) & (first < b), first, mid)
-            c = np.minimum(np.maximum(c, a + tol), b - tol)
+            c = np.minimum(np.maximum(np.where(inside, c, mid), a + tol), b - tol)
             if not it:  # a start at an end is that end
                 c = np.where(at_lo | at_hi, first, c)
             x = np.where(searching, c, 0.0)
-            h, l, g2, g3 = rows.profile_nll_deriv(x)
+            h, lx, g2, g3, w, s2 = rows.profile_nll_deriv(x)  # lx, x's sum, kept apart from a root's l
             it += 1
             evaluations += searching
             neg = h < 0.0
@@ -361,7 +367,9 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
             if it == 1:
                 searching &= (~at_lo | neg) & (~at_hi | ~neg)
             # x replaces the end on its score's side
-            np.copyto(e, np.array([x, h, l]), where=np.array([neg, ~neg])[:, None])
+            np.copyto(e, np.array([x, h, lx]), where=np.array([neg, ~neg])[:, None])
+            step = -2.0 * h * g2 / (2.0 * g2 * g2 - h * g3)
+            c = np.where(g2 > 0.0, x + step, math.nan)  # a Halley step needs a positive curvature
     return tau_hat, l_hat, rooted, converged, evaluations
 
 

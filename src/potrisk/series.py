@@ -8,6 +8,7 @@ positive threshold.
 
 import csv
 import datetime
+import io
 import itertools
 import math
 import operator
@@ -264,24 +265,46 @@ def box_plot(returns: ReturnSeries) -> BoxPlotSummary:
 def csv_rows(path):
     """The records of the UTF-8 CSV file at ``path``, in lists of up to CHUNK_ROWS.
 
-    Raises ValidationError, naming the file, for bytes that are not UTF-8
-    or that the csv module cannot parse, once the records before them have
-    been handed out.
+    Raises ValidationError, naming the file, for a record that the csv
+    module cannot parse, and also its line for the first byte that is not
+    UTF-8, once the records before it have been handed out. The text
+    decoder reads ahead of the records, so that byte is found again in the
+    file's bytes.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        while True:
-            chunk, error = [], None
-            try:
-                chunk.extend(itertools.islice(reader, CHUNK_ROWS))  # keeps the records read before an error
-            except (UnicodeDecodeError, csv.Error) as exc:
-                error = exc
-            if chunk:
+    handed = 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for chunk in _record_chunks(path, csv.reader(fh)):
+                handed += len(chunk)
                 yield chunk
-            if error is not None:
-                raise ValidationError(f"{path}: not a UTF-8 CSV file: {error}") from error
-            if len(chunk) < CHUNK_ROWS:
-                return
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            start = data.rfind(b"\n", 0, bad.start) + 1  # the bad byte's line starts here
+            records = csv.reader(io.StringIO(data[:start].decode("utf-8"), newline=""))
+            yield from _record_chunks(path, itertools.islice(records, handed, None))
+            error = UnicodeDecodeError(bad.encoding, data[start : bad.end], bad.start - start, bad.end - start, bad.reason)
+            line = data.count(b"\n", 0, start) + 1
+            raise ValidationError(f"{path}:{line}: not a UTF-8 CSV file: {error}") from bad
+
+
+def _record_chunks(path, records):
+    """The ``records`` in lists of up to CHUNK_ROWS; a csv.Error becomes a ValidationError once the records before it are out."""
+    while True:
+        chunk, error = [], None
+        try:
+            chunk.extend(itertools.islice(records, CHUNK_ROWS))  # keeps the records read before an error
+        except csv.Error as exc:
+            error = exc
+        if chunk:
+            yield chunk
+        if error is not None:
+            raise ValidationError(f"{path}: not a UTF-8 CSV file: {error}") from error
+        if len(chunk) < CHUNK_ROWS:
+            return
 
 
 def csv_table(path):

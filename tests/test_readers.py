@@ -102,19 +102,29 @@ def test_the_good_records_around_the_blank_ones_are_read(tmp_path, reader):
     assert size == RECORDS - 1 - 2 * BLANKS
 
 
+def _append_byte(path, line: int) -> None:
+    """Append the byte 0xff, never UTF-8, to line ``line`` of the file at ``path``."""
+    text = path.read_bytes().split(b"\n")
+    text[line - 1] += b"\xff"
+    path.write_bytes(b"\n".join(text))
+
+
 @pytest.mark.parametrize("reader", READERS)
 def test_a_non_utf8_byte_in_the_second_chunk_names_the_file(tmp_path, reader):
     read, header, good, _ = READERS[reader]
     path = tmp_path / "in.csv"
     _write(path, header, good, {})
-    text = path.read_bytes().split(b"\n")
-    text[CHUNK_ROWS + 200] += b"\xff"
-    path.write_bytes(b"\n".join(text))
+    _append_byte(path, CHUNK_ROWS + 201)
     with pytest.raises(ValidationError) as info:
         read(path)
     message = str(info.value)
     assert "\n" not in message
-    assert message.startswith(f"{path}: not a UTF-8 CSV file: 'utf-8' codec can't decode byte 0xff")
+    # the line, and the byte's position in it
+    position = len(good(CHUNK_ROWS + 200))
+    assert message == (
+        f"{path}:{CHUNK_ROWS + 201}: not a UTF-8 CSV file: "
+        f"'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte"
+    )
 
 
 @pytest.mark.parametrize("reader", READERS)
@@ -125,9 +135,25 @@ def test_a_bad_record_before_a_non_utf8_byte_in_its_chunk_is_named_first(tmp_pat
     record, message = faults["width"]
     path = tmp_path / "in.csv"
     _write(path, header, good, {CHUNK_ROWS + 1: record})
-    text = path.read_bytes().split(b"\n")
-    text[CHUNK_ROWS + 800] += b"\xff"
-    path.write_bytes(b"\n".join(text))
+    _append_byte(path, CHUNK_ROWS + 801)
     with pytest.raises(ValidationError) as info:
         read(path)
     assert str(info.value) == f"{path}:{CHUNK_ROWS + 1}: {message}"
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_bad_record_four_lines_before_a_non_utf8_byte_is_named_first(tmp_path, reader):
+    # Both lie in the text decoder's first 8 KB block, which it decodes
+    # before the csv module sees the record.
+    read, header, good, faults = READERS[reader]
+    record, message = faults["width"]
+    path = tmp_path / "in.csv"
+    _write(path, header, good, {6: record})
+    _append_byte(path, 10)
+    with pytest.raises(ValidationError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:6: {message}"
+    _write(path, header, good, {6: good(5)})
+    _append_byte(path, 10)
+    with pytest.raises(ValidationError, match=f"^{path}:10: not a UTF-8 CSV file: "):
+        read(path)
