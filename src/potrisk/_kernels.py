@@ -25,15 +25,13 @@ largest value: its values lie in (0, 1) and its mean is at least 1/(2n),
 so none of its squares, sums, grid points or bounds overflows, and a
 power-of-two scaling that keeps a sample normal changes only e. Taus are
 in row units, so tau*y and every sum are those of the sample's units. A
-row is right-aligned in the width of its row group: zero padding, one
-leading zero, then its values. A group's rows are thus already sorted
-with their zeros first, as its bins are cut, and each row's least value
-follows its leading zero. np.add.reduceat sums each row over exactly its
-own elements, from the leading zero on, which is the order ``y.sum()``
-uses. So a row's sums, and with them every iterate of its search, are
-bit-identical to those of the same sample fitted alone: a fit depends
-neither on which rows share its block or its group, nor on the order in
-which its values came.
+block's rows lie back to back, each as one leading zero followed by its
+values, so each row's least value follows its leading zero.
+np.add.reduceat sums each row over exactly its own elements, from the
+leading zero on, which is the order ``y.sum()`` uses. So a row's sums,
+and with them every iterate of its search, are bit-identical to those of
+the same sample fitted alone: a fit depends neither on which rows share
+its block or its chunk, nor on the order in which its values came.
 """
 
 import math
@@ -53,16 +51,17 @@ BACKEND = "numpy"
 
 # Elements per kernel scratch buffer (2**13 doubles = 64 KiB), and the unit
 # of every block size. fit_samples gives a block up to 8 * (BLOCK_ELEMENTS //
-# gpd._GRID_POINTS) (1,072) samples, however long, while their padded rows fit
-# a data buffer of 16 * BLOCK_ELEMENTS elements (which binds first on a
-# scan, at about 510 candidates); a longer sample gets a block of its own.
+# gpd._GRID_POINTS) (1,072) samples, however long, while their rows fit a
+# data buffer of 16 * BLOCK_ELEMENTS elements (which binds first on a scan,
+# at about 510 candidates); a longer sample gets a block of its own.
 # Per-block costs (the bound and neighbour rounds of the grid, every step of
 # the score solve, whose fixed cost hardly depends on the row count) are
 # then paid once per tail of the bundled data, or per 9 candidates of 14,000
-# points (long_history). A kernel pass runs one row group (at most
-# BLOCK_ELEMENTS elements, or one longer row) at a time through the scratch
-# buffers, so its arithmetic stays in cache, and the temporaries of the tau
-# grids are made in chunks of rows of about BLOCK_ELEMENTS elements.
+# points (long_history). A kernel pass runs one chunk of consecutive rows
+# (at most BLOCK_ELEMENTS elements in all, or one longer row) at a time
+# through the scratch buffers, so its arithmetic stays in cache, and the
+# temporaries of the tau grids are made in chunks of rows of about
+# BLOCK_ELEMENTS elements.
 # Buffers are allocated once per fit_samples call and reused, since a numpy
 # array above glibc's 128 KiB mmap threshold gets fresh pages on every
 # allocation and costs about three times as much per element; the data
@@ -82,64 +81,25 @@ BACKEND = "numpy"
 # peak RSS of paper_analyze by about 0.7 and 1.2 MB, against 0.4 MB.
 BLOCK_ELEMENTS = 1 << 13
 
-# profile_nll_grid bounds k(tau) from bins of each sorted row of width w:
-# its top 1, 2, 4, ... values while a bin holds fewer than w/_BINS (they
-# decide k near the feasibility edge), then _BINS or fewer bins. 8 took
+# profile_nll_grid bounds k(tau) from bins of each sorted row, cut as those
+# of its chunk's widest row of w values and leading zero: its top 1, 2, 4,
+# ... values while a bin holds fewer than w/_BINS (they decide k near the
+# feasibility edge), then _BINS or fewer bins. 8 took
 # more time for the same grid points on all perfbench workloads.
 _BINS = 4
 
 _EPS = math.ulp(1.0)
 
-class _Group:
-    """Consecutive rows of a block, stored as one zero-padded rectangle of the data buffer."""
-
-    __slots__ = ("offset", "width", "sizes", "start", "stop", "y", "t", "w", "t_flat", "segments", "scratch", "whole")
-
-    def __init__(self, offset, width):
-        self.offset = offset
-        self.width = width
-        self.sizes = []
-
-    def build(self, data, scratch, start) -> None:
-        """Point the group's views at the data and the two scratch buffers; its rows begin at row ``start``."""
-        rows = len(self.sizes)
-        self.start, self.stop = start, start + rows
-        self.scratch = scratch
-        self.y = data[self.offset : self.offset + rows * self.width].reshape(rows, self.width)
-        # Row i's segment runs from its leading zero to the row's end; every
-        # other segment covers padding and is dropped.
-        ends = np.arange(1, rows + 1, dtype=np.intp) * self.width
-        self.segments = np.empty(2 * rows, dtype=np.intp)
-        self.segments[0::2] = ends - 1 - np.asarray(self.sizes, dtype=np.intp)
-        self.segments[1::2] = ends
-        self.whole = self.span(0, rows)
-        (self.t, self.w), (self.t_flat, _) = self.whole[1:3]
-
-    def span(self, i, j):
-        """The group's rows i to j - 1: their data, their rows and flat views of the scratch buffers, and their segments.
-
-        The scratch rows are the first j - i of each buffer, and the segments
-        are shifted to match. The flat views hold one element past the rows
-        so that the last segment has an end. ``whole`` holds those of all rows.
-        """
-        size = (j - i) * self.width
-        rows = tuple(buf[:size].reshape(j - i, self.width) for buf in self.scratch)
-        flats = tuple(buf[: size + 1] for buf in self.scratch)
-        return self.y[i:j], rows, flats, self.segments[2 * i : 2 * j] - i * self.width
-
-
 class Rows:
     """A block of samples, each sorted ascending, one per row, in reusable buffers.
 
     :meth:`add` copies each sample into one data buffer as it arrives, and
-    :meth:`load` finishes the block. The rows are kept in groups of
-    consecutive rows: each group is a rectangle of the data buffer, as wide
-    as its first row plus the leading zero, and holds rows while they are
-    no wider than that and the rectangle stays within ``BLOCK_ELEMENTS``
-    elements (a wider row has a group of its own). :meth:`sums` makes each
-    pass one group at a time, through scratch buffers sized to the largest
-    group, so that the arithmetic of a pass runs in cache however many rows
-    the block holds.
+    :meth:`load` finishes the block. The rows lie back to back, each as one
+    leading zero followed by its values, and :meth:`load` cuts the block
+    into chunks of consecutive rows of at most ``BLOCK_ELEMENTS`` elements
+    in all (or one longer row). :meth:`sums` makes each pass one chunk at a
+    time, through scratch buffers sized to the largest chunk, so that the
+    arithmetic of a pass runs in cache however many rows the block holds.
 
     :meth:`load` sets each row's constants ``n``, ``e``, and in row units
     ``mean``, ``y_max``, ``y_min`` and ``score0`` (the score at tau = 0).
@@ -155,64 +115,61 @@ class Rows:
         """Empty the block; the buffers are kept for the next one."""
         self.count = 0
         self._used = 0
-        self._groups = []
+        self._starts = []  # each row's leading zero in the data buffer
         self._maxima = []  # each row's largest value, sample[-1]
-
-    def _joins(self, size) -> bool:
-        """Whether a row of ``size`` points goes into the last group."""
-        if not self._groups:
-            return False
-        g = self._groups[-1]
-        return size < g.width and (len(g.sizes) + 1) * g.width <= BLOCK_ELEMENTS
 
     def has_room(self, size) -> bool:
         """Whether a sample of ``size`` points still fits in the data buffer's 16 * BLOCK_ELEMENTS elements."""
-        grow = self._groups[-1].width if self._joins(size) else size + 1
-        return self._used + grow <= 16 * BLOCK_ELEMENTS
+        return self._used + size + 1 <= 16 * BLOCK_ELEMENTS
 
     def add(self, sample: np.ndarray) -> None:
-        """Copy ``sample`` into the block as its next row, in row units, right-aligned after its leading zero.
+        """Copy ``sample`` into the block as its next row, in row units, after its leading zero.
 
         ``sample`` is a nonempty 1-d array of positive floats sorted
         ascending, which is not checked.
         """
-        size = sample.size
-        if not self._joins(size):
-            self._groups.append(_Group(self._used, size + 1))
-        g = self._groups[-1]
-        start = g.offset + len(g.sizes) * g.width
-        self._used = end = start + g.width
-        if end + 1 > self._y.size:
-            data = np.zeros(max(end + 1, 16 * BLOCK_ELEMENTS + 1))
+        start = self._used
+        self._used = end = start + sample.size + 1
+        if end > self._y.size:
+            data = np.empty(max(end, 16 * BLOCK_ELEMENTS))
             data[:start] = self._y[:start]
             self._y = data
+        self._starts.append(start)
         self._maxima.append(sample[-1])
-        self._y[start : end - size] = 0.0  # the padding and the leading zero
-        np.ldexp(sample, -math.frexp(sample[-1])[1], out=self._y[end - size : end])
-        g.sizes.append(size)
+        self._y[start] = 0.0
+        np.ldexp(sample, -math.frexp(sample[-1])[1], out=self._y[start + 1 : end])
         self.count += 1
 
     def load(self) -> np.ndarray:
-        """Finish the block: build the group views, segments and row constants; return the rows' sizes."""
-        scratch = max(len(g.sizes) * g.width for g in self._groups) + 1
-        if scratch > self._scratch[0].size:
-            self._scratch = tuple(np.zeros(max(scratch, BLOCK_ELEMENTS + 1)) for _ in range(2))
-        start = 0
-        for g in self._groups:
-            g.build(self._y, self._scratch, start)
-            start = g.stop
-        self.n = np.array([size for g in self._groups for size in g.sizes], dtype=float)
+        """Finish the block: cut its chunks and set the row constants; return the rows' sizes."""
+        self._starts = starts = np.array([*self._starts, self._used])  # and the end of the last row
+        self._widths = widths = np.diff(starts)
+        self._chunks, first, size = [], 0, 0
+        for row, width in enumerate(widths.tolist()):
+            if size + width > BLOCK_ELEMENTS and row > first:
+                self._chunks.append((first, row))
+                first, size = row, 0
+            size += width
+        self._chunks.append((first, self.count))
+        largest = max(starts[j] - starts[i] for i, j in self._chunks)
+        if largest > self._scratch[0].size:
+            self._scratch = tuple(np.empty(max(largest, BLOCK_ELEMENTS)) for _ in range(2))
+        self.n = widths - 1.0
         self.y_max, self.e = np.frexp(self._maxima)
-        segments = np.concatenate([g.segments + g.offset for g in self._groups])
-        flat = self._y[: self._used + 1]
-        self.y_min = flat[segments[0::2] + 1]  # the value after each leading zero
+        self.y_min = self._y[starts[:-1] + 1]  # the value after each leading zero
+        self.mean = np.add.reduceat(self._y[: self._used], starts[:-1]) / self.n
         totals_sq = np.empty(self.count)
-        for g in self._groups:
-            np.multiply(g.y, g.y, out=g.t)
-            totals_sq[g.start : g.stop] = np.add.reduceat(g.t_flat, g.segments)[::2]
-        self.mean = np.add.reduceat(flat, segments)[::2] / self.n
+        for i, j in self._chunks:
+            y, t, _ = self._chunk(i, j)
+            np.multiply(y, y, out=t)
+            totals_sq[i:j] = np.add.reduceat(t, starts[i:j] - starts[i])
         self.score0 = self.n * (self.mean - totals_sq / self.n / (2.0 * self.mean))
         return self.n
+
+    def _chunk(self, i, j):
+        """The data of rows i to j - 1, and views of the same size of the two scratch buffers."""
+        lo, hi = self._starts[i], self._starts[j]
+        return (self._y[lo:hi], *(buf[: hi - lo] for buf in self._scratch))
 
     def profile_nll_grid(self, taus: np.ndarray):
         """The profile NLL of every row (+inf where infeasible) at the points of its row of ``taus`` that matter.
@@ -276,27 +233,29 @@ class Rows:
     def _order_bins(self) -> np.ndarray:
         """The bins (see _BINS) of each row's order statistics: 5 x rows x bins, padded with zero bins.
 
-        A group's rows, stored sorted with their zeros first, share the bins
-        of its width, cut also where their values start; the first bin, all
-        zeros, adds nothing and is dropped. Per bin: its count c, least and
+        A chunk's rows are cut at the bin stops of its widest row, measured
+        from each row's end; a cut that falls before a row's first value is
+        moved to that value, and the bins it empties read their greatest
+        value from the row's leading zero. Per bin: its count c, least and
         greatest values a and b, the sum of y - a and the root of half the
-        sum of (y - a)**2, with y - a and its square made in the group's
-        scratch views.
+        sum of (y - a)**2, with y - a and its square made in the scratch
+        buffers.
         """
-        stops = [_bin_stops(g.width)[:-1] for g in self._groups]
+        widest = [int(self._widths[i:j].max()) for i, j in self._chunks]
+        stops = [_bin_stops(width)[:-1] for width in widest]
         bins = np.zeros((5, self.count, max(s.size for s in stops)))
-        for g, stop in zip(self._groups, stops):
-            rows, width = len(g.sizes), g.width
-            # each row's cuts: the stops with its first value's position merged in, ascending
-            first = (width - np.asarray(g.sizes))[:, None]
-            cuts = np.maximum(np.append(-1, stop), np.minimum(np.append(stop, width), first))
-            cuts = (cuts + np.arange(0, rows * width, width)[:, None]).ravel()
-            s = g.y.ravel()
+        for (i, j), width, stop in zip(self._chunks, widest, stops):
+            s, t, w = self._chunk(i, j)
+            starts = self._starts[i : j + 1] - self._starts[i]
+            first = starts[:-1, None] + 1
+            cuts = np.maximum(starts[1:, None] - width + stop, first)
+            # each row's leading zero is a bin of its own, dropped below
+            cuts = np.hstack([first - 1, cuts]).ravel()
             counts = np.diff(cuts, append=s.size)
-            d = np.subtract(s, np.repeat(s[cuts], counts), out=g.t.ravel())
-            root = np.sqrt(0.5 * np.add.reduceat(np.square(d, out=g.w.ravel()), cuts))
+            d = np.subtract(s, np.repeat(s[cuts], counts), out=t)
+            root = np.sqrt(0.5 * np.add.reduceat(np.square(d, out=w), cuts))
             table = counts, s[cuts], s[cuts + counts - 1], np.add.reduceat(d, cuts), root
-            bins[:, g.start : g.stop, : stop.size] = np.reshape(table, (5, rows, -1))[:, :, 1:]
+            bins[:, i:j, : stop.size] = np.reshape(table, (5, j - i, -1))[:, :, 1:]
         return bins
 
     def _grid_values(self, taus, todo, n, f, l) -> None:
@@ -313,42 +272,43 @@ class Rows:
         f[rows, cols] = profile_nll_from_sum(n[rows], self.mean[rows], tau, l[rows, cols])
 
     def sums(self, tau: np.ndarray, deriv: bool):
-        """Per-row sums at one tau per row, t = tau*y; a group is computed only from its first to its last row whose tau is not 0.
+        """Per-row sums at one tau per row, t = tau*y; a chunk is computed only from its first to its last row whose tau is not 0.
 
         Returns a tuple of arrays over the rows: (l,), l the sums of
         log1p(t); or with ``deriv``, for the profile score and its two
         derivatives, (l, w, d, s2, s3), where w sums s = t/(1 + t), d sums
-        s - log1p(t), and s2 and s3 sum s**2 and s**3. At tau = +-0 each
-        term is tau or 0, which is what a computed row sums to.
+        s - log1p(t), and s2 and s3 sum s**2 and s**3. Each row is summed
+        from its leading zero on. At tau = +-0 each term is tau or 0, which
+        is what a computed row sums to.
         """
         out = np.empty((5 if deriv else 1, self.count))
         self.passes += 1
-        for g in self._groups:
-            taus = tau[g.start : g.stop]
+        for a, b in self._chunks:
+            taus = tau[a:b]
             busy = np.flatnonzero(taus)
             if busy.size < taus.size:  # every term at tau = +-0: log1p(t) = s = s**3 = tau, s - log1p(t) = s**2 = 0
-                out[:, g.start : g.stop] = taus
-                out[2:4, g.start : g.stop] = 0.0
+                out[:, a:b] = taus
+                out[2:4, a:b] = 0.0
                 if not busy.size:
                     continue
-            i, j = busy[0], busy[-1] + 1
-            y, (t, w), (t_flat, w_flat), segments = g.whole if j - i == taus.size else g.span(i, j)
-            rows = slice(g.start + i, g.start + j)
-            self.elements += t.size
-            np.multiply(y, taus[i:j, None], out=t)
+            i, j = a + busy[0], a + busy[-1] + 1
+            y, t, w = self._chunk(i, j)
+            segments = self._starts[i:j] - self._starts[i]
+            self.elements += y.size
+            np.multiply(y, tau[i] if j - i == 1 else np.repeat(tau[i:j], self._widths[i:j]), out=t)
             if deriv:
                 np.add(t, 1.0, out=w)
                 np.divide(t, w, out=w)
             np.log1p(t, out=t)
-            out[0, rows] = np.add.reduceat(t_flat, segments)[::2]
+            out[0, i:j] = np.add.reduceat(t, segments)
             if deriv:
-                out[1, rows] = np.add.reduceat(w_flat, segments)[::2]
+                out[1, i:j] = np.add.reduceat(w, segments)
                 np.subtract(w, t, out=t)
-                out[2, rows] = np.add.reduceat(t_flat, segments)[::2]
+                out[2, i:j] = np.add.reduceat(t, segments)
                 np.multiply(w, w, out=t)
-                out[3, rows] = np.add.reduceat(t_flat, segments)[::2]
+                out[3, i:j] = np.add.reduceat(t, segments)
                 np.multiply(t, w, out=t)
-                out[4, rows] = np.add.reduceat(t_flat, segments)[::2]
+                out[4, i:j] = np.add.reduceat(t, segments)
         return tuple(out)
 
     def profile_nll_deriv(self, tau: np.ndarray):
@@ -399,17 +359,16 @@ def _bounds(taus, bins, n, scratch):
 
     ``bins`` come from :meth:`Rows._order_bins`, ``n`` holds the rows'
     sizes and ``scratch`` is :func:`_bin_sums`'. The bounds of
-    :func:`_bin_sums` on the sums are widened by 8(w + 4) ulps (w the row's
-    width) of the sum of the terms' sizes, a size being the larger of |l|
-    and |t/(1 + t)|, which is what a rounding of t = tau*y costs near
-    t = -1. Given k, the profile NLL n*(log(k/tau) + k + 1) increases with
+    :func:`_bin_sums` on the sums are widened by 8(n + 4) ulps of the sum
+    of the terms' sizes, a size being the larger of |l| and |t/(1 + t)|,
+    which is what a rounding of t = tau*y costs near t = -1. Given k, the profile NLL n*(log(k/tau) + k + 1) increases with
     k for tau > 0 and is concave in k for tau < 0, so its floor is its
     least value at the two bounds, widened by the rounding of its terms.
     Returns (k_lo, k_hi, floor, guess), guess the NLL at the middle of the
     unwidened bounds.
     """
     lo, hi, size = _bin_sums(taus, bins, scratch)
-    rel = 8.0 * (bins[0].sum(axis=1)[:, None] + 4.0) * _EPS
+    rel = 8.0 * (n + 4.0) * _EPS
     k_lo, k_hi, k_mid = (lo - rel * size) / n, (hi + rel * size) / n, (lo + hi) / (2.0 * n)
     log_lo, log_hi = np.log(k_lo / taus), np.log(k_hi / taus)
     g_lo = n * (log_lo + k_lo + 1.0)

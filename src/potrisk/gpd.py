@@ -427,15 +427,15 @@ def fit_samples(samples):
     ``samples`` is an iterable of nonempty 1-d arrays of positive, finite
     excesses, each sorted ascending (not checked; :func:`fit_mle` sorts its
     sample, and a threshold scan cuts each one from its tail sorted once).
-    It is consumed one block at a time, and the fits are
-    yielded one block at a time, so neither all samples nor all results
-    are in memory at once. A block takes up to ``8 * (BLOCK_ELEMENTS //
-    _GRID_POINTS)`` (1,072) consecutive samples, however long, while their
-    zero-padded rows fit in the data buffer's 16 * ``BLOCK_ELEMENTS``
-    elements, which binds first on a scan: its candidates shrink a point at
-    a time, so a block holds at most about 510 of them. A longer sample
-    gets a block of its own. Each sample is copied into the
-    block as it arrives (see :class:`_kernels.Rows`), and each block is
+    It is consumed one block at a time, and the fits are yielded one block
+    at a time, so neither all samples nor all results are in memory at
+    once. A block takes up to ``8 * (BLOCK_ELEMENTS // _GRID_POINTS)``
+    (1,072) consecutive samples, however long, while their rows, each a
+    leading zero and its values, fit in the data buffer's 16 *
+    ``BLOCK_ELEMENTS`` elements, which binds first on a scan: its
+    candidates shrink a point at a time, so a block holds at most about
+    510 of them. A longer sample gets a block of its own. Each sample is
+    copied into the block as it arrives (see :class:`_kernels.Rows`), and each block is
     searched in lockstep, so the grid rounds and every step of the score
     solve are paid once per block: once per tail of the bundled data.
     Yields one entry per sample, in order: its FitResult, or the error

@@ -43,6 +43,7 @@ def _block_values(kernel, cases):
 
 class TestRows:
     def _samples(self):
+        """Samples of 1 to 300 points that load as one chunk, whose widest rows are neither all first nor all last."""
         rng = np.random.default_rng(3)
         return [
             np.sort(rng.exponential(1.0, size)) * 10.0 ** rng.uniform(-3, 3) for size in (1, 7, 300, 129, 300)
@@ -67,8 +68,8 @@ class TestRows:
             assert s3[i] == (wt * wt * wt).sum()
         assert rows.sums(np.ldexp(taus, rows.e), deriv=False)[0].tolist() == l.tolist()
 
-    def test_groups_whose_taus_are_all_zero_are_not_computed(self):
-        samples = self._samples()  # groups: row 0, row 1, rows 2-4
+    def test_rows_whose_taus_are_zero_at_a_chunks_ends_are_not_computed(self):
+        samples = self._samples()  # one chunk, of which only row 0 has a tau that is not 0
         rows = _loaded(samples)
         taus = np.array([0.5, 0.0, -0.0, 0.0, -0.0])
         l, w, d, s2, s3 = rows.sums(np.ldexp(taus, rows.e), deriv=True)
@@ -82,12 +83,30 @@ class TestRows:
         assert (rows.passes, rows.elements) == (1, 2)
 
     def test_bins_hold_every_value_and_keep_it_apart_from_the_zeros(self):
-        samples = self._samples()  # rows 3 and 4 are shorter than their group's first row
+        samples = self._samples()  # rows 0, 1 and 3 are shorter than their chunk's widest row
         rows = _loaded(samples)
         c, a, b, _, _ = rows._order_bins()
         assert ((a > 0.0) | (b == 0.0))[c > 0].all()
         assert np.where(a > 0.0, c, 0.0).sum(axis=1).tolist() == [y.size for y in samples]
         assert np.ldexp(b.max(axis=1), rows.e).tolist() == [y.max() for y in samples]
+
+    def test_a_pass_computes_no_padding(self):
+        # Rows of 301, 130 and 4,097 elements make one chunk of at most
+        # BLOCK_ELEMENTS, the next 4,097 another, the longer row one of its
+        # own, and the rows of 1 and 7 points the last.
+        half = _kernels.BLOCK_ELEMENTS // 2
+        sizes = [300, 129, half, half, _kernels.BLOCK_ELEMENTS + 10, 1, 7]
+        chunks = [[0, 1, 2], [3], [4], [5, 6]]
+        rows = _loaded([np.arange(1.0, size + 1.0) for size in sizes])
+        for busy in ([0, 1], list(range(7)), [1], [0, 2], [1, 2, 3, 4, 6], [3, 5], []):
+            tau = np.zeros(len(sizes))
+            tau[busy] = -0.5
+            before = rows.elements
+            rows.sums(tau, False)
+            # each chunk is computed from its first to its last row whose tau is not 0
+            spans = [[row for row in chunk if row in busy] for chunk in chunks]
+            want = sum(sizes[row] + 1 for span in spans if span for row in range(span[0], span[-1] + 1))
+            assert rows.elements - before == want, busy
 
     def test_row_constants(self):
         samples = self._samples()

@@ -169,7 +169,7 @@ def test_the_floors_do_not_depend_on_the_blocking(monkeypatch):
     # row's floors and guesses over a block of N rows are those of the row
     # loaded alone, bit for bit, for N at 1, at one chunk and at one chunk
     # plus one row. The samples have one size, so that each row's bins are
-    # those it has alone (bins are cut at the width of a row's group).
+    # those it has alone (a chunk's rows are cut at its widest row's stops).
     guesses = []
     bounds = _kernels._bounds
 
@@ -280,7 +280,7 @@ def test_the_iteration_cap_marks_the_fit_unconverged(monkeypatch):
 def _bits(fit):
     """A fit's numbers as bits, its flags and its score evaluations; or the name of the error in its place.
 
-    Not its grid points, which can depend on the rows that share its group.
+    Not its grid points, which can depend on the rows that share its chunk.
     """
     if isinstance(fit, Exception):
         return type(fit).__name__
@@ -289,9 +289,35 @@ def _bits(fit):
 
 
 def _mixed_block():
-    """GPD samples of several shapes and sizes, sorted; sizes fall so that rows share groups."""
+    """GPD samples of several shapes and sizes, sorted; sizes fall, and rows share chunks."""
     cases = [(0.3, 120), (-0.25, 90), (0.05, 80), (0.7, 60), (-0.45, 45), (0.15, 30), (0.5, 20), (-0.1, 12)]
     return [np.sort(gpd_sample(GpdParams(xi, 1.0), n, seed)) for seed, (xi, n) in enumerate(cases, 40)]
+
+
+@st.composite
+def _blocks(draw):
+    """GPD samples of 1 to BLOCK_ELEMENTS + 10 points, some of them tied, in ascending, descending or mixed size order."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 12, 40, 129, 300, 301, _kernels.BLOCK_ELEMENTS + 10]),
+                          min_size=1, max_size=6))
+    order = draw(st.sampled_from(["ascending", "descending", "mixed"]))
+    if order != "mixed":
+        sizes.sort(reverse=order == "descending")
+    samples = []
+    for size in sizes:
+        y = gpd_sample(GpdParams(draw(st.floats(-0.6, 0.8)), 1.0), size, draw(st.integers(0, 2**32 - 1)))
+        samples.append(np.sort(np.round(y, 1) + 0.05 if draw(st.booleans()) else y))
+    return samples
+
+
+@settings(max_examples=30, deadline=None)
+@given(samples=_blocks())
+def test_a_blocks_fits_are_their_lone_fits(samples):
+    # In ascending order a row is wider than the first row of its chunk.
+    fits = list(fit_samples(samples))
+    assert len(fits) == len(samples)
+    for y, fit in zip(samples, fits):
+        (lone,) = fit_samples([y])
+        assert _bits(fit) == _bits(lone), y.size
 
 
 def test_rows_capped_in_a_block_are_their_lone_fits(monkeypatch):
