@@ -24,7 +24,8 @@ task also pays for its spans, so a difference between the sides is only as
 good as the machine's steadiness between their runs.
 
 Run from the repository root, one workload per call; each call adds its
-workload to ``--out``, keeping the others:
+workload and seed to ``--out`` as ``<workload>@<seed>``, keeping the
+other entries (a call at a seed already recorded replaces that entry):
 
     python scripts/bench_pairs.py --parent ../parent-checkout --workload paper_analyze \\
         --pairs 10 --seed 1 --seconds 38 --out BENCH_<change>.json
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
     else:
         entry["metrics"] = {metric["name"]: compare(metric, runs) for metric in benchmark["end_to_end"]}
     out = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"workloads": {}}
-    out.setdefault("layers" if args.trace else "workloads", {})[args.workload] = entry
+    out.setdefault("layers" if args.trace else "workloads", {})[f"{args.workload}@{args.seed}"] = entry
     out["src_lines"] = {"parent": src_lines(args.parent.resolve()), "change": src_lines(ROOT)}
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -201,11 +201,12 @@ def gpd_quantile(params: GpdParams, q):
     scalar = q_arr.ndim == 0
     q_arr = np.atleast_1d(q_arr)
     xi, sigma = params.shape, params.scale
-    # The exponential limit, also where sigma/xi overflows for a tiny shape.
-    if xi == 0.0 or not math.isfinite(sigma / xi):
+    m, e = math.frexp(sigma)  # sigma/xi and its product are formed in units of 2**e, scaled back once
+    # The exponential limit, also where m/xi overflows for a tiny shape.
+    if xi == 0.0 or not math.isfinite(m / xi):
         out = -sigma * np.log1p(-q_arr)
     else:
-        out = (sigma / xi) * np.expm1(-xi * np.log1p(-q_arr))
+        out = np.ldexp((m / xi) * np.expm1(-xi * np.log1p(-q_arr)), e)
     return float(out[0]) if scalar else out
 
 

@@ -86,10 +86,13 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
     """Level exceeded with probability p under the fitted tail model.
 
     u + (sigma/xi) * (((n/n_u) * p)^(-xi) - 1), with the exponential limit
-    u + sigma*ln(n_u/(n*p)) at shape zero and wherever sigma/xi overflows.
-    Where the power overflows, the -1 is below its rounding, and the VaR
-    is u + sign(xi) * exp(log(sigma/|xi|) - xi*ln((n/n_u) * p)). Raises
-    ValidationError where the VaR is not a finite double.
+    u + sigma*ln(n_u/(n*p)) at shape zero and wherever m/xi overflows, m
+    the mantissa of sigma = m * 2**e: sigma/xi and its product with the
+    power are formed in units of 2**e and scaled back once, so that they
+    overflow only where the VaR does. Where the power overflows, the -1 is
+    below its rounding, and the VaR is u + sign(xi) * exp(log(sigma/|xi|) -
+    xi*ln((n/n_u) * p)). Raises ValidationError where the VaR is not a
+    finite double.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must lie in (0, 1), got {p}")
@@ -97,13 +100,14 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
         raise InvalidCounts(f"need 0 < n_u <= n, got n_u={n_u}, n={n}")
     xi, sigma = params.shape, params.scale
     ratio = (n / n_u) * p
-    if xi == 0.0 or not math.isfinite(sigma / xi):
+    m, e = math.frexp(sigma)
+    if xi == 0.0 or not math.isfinite(m / xi):
         var = u - sigma * math.log(ratio)
     else:
         exponent = -xi * math.log(ratio)
         try:
-            var = u + (sigma / xi) * math.expm1(exponent)
-        except OverflowError:  # the power is past the double range, its product with sigma/xi need not be
+            var = u + math.ldexp((m / xi) * math.expm1(exponent), e)
+        except OverflowError:  # the power or the VaR is past the double range; the power's product with sigma/xi need not be
             try:
                 var = u + math.copysign(math.exp(math.log(sigma) - math.log(abs(xi)) + exponent), xi)
             except OverflowError:  # so is the product
@@ -114,13 +118,19 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
 
 
 def expected_shortfall(var: float, u: float, params: GpdParams) -> float:
-    """Expected size of an outcome beyond ``var``: (var + sigma - u*xi)/(1 - xi); a ValidationError if not finite."""
+    """Expected size of an outcome beyond ``var``: (var + sigma - u*xi)/(1 - xi); a ValidationError if not finite.
+
+    Where the numerator overflows, it is formed at half scale, which
+    rounds as the full-scale one would.
+    """
     xi, sigma = params.shape, params.scale
     if xi >= 1.0:
         raise ShapeAtOrAboveOne(
             f"expected shortfall diverges for shape >= 1, got {xi}"
         )
     es = (var + sigma - u * xi) / (1.0 - xi)
+    if not math.isfinite(es):
+        es = 2.0 * ((0.5 * var + 0.5 * sigma - 0.5 * u * xi) / (1.0 - xi))
     if not math.isfinite(es):
         raise ValidationError(f"the expected shortfall at u={u}, VaR {var} is not a finite double")
     return es

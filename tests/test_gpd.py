@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,14 @@ class TestQuantile:
         xi, sigma, q = 1e-300, 2.0, np.array([0.1, 0.5, 0.99])
         want = (sigma / xi) * np.expm1(-xi * np.log1p(-q))
         np.testing.assert_array_equal(gpd_quantile(GpdParams(xi, sigma), q), want)
+
+    def test_a_quantile_whose_sigma_over_xi_overflows_is_the_40_digit_value(self):
+        # sigma/xi is past the double range, the median is not
+        xi, sigma, q = 0.75, 1.79e308, 0.5
+        assert not math.isfinite(sigma / xi)
+        with mpmath.workdps(40):
+            want = float(mpmath.mpf(sigma) / xi * ((1 - mpmath.mpf(q)) ** -mpmath.mpf(xi) - 1))
+        assert gpd_quantile(GpdParams(xi, sigma), q) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("q", [-0.1, 1.0, 1.5, math.nan])
     def test_invalid_probability(self, q):

@@ -113,6 +113,19 @@ class TestValueAtRisk:
         assert value_at_risk(u, params, n, n_u, p) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("u,params,n,n_u,p", [
+        pytest.param(0.0, GpdParams(0.8, 1.5e308), 1000, 100, 0.05, id="heavy_tail"),
+        pytest.param(0.0, GpdParams(-0.5, 1e308), 1000, 100, 0.01, id="short_tail"),
+    ])
+    def test_a_var_whose_sigma_over_xi_overflows_is_the_40_digit_value(self, u, params, n, n_u, p):
+        # sigma/xi is past the double range, the VaR is not
+        xi, sigma = params.shape, params.scale
+        assert not math.isfinite(sigma / xi)
+        with mpmath.workdps(40):
+            ratio = mpmath.mpf(n) / n_u * mpmath.mpf(p)
+            want = float(u + mpmath.mpf(sigma) / xi * (ratio ** -mpmath.mpf(xi) - 1))
+        assert value_at_risk(u, params, n, n_u, p) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("u,params,n,n_u,p", [
         pytest.param(0.5, GpdParams(2.0, 1.0), 200, 20, 1e-300, id="expm1_overflows"),
         pytest.param(1e305, GpdParams(0.6, 1e307), 40, 40, 0.001, id="product_overflows"),
         pytest.param(1.0, GpdParams(0.0, 1e308), 100, 10, 1e-300, id="exponential_limit"),
@@ -146,6 +159,18 @@ class TestExpectedShortfall:
     def test_a_shortfall_beyond_the_double_range_is_a_validation_error(self, var, u, params):
         with pytest.raises(ValidationError, match=re.escape(f"at u={u}, VaR {var} is not a finite double")):
             expected_shortfall(var, u, params)
+
+    def test_a_shortfall_whose_numerator_overflows_is_the_40_digit_value(self):
+        # var + sigma is past the double range, the shortfall is not
+        u, xi, sigma, n, n_u, p = 0.0, -0.5, 0.8e308, 1000, 100, 0.01
+        params = GpdParams(xi, sigma)
+        var = value_at_risk(u, params, n, n_u, p)
+        assert not math.isfinite(var + sigma)
+        with mpmath.workdps(40):
+            ratio = mpmath.mpf(n) / n_u * mpmath.mpf(p)
+            exact_var = u + mpmath.mpf(sigma) / xi * (ratio ** -mpmath.mpf(xi) - 1)
+            want = float((exact_var + sigma - u * xi) / (1 - mpmath.mpf(xi)))
+        assert expected_shortfall(var, u, params) == pytest.approx(want, rel=1e-14)
 
     def test_identity_with_mean_excess(self):
         # ES - VaR equals the theoretical mean excess at the VaR level
