@@ -84,8 +84,8 @@ BLOCK_ELEMENTS = 1 << 13
 # profile_nll_grid bounds k(tau) from bins of each sorted row, cut as those
 # of its chunk's widest row of w values and leading zero: its top 1, 2, 4,
 # ... values while a bin holds fewer than w/_BINS (they decide k near the
-# feasibility edge), then _BINS or fewer bins. 8 took
-# more time for the same grid points on all perfbench workloads.
+# feasibility edge), then _BINS or fewer bins. 8 took more time for the
+# same grid points on all perfbench workloads.
 _BINS = 4
 
 _EPS = math.ulp(1.0)

@@ -436,11 +436,11 @@ def fit_samples(samples):
     ``BLOCK_ELEMENTS`` elements, which binds first on a scan: its
     candidates shrink a point at a time, so a block holds at most about
     510 of them. A longer sample gets a block of its own. Each sample is
-    copied into the block as it arrives (see :class:`_kernels.Rows`), and each block is
-    searched in lockstep, so the grid rounds and every step of the score
-    solve are paid once per block: once per tail of the bundled data.
-    Yields one entry per sample, in order: its FitResult, or the error
-    :func:`fit_mle` would raise for it.
+    copied into the block as it arrives (see :class:`_kernels.Rows`), and
+    each block is searched in lockstep, so the grid rounds and every step
+    of the score solve are paid once per block: once per tail of the
+    bundled data. Yields one entry per sample, in order: its FitResult, or
+    the error :func:`fit_mle` would raise for it.
     """
     rows = _kernels.Rows()
     # The cap bounds a block's arrays of one value per grid point (8 *

@@ -87,12 +87,12 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
 
     u + (sigma/xi) * (((n/n_u) * p)^(-xi) - 1), with the exponential limit
     u + sigma*ln(n_u/(n*p)) at shape zero and wherever m/xi overflows, m
-    the mantissa of sigma = m * 2**e: sigma/xi and its product with the
-    power are formed in units of 2**e and scaled back once, so that they
-    overflow only where the VaR does. Where the power overflows, the -1 is
-    below its rounding, and the VaR is u + sign(xi) * exp(log(sigma/|xi|) -
-    xi*ln((n/n_u) * p)). Raises ValidationError where the VaR is not a
-    finite double.
+    the mantissa of sigma = m * 2**e. The product is formed from the
+    mantissas of sigma and of the power minus one and scaled back once, so
+    that it overflows only where the VaR does. Where the power overflows,
+    the -1 is below its rounding, and the VaR is u + sign(xi) *
+    exp(log(sigma/|xi|) - xi*ln((n/n_u) * p)). Raises ValidationError where
+    the VaR is not a finite double.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must lie in (0, 1), got {p}")
@@ -106,8 +106,9 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
     else:
         exponent = -xi * math.log(ratio)
         try:
-            var = u + math.ldexp((m / xi) * math.expm1(exponent), e)
-        except OverflowError:  # the power or the VaR is past the double range; the power's product with sigma/xi need not be
+            f, k = math.frexp(math.expm1(exponent))
+            var = u + math.ldexp((m / xi) * f, e + k)
+        except OverflowError:  # the power is past the double range, its product with sigma/xi need not be
             try:
                 var = u + math.copysign(math.exp(math.log(sigma) - math.log(abs(xi)) + exponent), xi)
             except OverflowError:  # so is the product

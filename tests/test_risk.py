@@ -112,18 +112,20 @@ class TestValueAtRisk:
             want = float(u + mpmath.mpf(sigma) / xi * (ratio ** -mpmath.mpf(xi) - 1))
         assert value_at_risk(u, params, n, n_u, p) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("u,params,n,n_u,p", [
-        pytest.param(0.0, GpdParams(0.8, 1.5e308), 1000, 100, 0.05, id="heavy_tail"),
-        pytest.param(0.0, GpdParams(-0.5, 1e308), 1000, 100, 0.01, id="short_tail"),
-    ])
-    def test_a_var_whose_sigma_over_xi_overflows_is_the_40_digit_value(self, u, params, n, n_u, p):
+    @pytest.mark.parametrize("u,params,n,n_u,p,rel", [
         # sigma/xi is past the double range, the VaR is not
+        pytest.param(0.0, GpdParams(0.8, 1.5e308), 1000, 100, 0.05, 1e-14, id="heavy_tail"),
+        pytest.param(0.0, GpdParams(-0.5, 1e308), 1000, 100, 0.01, 1e-14, id="short_tail"),
+        # the power minus one times m/xi, sigma = m * 2**-4, is past the double
+        # range; the power's exponent, about 709.7, is good to about 1e-13
+        pytest.param(0.0, GpdParams(0.96, 0.99 * 2.0**-5), 10, 10, 163 * 5e-324, 1e-12, id="subnormal_p"),
+    ])
+    def test_a_var_near_the_top_of_the_double_range_is_the_40_digit_value(self, u, params, n, n_u, p, rel):
         xi, sigma = params.shape, params.scale
-        assert not math.isfinite(sigma / xi)
         with mpmath.workdps(40):
             ratio = mpmath.mpf(n) / n_u * mpmath.mpf(p)
             want = float(u + mpmath.mpf(sigma) / xi * (ratio ** -mpmath.mpf(xi) - 1))
-        assert value_at_risk(u, params, n, n_u, p) == pytest.approx(want, rel=1e-14)
+        assert value_at_risk(u, params, n, n_u, p) == pytest.approx(want, rel=rel)
 
     @pytest.mark.parametrize("u,params,n,n_u,p", [
         pytest.param(0.5, GpdParams(2.0, 1.0), 200, 20, 1e-300, id="expm1_overflows"),
