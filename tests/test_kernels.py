@@ -43,7 +43,7 @@ def _block_values(kernel, cases):
 
 class TestRows:
     def _samples(self):
-        """Samples of 1 to 300 points that load as one chunk, whose widest rows are neither all first nor all last."""
+        """Samples of 1 to 300 points, in mixed size order, that load as one chunk."""
         rng = np.random.default_rng(3)
         return [
             np.sort(rng.exponential(1.0, size)) * 10.0 ** rng.uniform(-3, 3) for size in (1, 7, 300, 129, 300)
