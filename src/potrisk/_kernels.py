@@ -361,9 +361,10 @@ def _bounds(taus, bins, n, scratch):
     sizes and ``scratch`` is :func:`_bin_sums`'. The bounds of
     :func:`_bin_sums` on the sums are widened by 8(n + 4) ulps of the sum
     of the terms' sizes, a size being the larger of |l| and |t/(1 + t)|,
-    which is what a rounding of t = tau*y costs near t = -1. Given k, the profile NLL n*(log(k/tau) + k + 1) increases with
-    k for tau > 0 and is concave in k for tau < 0, so its floor is its
-    least value at the two bounds, widened by the rounding of its terms.
+    which is what a rounding of t = tau*y costs near t = -1. Given k, the
+    profile NLL n*(log(k/tau) + k + 1) increases with k for tau > 0 and is
+    concave in k for tau < 0, so its floor is its least value at the two
+    bounds, widened by the rounding of its terms.
     Returns (k_lo, k_hi, floor, guess), guess the NLL at the middle of the
     unwidened bounds.
     """

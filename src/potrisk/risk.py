@@ -107,11 +107,15 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
         exponent = -xi * math.log(ratio)
         try:
             f, k = math.frexp(math.expm1(exponent))
-            var = u + math.ldexp((m / xi) * f, e + k)
         except OverflowError:  # the power is past the double range, its product with sigma/xi need not be
             try:
                 var = u + math.copysign(math.exp(math.log(sigma) - math.log(abs(xi)) + exponent), xi)
             except OverflowError:  # so is the product
+                var = math.inf
+        else:
+            try:
+                var = u + math.ldexp((m / xi) * f, e + k)
+            except OverflowError:  # the product is past the double range
                 var = math.inf
     if not math.isfinite(var):
         raise ValidationError(f"the VaR at u={u}, p={p} is not a finite double")

@@ -116,8 +116,8 @@ class TestValueAtRisk:
         # sigma/xi is past the double range, the VaR is not
         pytest.param(0.0, GpdParams(0.8, 1.5e308), 1000, 100, 0.05, 1e-14, id="heavy_tail"),
         pytest.param(0.0, GpdParams(-0.5, 1e308), 1000, 100, 0.01, 1e-14, id="short_tail"),
-        # the power minus one times m/xi, sigma = m * 2**-4, is past the double
-        # range; the power's exponent, about 709.7, is good to about 1e-13
+        # the power minus one times m/xi, sigma = m * 2**-5, is past the double
+        # range; the power's exponent, about 709.8, is good to about 1e-13
         pytest.param(0.0, GpdParams(0.96, 0.99 * 2.0**-5), 10, 10, 163 * 5e-324, 1e-12, id="subnormal_p"),
     ])
     def test_a_var_near_the_top_of_the_double_range_is_the_40_digit_value(self, u, params, n, n_u, p, rel):
@@ -132,6 +132,8 @@ class TestValueAtRisk:
         pytest.param(1e305, GpdParams(0.6, 1e307), 40, 40, 0.001, id="product_overflows"),
         pytest.param(1.0, GpdParams(0.0, 1e308), 100, 10, 1e-300, id="exponential_limit"),
         pytest.param(1.0, GpdParams(-0.5, 1e308), 10**6, 1, 0.5, id="below_the_range"),
+        # the power is below one, its product with sigma/xi is past the double range
+        pytest.param(0.0, GpdParams(-0.04, 1e308), 10, 10, 1e-31, id="ldexp_overflows"),
     ])
     def test_a_var_beyond_the_double_range_is_a_validation_error(self, u, params, n, n_u, p):
         with pytest.raises(ValidationError, match=re.escape(f"the VaR at u={u}, p={p} is not a finite double")):
