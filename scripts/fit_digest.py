@@ -1,4 +1,4 @@
-"""Print a sha256 over the bits of every fit of four inputs, or compare the fits with another checkout's.
+"""Print a sha256 over the bits of every fit of four inputs and of their GoF reports, or compare them with another checkout's.
 
 For each fit, the digest takes its shape, scale and log-likelihood as
 8-byte doubles and its converged and boundary_hit flags, or the name of
@@ -17,6 +17,13 @@ percentile and most score evaluations of one fit, which can differ
 between checkouts whose fits do not, since a fit's grid points can depend
 on the rows that share its block.
 
+The GoF digests take, for each survivor of a heavy-tail
+``risk.scan_thresholds`` of each input's gains (the bundled periods'
+gains and the gains of tail_scan and long_history, with the same
+min_exceedances), its W² and A² as 8-byte doubles and its verdicts at
+every tabulated level, or the name of the error the scan gave. One line
+per input gives its survivor count and digest.
+
 With ``--against CHECKOUT`` the script also fits the same inputs with
 that checkout's ``src`` in a subprocess and prints, per input: the fit
 count and how many fits are bit-identical, the flag and error-type
@@ -24,8 +31,10 @@ mismatches, the max and 99th-percentile relative differences of shape
 and scale, each fit whose shape or scale moved by more than 1e-12
 relative, with its shape, and the work of both checkouts, so that a
 change to the solve shows how it moved the distribution of score
-evaluations, not only their sum. It exits 1 if a count, a flag or an
-error type differs.
+evaluations, not only their sum. For the GoF it prints, per input, the
+survivor count and how many survivors' W², A² and verdicts are
+bit-identical. It exits 1 if a count, a flag or an error type differs,
+or if any GoF digest does.
 
 With ``--dense N`` the script also checks that the tau grid misses no
 better optimum: for every converged, non-boundary fit of the bundled
@@ -36,8 +45,8 @@ from the package, at N points from the feasibility edge to the grid's top
 by more than ``DENSE_SLACK`` relative, and the most likely such point. It
 exits 1 if there is one.
 
-Run from the repository root (each checkout's fits take about 5 s, the
-dense check at N = 4,000 about a minute):
+Run from the repository root (each checkout's fits and scans take a few
+seconds, the dense check at N = 4,000 about a minute):
 
     PYTHONPATH=src python scripts/fit_digest.py --seed 1
     PYTHONPATH=src python scripts/fit_digest.py --seed 1 --against ../other-checkout
@@ -165,6 +174,58 @@ def all_fits(seed) -> dict:
     }
 
 
+def gains(tails):
+    """The gains of ``tails``, which alternate each input's gains and loss magnitudes."""
+    return itertools.islice(tails, 0, None, 2)
+
+
+def gof_records(tails) -> list:
+    """Per survivor of a heavy-tail scan of each of ``tails``, its (W², A², verdicts...), or the scan's error's name."""
+    from potrisk.errors import PotriskError
+    from potrisk.gof import ALPHA_LEVELS
+    from potrisk.risk import HEAVY_TAIL, scan_thresholds
+
+    out = []
+    for tail, min_exc in tails:
+        try:
+            scan = scan_thresholds(tail, regime=HEAVY_TAIL, min_exceedances=min_exc)
+        except PotriskError as exc:
+            out.append(type(exc).__name__)
+            continue
+        out.extend((e.gof.w2, e.gof.a2, *(e.gof.verdicts[a] for a in ALPHA_LEVELS)) for e in scan.estimates)
+    return out
+
+
+def _gof_bits(record) -> bytes:  # a record of gof_records()
+    if isinstance(record, str):
+        return record.encode()
+    return struct.pack("<dd", *record[:2]) + ",".join(record[2:]).encode()
+
+
+def all_gofs(seed) -> dict:
+    """Per input, :func:`gof_records` of its gains."""
+    return {
+        "bundled": gof_records(gains(bundled_tails())),
+        f"tail_scan@{seed}": gof_records(gains(tail_scan_tails(seed))),
+        f"long_history@{seed}": gof_records(gains(long_history_tails(seed))),
+    }
+
+
+def gof_digest(records) -> str:
+    """The sha256 of the bits of ``records`` (see :func:`gof_records`)."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(_gof_bits(r))
+    return h.hexdigest()
+
+
+def compare_gofs(name, mine, theirs) -> bool:
+    """Print how many GoF records of ``mine`` are bit-identical to ``theirs``; whether their digests agree."""
+    identical = sum(_gof_bits(a) == _gof_bits(b) for a, b in zip(mine, theirs))
+    print(f"{name} gof: {len(mine)} survivors here, {len(theirs)} there, {identical} bit-identical")
+    return gof_digest(mine) == gof_digest(theirs)
+
+
 def _relative(a: float, b: float) -> float:
     return 0.0 if a == b else abs(a - b) / abs(b) if b else math.inf
 
@@ -284,6 +345,9 @@ def main(argv=None) -> int:
     mine = all_fits(args.seed)
     for name, (records, work) in mine.items():
         print(f"{name} {len(records)} {digest(records)} {_work(work)}")
+    my_gofs = all_gofs(args.seed)
+    for name, records in my_gofs.items():
+        print(f"{name} gof {len(records)} {gof_digest(records)}")
     ok = True
     if args.dense is not None:
         dense_inputs = {
@@ -298,16 +362,18 @@ def main(argv=None) -> int:
     paths = [str(Path(args.against).resolve() / "src"), str(Path(__file__).resolve().parent)]
     code = (
         f"import json, sys; sys.path[:0] = {paths!r}; import fit_digest; "
-        f"json.dump(fit_digest.all_fits({args.seed}), sys.stdout)"
+        f"json.dump([fit_digest.all_fits({args.seed}), fit_digest.all_gofs({args.seed})], sys.stdout)"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    theirs = json.loads(run.stdout)
+    theirs, their_gofs = json.loads(run.stdout)
     print(f"against {args.against} (shape there -> here):")
     same = []
     for name in mine:
         records, work = theirs[name]
         same.append(compare(name, mine[name], ([r if isinstance(r, str) else tuple(r) for r in records], work)))
+    for name in my_gofs:
+        same.append(compare_gofs(name, my_gofs[name], their_gofs[name]))
     return 0 if ok and all(same) else 1
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "BACKEND",
     "BLOCK_ELEMENTS",
     "Rows",
+    "chunks",
     "least_and_neighbours",
     "profile_nll_from_sum",
 ]
@@ -58,10 +59,10 @@ BACKEND = "numpy"
 # the score solve, whose fixed cost hardly depends on the row count) are
 # then paid once per tail of the bundled data, or per 9 candidates of 14,000
 # points (long_history). A kernel pass runs one chunk of consecutive rows
-# (at most BLOCK_ELEMENTS elements in all, or one longer row) at a time
-# through the scratch buffers, so its arithmetic stays in cache, and the
-# temporaries of the tau grids are made in chunks of rows of about
-# BLOCK_ELEMENTS elements.
+# (at most BLOCK_ELEMENTS elements in all, or one longer row; the GoF's
+# blocks are the same chunks) at a time through the scratch buffers, so its
+# arithmetic stays in cache, and the temporaries of the tau grids are made
+# in chunks of rows of about BLOCK_ELEMENTS elements.
 # Buffers are allocated once per fit_samples call and reused, since a numpy
 # array above glibc's 128 KiB mmap threshold gets fresh pages on every
 # allocation and costs about three times as much per element; the data
@@ -96,9 +97,8 @@ class Rows:
     :meth:`add` copies each sample into one data buffer as it arrives, and
     :meth:`load` finishes the block. The rows lie back to back, each as one
     leading zero followed by its values, and :meth:`load` cuts the block
-    into chunks of consecutive rows of at most ``BLOCK_ELEMENTS`` elements
-    in all (or one longer row). :meth:`sums` makes each pass one chunk at a
-    time, through scratch buffers sized to the largest chunk, so that the
+    into :func:`chunks`. :meth:`sums` makes each pass one chunk at a time,
+    through scratch buffers sized to the largest chunk, so that the
     arithmetic of a pass runs in cache however many rows the block holds.
 
     :meth:`load` sets each row's constants ``n``, ``e``, and in row units
@@ -144,13 +144,7 @@ class Rows:
         """Finish the block: cut its chunks and set the row constants; return the rows' sizes."""
         self._starts = starts = np.array([*self._starts, self._used])  # and the end of the last row
         self._widths = widths = np.diff(starts)
-        self._chunks, first, size = [], 0, 0
-        for row, width in enumerate(widths.tolist()):
-            if size + width > BLOCK_ELEMENTS and row > first:
-                self._chunks.append((first, row))
-                first, size = row, 0
-            size += width
-        self._chunks.append((first, self.count))
+        self._chunks = chunks(widths.tolist())
         largest = max(starts[j] - starts[i] for i, j in self._chunks)
         if largest > self._scratch[0].size:
             self._scratch = tuple(np.empty(max(largest, BLOCK_ELEMENTS)) for _ in range(2))
@@ -343,6 +337,20 @@ class Rows:
             g2 = n / (tau * tau) * (1.0 - q2 - r * r - s2 / n)
             g3 = n / (tau * tau * tau) * (2.0 * (s3 / l) + 3.0 * r * q2 + 2.0 * (r * r * r) - 2.0 + 2.0 * (s3 / n))
         return score, l, g2, g3, w, s2
+
+
+def chunks(widths) -> list:
+    """Rows of ``widths`` elements cut into (first, end) runs of consecutive rows; [] for no rows.
+
+    A run holds at most ``BLOCK_ELEMENTS`` elements in all, or one longer row.
+    """
+    runs, first, size = [], 0, 0
+    for row, width in enumerate(widths):
+        if size + width > BLOCK_ELEMENTS and row > first:
+            runs.append((first, row))
+            first, size = row, 0
+        size += width
+    return [*runs, (first, len(widths))] if len(widths) else runs
 
 
 def _bin_stops(n) -> np.ndarray:  # the bounds of the bins of n values, ascending from 0 to n

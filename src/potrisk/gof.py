@@ -187,9 +187,10 @@ def gof_reports(xs, starts, thresholds, params) -> list:
     excesses ``xs[starts[r]:] - thresholds[r]``, which are sorted too. The
     transforms of sorted excesses come out sorted, since the CDF is
     monotone, and so are the rounded steps that compute it (a product,
-    log1p, a quotient and expm1). Fits are taken in blocks of
-    consecutive rows: each block computes its transforms, clipping and
-    logs as one 2-d array, one row per fit, right-aligned, and sums each
+    log1p, a quotient and expm1). Each fit is a row of one leading zero
+    followed by its excesses, and the rows are taken in the kernels' chunks
+    (:func:`~potrisk._kernels.chunks`), laid back to back. A chunk computes
+    its transforms, clipping and logs as one 1-d array, and sums each
     statistic's terms of all its rows in one np.add.reduceat, every row's
     sum starting at a zero before its kept terms, which is the order np.sum
     takes over those terms. So each report is bitwise the one that
@@ -198,24 +199,15 @@ def gof_reports(xs, starts, thresholds, params) -> list:
     then interpolated at once. Raises, for the first fit that has them, the
     errors those would.
     """
-    xs = np.asarray(xs, dtype=float)
+    padded = np.concatenate([[0.0], np.asarray(xs, dtype=float)])  # padded[starts[r]] precedes row r's excesses
     starts = np.asarray(starts, dtype=np.intp)
     thresholds = np.asarray(thresholds, dtype=float)
-    w2s, a2s, r = [], [], 0
-    while r < len(params):
-        # A block takes rows no longer than its first and at least half as
-        # long, within BLOCK_ELEMENTS elements, so that its padding stays
-        # below half of it.
-        width = xs.size - starts[r]
-        end = r + 1
-        while (
-            end < len(params)
-            and (end + 1 - r) * width <= _kernels.BLOCK_ELEMENTS
-            and width >= xs.size - starts[end] >= width / 2
-        ):
-            end += 1
-        _gof_block(xs[starts[r] :], starts[r:end] - starts[r], thresholds[r:end], params[r:end], w2s, a2s)
-        r = end
+    widths = padded.size - starts
+    w2s, a2s = [], []
+    for a, b in _kernels.chunks(widths.tolist()):
+        w2, a2 = _gof_block(padded, starts[a:b], widths[a:b], thresholds[a:b], params[a:b])
+        w2s.extend(w2.tolist())
+        a2s.extend(a2.tolist())
     shapes = [p.shape for p in params]
     return [
         GofReport(w2=w2, a2=a2, shape_used=shape, verdicts=verdicts, interpolated_criticals=criticals)
@@ -223,53 +215,47 @@ def gof_reports(xs, starts, thresholds, params) -> list:
     ]
 
 
-def _gof_block(tail, offsets, thresholds, params, w2s, a2s) -> None:
-    """Append to ``w2s`` and ``a2s`` the statistics of the fits on ``tail[offsets[r]:] - thresholds[r]``.
-
-    The offsets are ascending.
-    """
-    rows, width = len(params), tail.size + 1
-    col = np.arange(width)
-    xi = np.array([p.shape for p in params])
-    sigma = np.array([p.scale for p in params])
-    # A column of padding leads every row, so that each fit's kept
-    # transforms follow one that is dropped.
-    y = np.zeros((rows, width))
-    np.subtract(tail, thresholds[:, None], out=y[:, 1:])
+def _gof_block(padded, starts, widths, thresholds, params):
+    """W² and A² of the fits on ``padded[starts[r] + 1:] - thresholds[r]``, rows of ``widths`` laid back to back."""
+    ends = np.cumsum(widths)
+    heads = ends - widths
+    at = np.arange(ends[-1])
+    y = padded[np.repeat(starts - heads, widths) + at] - np.repeat(thresholds, widths)
+    xi, sigma = np.repeat([[p.shape for p in params], [p.scale for p in params]], widths, axis=1)
     z = gpd_cdf_rows(xi, sigma, y)
-    # a row whose transforms are all zero has n = 0 and raises below
+    # Row r holds padded[starts[r]:] - thresholds[r], its first transform
+    # set to the leading zero, so that each fit's kept transforms follow
+    # one that is dropped.
+    z[heads] = 0.0
     with np.errstate(all="ignore"):
-        z[col <= offsets[:, None]] = 0.0
-        # Zero transforms (and the padding) lead each row; fit r keeps the
-        # n = width - first[r] transforms from first[r] on.
-        first = np.count_nonzero(z == 0.0, axis=1)
-        n = width - first
-        q = 2.0 * (col - first[:, None] + 1) - 1.0  # 2i - 1 for the kept transform i = 1..n
-        w_terms = (z - q / (2.0 * n)[:, None]) ** 2
+        # Zero transforms (and the leading zero) lead each row; fit r keeps
+        # the n = widths[r] - first[r] transforms after its last dropped one.
+        first = np.add.reduceat(z == 0.0, heads, dtype=np.intp)
+        n = widths - first
+        last = heads + first - 1
+        i = at - np.repeat(last, widths)  # i = 1..n for the kept transforms
+        q = 2.0 * i - 1.0
+        w_terms = (z - q / np.repeat(2.0 * n, widths)) ** 2
         clipped = np.clip(z, _Z_CLAMP, 1.0 - _Z_CLAMP)
         log_tail = np.log(1.0 - clipped)
-        # log(1 - z) of the kept transforms in reverse order: kept column c
-        # pairs with first + width - 1 - c.
-        reverse = np.minimum((first + (width - 1))[:, None] - col, width - 1)
-        a_terms = q * (np.log(clipped) + np.take_along_axis(log_tail, reverse, axis=1))
-    bad = (n == 0) | np.isnan(z[:, -1])  # n is 0 also where the offset is the tail's size
+        # log(1 - z) of the kept transforms in reverse order: kept transform
+        # i of row r pairs with element ends[r] - i.
+        a_terms = q * (np.log(clipped) + log_tail.take(np.repeat(ends, widths) - i, mode="clip"))
+    bad = (n == 0) | np.isnan(z[ends - 1])
     if bad.any():
         r = np.argmax(bad)
-        if offsets[r] == tail.size:
+        if widths[r] == 1:
             raise EmptySample("cannot transform an empty excess sample")
         if n[r] == 0:
             raise EmptySample("all transformed values are zero")
         raise BoundaryValue("A² input contains values at 0 or 1 after clamping")
     # Row r's sum runs from its last dropped term, set to zero, to the row's
-    # end: the order np.sum takes over its kept terms alone. The segments
-    # between them are dropped, and the last one ends with the array.
-    segments = np.repeat(np.arange(width, rows * width + 1, width), 2)[:-1]  # each row's end, twice
-    segments[::2] -= n + 1  # then its last dropped term and its end
-    starts = segments[::2]
-    w_terms, a_terms = w_terms.ravel(), a_terms.ravel()
-    w_terms[starts] = a_terms[starts] = 0.0
-    w2s.extend((np.add.reduceat(w_terms, segments)[::2] + 1.0 / (12.0 * n)).tolist())
-    a2s.extend((-n - np.add.reduceat(a_terms, segments)[::2] / n).tolist())
+    # end: the order np.sum takes over its kept terms alone. Each row's
+    # segments are [its head, its last dropped term) and the rest of it.
+    w_terms[last] = a_terms[last] = 0.0
+    segments = np.stack([heads, last], axis=1).ravel()
+    w2 = np.add.reduceat(w_terms, segments)[1::2] + 1.0 / (12.0 * n)
+    return w2, -n - np.add.reduceat(a_terms, segments)[1::2] / n
 
 
 def require_alpha(alpha: float) -> float:

@@ -166,30 +166,30 @@ def gpd_cdf(params: GpdParams, y):
 
     Continuous in the shape at 0 (exponential limit). Values beyond the
     upper support endpoint of a negative-shape distribution map to 1;
-    negative arguments map to 0. The one-row case of :func:`gpd_cdf_rows`.
+    negative arguments map to 0. The one-shape case of :func:`gpd_cdf_rows`.
     """
-    y_arr = np.asarray(y, dtype=float)
-    out = gpd_cdf_rows(np.array([params.shape]), np.array([params.scale]), y_arr.reshape(1, -1))
-    return float(out[0, 0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    out = gpd_cdf_rows(np.full(y_arr.shape, params.shape), np.full(y_arr.shape, params.scale), y_arr)
+    return float(out[0]) if np.ndim(y) == 0 else out
 
 
 def gpd_cdf_rows(xi: np.ndarray, sigma: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`gpd_cdf` of each row of the 2-d ``y`` under shape ``xi[r]`` and scale ``sigma[r]``.
+    """:func:`gpd_cdf` of each element of ``y`` under the shape and scale at its place in the arrays ``xi`` and ``sigma``.
 
     The steps after the first run in place on the result, so that a call
     holds two arrays the size of ``y``: the result and tau*y.
     """
     with np.errstate(all="ignore"):  # the shape-0 and out-of-support entries are set afterwards
-        t = (xi / sigma)[:, None] * y
+        t = (xi / sigma) * y
         z = np.log1p(t)
         np.negative(z, out=z)
-        z /= xi[:, None]
+        z /= xi
         np.expm1(z, out=z)
         np.negative(z, out=z)
         z[~(t > -1.0)] = 1.0
         exponential = xi == 0.0
         if exponential.any():
-            z[exponential] = -np.expm1(-y[exponential] / sigma[exponential, None])
+            z[exponential] = -np.expm1(-y[exponential] / sigma[exponential])
     z[y < 0.0] = 0.0
     z[np.isnan(y)] = np.nan
     return z
@@ -258,11 +258,11 @@ def _tau_grids(means: np.ndarray, y_mins: np.ndarray, y_maxs: np.ndarray) -> np.
     there), around zero (exponential neighborhood), and sweeps positive
     ratios in 25 points two thirds of a decade apart, from 1e-8/mean to
     1e8/mean, up to the top 2*(mean - y_min)/y_min**2, above which the
-    profile score has no root (Grimshaw 1993). The top is clipped to [1e-8/mean, 1e28/mean], so it
-    is positive where a rounded mean sits below y_min and finite where
-    y_min**2 underflows. The sweep's points above the top are clamped to
-    it and its last point is the top, so a row can repeat a value, which
-    the grid evaluation skips.
+    profile score has no root (Grimshaw 1993). The top is clipped to
+    [1e-8/mean, 1e28/mean], so it is positive where a rounded mean sits
+    below y_min and finite where y_min**2 underflows. The sweep's points
+    above the top are clamped to it and its last point is the top, so a
+    row can repeat a value, which the grid evaluation skips.
     """
     grid = np.empty((means.size, _GRID_POINTS))
     edge = 1.0 - 10.0 ** -np.arange(1.0, 10.0)
@@ -300,8 +300,9 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     that is nan or not inside; or ``x_best`` where that is an end of
     [lo, hi], the row having one grid neighbour only. That first
     evaluation decides whether the score has the end's sign (below 0 at
-    lo, at least 0 at hi); a row without it has no root. No other end is evaluated: it is taken to have its sign, and
-    a row whose bracket closes on it has no root.
+    lo, at least 0 at hi); a row without it has no root. No other end is
+    evaluated: it is taken to have its sign, and a row whose bracket
+    closes on it has no root.
 
     A row stops at x + step once the Halley step from x has a positive
     curvature, lands in the bracket and is at most ``_STEP_STOP * |x|`` or

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potrisk import _kernels
 from potrisk.errors import BoundaryValue, EmptySample, PotriskError, UnknownAlphaLevel
 from potrisk.gof import (
     ACCEPT,
@@ -227,6 +228,15 @@ def test_the_batched_verdicts_are_the_table_loop_bit_for_bit(rows):
         assert _bits(interpolate_criticals(shape)) == _bits(want_criticals)
 
 
+def test_no_fits_have_no_reports():
+    assert gof_reports(np.array([1.0, 2.0]), [], [], []) == []
+
+
+def test_an_empty_sample_has_no_report():
+    with pytest.raises(EmptySample, match="cannot transform an empty excess sample"):
+        gof_fit_report([], GpdParams(0.1, 1.0))
+
+
 def _report_from_parts(excesses, params):
     """The report as the statistics define it: sorted nonzero transforms, W², A², verdicts."""
     z = transform_to_uniform(excesses, params)
@@ -247,7 +257,8 @@ def _suffix_fits(draw):
     some hold excesses so small that
     their transforms are zero and are dropped. Shapes include exactly 0
     and negative ones (not_applicable); a scale of 1e300 zeroes more
-    transforms.
+    transforms, and one of 5e-324 makes shape/scale overflow, so that
+    tau*y is nan at y = 0.
     """
     x = gpd_sample(GpdParams(draw(st.floats(-0.5, 0.6)), 1.0), draw(st.integers(2, 300)), draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -261,14 +272,15 @@ def _suffix_fits(draw):
     if draw(st.booleans()):  # excesses over a lower threshold than the values left out
         thresholds = thresholds * 0.5
     shapes = st.one_of(st.just(0.0), st.floats(-0.6, 0.6), st.floats(0.0, 0.3))
-    scales = st.one_of(st.floats(1e-3, 1e3), st.just(1e300))
+    scales = st.one_of(st.floats(1e-3, 1e3), st.just(1e300), st.just(5e-324))
     params = [GpdParams(draw(shapes), draw(scales)) for _ in picks]
     return xs, starts, thresholds, params
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_suffix_fits())
-def test_batched_reports_are_bitwise_those_of_the_statistics(case):
+@given(case=_suffix_fits(), block=st.sampled_from([1, 7, 50, 300]))
+def test_batched_reports_are_bitwise_those_of_the_statistics(case, block):
+    """Also with chunks of at most ``block`` elements (or one longer row), so that one call's rows span several chunks."""
     xs, starts, thresholds, params = case
     want, error = [], None
     for start, u, p in zip(starts, thresholds, params):
@@ -277,13 +289,18 @@ def test_batched_reports_are_bitwise_those_of_the_statistics(case):
         except PotriskError as exc:
             error = exc
             break
+    for size in (_kernels.BLOCK_ELEMENTS, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "BLOCK_ELEMENTS", size)
+            if error is not None:
+                with pytest.raises(type(error), match=str(error)):
+                    gof_reports(xs, starts, thresholds, params)
+                continue
+            got = gof_reports(xs, starts, thresholds, params)
+        assert got == want
+        assert [(r.w2.hex(), r.a2.hex()) for r in got] == [(r.w2.hex(), r.a2.hex()) for r in want]
     if error is not None:
-        with pytest.raises(type(error), match=str(error)):
-            gof_reports(xs, starts, thresholds, params)
         return
-    got = gof_reports(xs, starts, thresholds, params)
-    assert got == want
-    assert [(r.w2.hex(), r.a2.hex()) for r in got] == [(r.w2.hex(), r.a2.hex()) for r in want]
     # the one-sample call, on the excesses in any order
     rng = np.random.default_rng(0)
     for start, u, p, report in zip(starts, thresholds, params, want):

@@ -21,7 +21,7 @@ from potrisk.errors import (
 )
 from potrisk.excess import candidate_thresholds, mean_excess_theoretical
 from potrisk.gof import GofReport, interpolate_criticals
-from potrisk.gpd import GpdParams, gpd_sample
+from potrisk.gpd import GpdParams, gpd_quantile, gpd_sample
 from potrisk.risk import (
     HEAVY_TAIL,
     SHORT_TAIL,
@@ -362,6 +362,63 @@ def test_var_does_not_increase_as_p_increases(shape, log_scale, n, data):
     u = data.draw(st.floats(0.0, 10.0))
     p1, p2 = sorted(data.draw(st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=2, max_size=2)))
     assert _var_or_infinity(u, params, n, n_u, p2) <= _var_or_infinity(u, params, n, n_u, p1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(st.just(0.0), st.floats(-3.0, 3.0), st.floats(-1e-300, 1e-300)),
+    mantissa=st.floats(0.5, 1.0, exclude_max=True),
+    exponent=st.integers(-1021, 1024),
+    n=st.integers(1, 10**6),
+    data=st.data(),
+)
+def test_the_closed_forms_scale_with_sigma_bit_for_bit(shape, mantissa, exponent, n, data):
+    """Quantile, VaR (u = 0) and shortfall at sigma * 2**k are those at sigma times 2**k, while all are normal.
+
+    The VaR and shortfall are checked only where the power ((n/n_u)*p)^-xi
+    is finite: the VaR's fallback past it forms log(sigma), which is not
+    scale-equivariant.
+    """
+    k = data.draw(st.integers(-1021 - exponent, 1024 - exponent))  # so that sigma * 2**k is normal too
+    sigma = math.ldexp(mantissa, exponent)
+    n_u = data.draw(st.integers(1, n))
+    p = data.draw(st.floats(5e-324, 1.0, exclude_max=True))
+    q = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    want = [_scaled_normal(x, k) for x in _closed_forms(shape, sigma, n, n_u, p, q)]
+    try:
+        math.expm1(-shape * math.log((n / n_u) * p))
+    except OverflowError:
+        want[1] = None
+    if want[1] is None:  # a shortfall is scaled exactly only from a normal VaR
+        want[2] = None
+    got = _closed_forms(shape, math.ldexp(sigma, k), n, n_u, p, q)
+    assert [g for g, w in zip(got, want) if w is not None] == [w for w in want if w is not None]
+
+
+def _closed_forms(shape, sigma, n, n_u, p, q):
+    """gpd_quantile at q, value_at_risk at u = 0 and its expected_shortfall, each None where it raises."""
+    params = GpdParams(shape, sigma)
+    with np.errstate(over="ignore"):  # a quantile past the double range is inf, and not checked
+        quantile = gpd_quantile(params, q)
+    try:
+        var = value_at_risk(0.0, params, n, n_u, p)
+    except ValidationError:
+        return quantile, None, None
+    try:
+        return quantile, var, expected_shortfall(var, 0.0, params)
+    except ValidationError:
+        return quantile, var, None
+
+
+def _scaled_normal(x, k):
+    """x * 2**k where x and it are normal doubles, else None."""
+    if x is None or not (math.isfinite(x) and abs(x) >= sys.float_info.min):
+        return None
+    try:
+        y = math.ldexp(x, k)
+    except OverflowError:
+        return None
+    return y if abs(y) >= sys.float_info.min else None
 
 
 def _var_or_infinity(u, params, n, n_u, p):
