@@ -5,6 +5,13 @@ excesses, judged against a critical-value table indexed by the fitted
 shape (rows 0.0–0.3) and significance level. The table is built for
 estimated parameters and covers nonnegative shapes only: fits with a
 negative shape, or one above 0.3, yield not_applicable verdicts.
+
+A fit's verdicts at the seven levels are one code. Every row of the table
+rises as the level falls, and interpolating between two rows keeps that,
+so a fit accepted at a level is accepted at every smaller one: code k
+(0 to 7) accepts at the k smallest levels and rejects at the rest, and
+``NOT_COVERED`` marks a shape outside the table. ``VERDICTS[code]`` are
+its verdicts, in the order of ``ALPHA_LEVELS``.
 """
 
 import math
@@ -22,6 +29,8 @@ __all__ = [
     "CRITICAL_VALUE_TABLE",
     "CriticalValueTable",
     "GofReport",
+    "NOT_COVERED",
+    "VERDICTS",
     "anderson_darling",
     "cramer_von_mises",
     "gof_reports",
@@ -36,6 +45,10 @@ REJECT = "reject"
 NOT_APPLICABLE = "not_applicable"
 
 ALPHA_LEVELS = (0.5, 0.25, 0.1, 0.05, 0.025, 0.01, 0.005)
+
+_LEVELS = len(ALPHA_LEVELS)
+NOT_COVERED = _LEVELS + 1
+VERDICTS = tuple((REJECT,) * (_LEVELS - k) + (ACCEPT,) * k for k in range(_LEVELS + 1)) + ((NOT_APPLICABLE,) * _LEVELS,)
 
 _Z_CLAMP = 1e-12
 
@@ -70,18 +83,27 @@ CRITICAL_VALUE_TABLE = CriticalValueTable(
 
 @dataclass(frozen=True)
 class GofReport:
+    """A fit's W², A² and verdict code; its verdicts and criticals follow from the code and ``shape_used``."""
+
     w2: float
     a2: float
     shape_used: float
-    verdicts: dict[float, str]
-    interpolated_criticals: dict[float, tuple[float, float]]
+    code: int
+
+    @property
+    def verdicts(self) -> dict[float, str]:
+        return dict(zip(ALPHA_LEVELS, VERDICTS[self.code]))
+
+    @property
+    def interpolated_criticals(self) -> dict[float, tuple[float, float]]:
+        return interpolate_criticals(self.shape_used)
 
     @property
     def applicable(self) -> bool:
-        return any(v != NOT_APPLICABLE for v in self.verdicts.values())
+        return self.code != NOT_COVERED
 
     def accepted_alphas(self) -> tuple[float, ...]:
-        return tuple(a for a in ALPHA_LEVELS if self.verdicts[a] == ACCEPT)
+        return tuple(a for a, v in zip(ALPHA_LEVELS, VERDICTS[self.code]) if v == ACCEPT)
 
 
 def transform_to_uniform(excesses, params: GpdParams) -> np.ndarray:
@@ -127,7 +149,8 @@ def interpolate_criticals(shape: float) -> dict[float, tuple[float, float]]:
     Defined for shapes within the table's coverage only; extrapolation is
     refused and returns an empty mapping.
     """
-    return _verdict_rows([0.0], [0.0], [shape])[0][1]
+    codes, w2c, a2c = _verdict_rows([0.0], [0.0], [shape])
+    return {} if codes[0] == NOT_COVERED else dict(zip(ALPHA_LEVELS, zip(w2c[0].tolist(), a2c[0].tolist())))
 
 
 def verdicts_for(w2: float, a2: float, shape: float) -> tuple[dict[float, str], dict[float, tuple[float, float]]]:
@@ -136,15 +159,18 @@ def verdicts_for(w2: float, a2: float, shape: float) -> tuple[dict[float, str], 
     Accept at a level when neither statistic exceeds its interpolated
     critical value; not_applicable at every level outside table coverage.
     """
-    return _verdict_rows([w2], [a2], [shape])[0]
+    report = GofReport(w2, a2, shape, int(_verdict_rows([w2], [a2], [shape])[0][0]))
+    return report.verdicts, report.interpolated_criticals
 
 
-def _verdict_rows(w2, a2, shapes) -> list:
-    """:func:`verdicts_for` of each (w2[r], a2[r], shapes[r]), with the criticals of all rows interpolated at once.
+def _verdict_rows(w2, a2, shapes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The verdict code of each (w2[r], a2[r], shapes[r]), and each row's criticals of W² and A² at the 7 levels.
 
-    Row r interpolates between the first table row at or above its shape
-    and the row before it (the same row at the first shape), with the
-    same operations, so the criticals are bitwise those of one shape.
+    The criticals of all rows are interpolated at once. Row r interpolates
+    between the first table row at or above its shape and the row before
+    it (the same row at the first shape), with the same operations, so the
+    criticals are bitwise those of one shape. A row's code is the number of
+    levels that accept it, which are its smallest ones.
     """
     table = CRITICAL_VALUE_TABLE
     rows = np.array(table.shapes)
@@ -158,15 +184,7 @@ def _verdict_rows(w2, a2, shapes) -> list:
     w2c = w2t[lo] + frac * (w2t[hi] - w2t[lo])
     a2c = a2t[lo] + frac * (a2t[hi] - a2t[lo])
     accept = (np.asarray(w2, dtype=float)[:, None] <= w2c) & (np.asarray(a2, dtype=float)[:, None] <= a2c)
-    # an object array, so that every verdict is one of the two constant strings
-    verdicts = np.array([REJECT, ACCEPT], dtype=object)[accept.astype(np.intp)]
-    out = []
-    for ok, texts, w2_row, a2_row in zip(covered.tolist(), verdicts.tolist(), w2c.tolist(), a2c.tolist()):
-        if ok:
-            out.append((dict(zip(table.alphas, texts)), dict(zip(table.alphas, zip(w2_row, a2_row)))))
-        else:
-            out.append((dict.fromkeys(ALPHA_LEVELS, NOT_APPLICABLE), {}))
-    return out
+    return np.where(covered, np.count_nonzero(accept, axis=1), NOT_COVERED), w2c, a2c
 
 
 def test_gpd_fit(excesses, params: GpdParams) -> GofReport:
@@ -176,16 +194,16 @@ def test_gpd_fit(excesses, params: GpdParams) -> GofReport:
     one-sample case of :func:`gof_reports`.
     """
     y = np.sort(np.atleast_1d(np.asarray(excesses, dtype=float)))
-    (report,) = gof_reports(y, np.zeros(1, dtype=np.intp), np.zeros(1), [params])
-    return report
+    w2, a2, code = (c.item() for c in gof_reports(y, np.zeros(1, dtype=np.intp), [0.0], [params.shape], [params.scale]))
+    return GofReport(w2, a2, params.shape, code)
 
 
-def gof_reports(xs, starts, thresholds, params) -> list:
-    """W²/A² reports of many fits whose excess samples are suffixes of one sorted sample.
+def gof_reports(xs, starts, thresholds, shapes, scales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W², A² and verdict codes of many fits whose excess samples are suffixes of one sorted sample.
 
-    ``xs`` is sorted ascending, and fit r (``params[r]``) was made on the
-    excesses ``xs[starts[r]:] - thresholds[r]``, which are sorted too. The
-    transforms of sorted excesses come out sorted, since the CDF is
+    ``xs`` is sorted ascending, and fit r (``shapes[r]``, ``scales[r]``) was
+    made on the excesses ``xs[starts[r]:] - thresholds[r]``, which are sorted
+    too. The transforms of sorted excesses come out sorted, since the CDF is
     monotone, and so are the rounded steps that compute it (a product,
     log1p, a quotient and expm1). Each fit is a row of one leading zero
     followed by its excesses, and the rows are taken in the kernels' chunks
@@ -193,35 +211,28 @@ def gof_reports(xs, starts, thresholds, params) -> list:
     its transforms, clipping and logs as one 1-d array, and sums each
     statistic's terms of all its rows in one np.add.reduceat, every row's
     sum starting at a zero before its kept terms, which is the order np.sum
-    takes over those terms. So each report is bitwise the one that
+    takes over those terms. So each W² and A² is bitwise the one that
     :func:`cramer_von_mises` and :func:`anderson_darling` give on the
-    sorted, nonzero transforms. The criticals and verdicts of all fits are
-    then interpolated at once. Raises, for the first fit that has them, the
-    errors those would.
+    sorted, nonzero transforms. The verdicts of all fits are then coded at
+    once. Raises, for the first fit that has them, the errors those would.
     """
     padded = np.concatenate([[0.0], np.asarray(xs, dtype=float)])  # padded[starts[r]] precedes row r's excesses
     starts = np.asarray(starts, dtype=np.intp)
-    thresholds = np.asarray(thresholds, dtype=float)
+    thresholds, shapes, scales = (np.asarray(c, dtype=float) for c in (thresholds, shapes, scales))
     widths = padded.size - starts
-    w2s, a2s = [], []
+    w2, a2 = np.empty(starts.size), np.empty(starts.size)
     for a, b in _kernels.chunks(widths.tolist()):
-        w2, a2 = _gof_block(padded, starts[a:b], widths[a:b], thresholds[a:b], params[a:b])
-        w2s.extend(w2.tolist())
-        a2s.extend(a2.tolist())
-    shapes = [p.shape for p in params]
-    return [
-        GofReport(w2=w2, a2=a2, shape_used=shape, verdicts=verdicts, interpolated_criticals=criticals)
-        for w2, a2, shape, (verdicts, criticals) in zip(w2s, a2s, shapes, _verdict_rows(w2s, a2s, shapes))
-    ]
+        w2[a:b], a2[a:b] = _gof_block(padded, starts[a:b], widths[a:b], thresholds[a:b], shapes[a:b], scales[a:b])
+    return w2, a2, _verdict_rows(w2, a2, shapes)[0]
 
 
-def _gof_block(padded, starts, widths, thresholds, params):
+def _gof_block(padded, starts, widths, thresholds, shapes, scales):
     """W² and A² of the fits on ``padded[starts[r] + 1:] - thresholds[r]``, rows of ``widths`` laid back to back."""
     ends = np.cumsum(widths)
     heads = ends - widths
     at = np.arange(ends[-1])
     y = padded[np.repeat(starts - heads, widths) + at] - np.repeat(thresholds, widths)
-    xi, sigma = np.repeat([[p.shape for p in params], [p.scale for p in params]], widths, axis=1)
+    xi, sigma = np.repeat([shapes, scales], widths, axis=1)
     z = gpd_cdf_rows(xi, sigma, y)
     # Row r holds padded[starts[r]:] - thresholds[r], its first transform
     # set to the leading zero, so that each fit's kept transforms follow

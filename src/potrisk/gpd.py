@@ -29,12 +29,15 @@ feasibility edge, unconverged elsewhere.
 needs: a block's search state lives in arrays over its rows, and one
 step of all their solves is a fixed set of numpy calls and one kernel
 pass. Each row takes the IEEE operations of its search alone, in the same
-order, so it follows exactly its own iterates. :func:`fit_mle` is the
-one-sample call of the same code.
+order, so it follows exactly its own iterates. A block's fits come out as
+columns (:class:`FitColumns`), which the scan reads through
+:func:`fit_columns`; :func:`fit_samples` makes a FitResult of each row.
+:func:`fit_mle` is the one-sample call of the same code.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +57,10 @@ from .errors import (
 __all__ = [
     "DEFAULT_MIN_EXCEEDANCES",
     "ExcessSample",
+    "FitColumns",
     "FitResult",
     "GpdParams",
+    "fit_columns",
     "fit_mle",
     "fit_samples",
     "gpd_cdf",
@@ -73,6 +78,9 @@ _FEASIBILITY_EPS = 1e-10
 _BOUNDARY_MARGIN = 1e-6
 
 _MAX_ITERATIONS = 500
+
+# FitColumns.error: the sample's excesses are all equal, or its optimum has no valid scale.
+DEGENERATE, INVALID_SCALE = 1, 2
 
 # A solve stops after a Halley step of at most this share of its point: the
 # error left is about C*step**3 relative, C measured up to 50, so about 1e-19.
@@ -152,6 +160,23 @@ class FitResult:
     boundary_hit: bool
     grid_points: int = field(default=0, compare=False)
     score_evaluations: int = field(default=0, compare=False)
+
+
+class FitColumns(NamedTuple):
+    """Fits of many samples as columns, one row each: each sample's size, and its fit as in FitResult.
+
+    ``error`` is 0 for a fit, else the error :func:`fit_mle` raises for the
+    sample: ``DEGENERATE`` or ``INVALID_SCALE``.
+    """
+
+    n: np.ndarray
+    shape: np.ndarray
+    scale: np.ndarray
+    converged: np.ndarray
+    boundary_hit: np.ndarray
+    grid_points: np.ndarray
+    score_evaluations: np.ndarray
+    error: np.ndarray
 
 
 def _validate_probability(q) -> np.ndarray:
@@ -375,8 +400,8 @@ def _solve_score(rows, lo, hi, x_best, f_best, l_best, first, live):
     return tau_hat, l_hat, rooted, converged, evaluations
 
 
-def _search(rows, grids, values, sums) -> list:
-    """Maximum-likelihood fits of the rows of the loaded block ``rows``: a FitResult or the error fit_mle raises.
+def _search(rows, grids, values, sums) -> FitColumns:
+    """Maximum-likelihood fits of the rows of the loaded block ``rows``, as columns.
 
     ``grids`` holds each row's tau grid, and ``values`` and ``sums`` the
     profile NLL and its sum where the lazy grid evaluated them, nan
@@ -409,18 +434,8 @@ def _search(rows, grids, values, sums) -> list:
     with np.errstate(over="ignore"):  # a scale above the largest double is inf, an invalid scale below
         scale = np.ldexp(np.divide(shape, tau, out=mean.copy(), where=~zero), e)
     boundary = (1.0 + tau * y_max) < _BOUNDARY_MARGIN
-    columns = (n, shape, scale, converged, boundary, points, evaluations)
-    results = []
-    for i, (size, xi, sigma, conv, edge, *counts) in enumerate(zip(*(c.tolist() for c in columns))):
-        if degenerate[i]:
-            results.append(DegenerateSample("all excesses are equal; the GPD likelihood diverges"))
-        elif not (sigma > 0.0) or not math.isfinite(sigma):
-            results.append(NonConvergence(f"optimizer produced an invalid scale {sigma}"))
-        else:
-            # At (shape, scale) = (k, k/tau) the log-likelihood is minus the profile NLL at tau.
-            ll = -size * (math.log(sigma) + xi + 1.0)
-            results.append(FitResult(GpdParams(xi, sigma), ll, conv, edge, *counts))
-    return results
+    error = np.where(degenerate, DEGENERATE, np.where((scale > 0.0) & np.isfinite(scale), 0, INVALID_SCALE))
+    return FitColumns(n, shape, scale, converged, boundary, points, evaluations, error)
 
 
 def fit_samples(samples):
@@ -441,8 +456,31 @@ def fit_samples(samples):
     each block is searched in lockstep, so the grid rounds and every step
     of the score solve are paid once per block: once per tail of the
     bundled data. Yields one entry per sample, in order: its FitResult, or
-    the error :func:`fit_mle` would raise for it.
+    the error :func:`fit_mle` would raise for it, made from its block's
+    columns.
     """
+    for fits in _fit_blocks(samples):
+        for size, xi, sigma, conv, edge, points, evaluations, error in zip(*(c.tolist() for c in fits)):
+            if error == DEGENERATE:
+                yield DegenerateSample("all excesses are equal; the GPD likelihood diverges")
+            elif error == INVALID_SCALE:
+                yield NonConvergence(f"optimizer produced an invalid scale {sigma}")
+            else:
+                # At (shape, scale) = (k, k/tau) the log-likelihood is minus the profile NLL at tau.
+                ll = -size * (math.log(sigma) + xi + 1.0)
+                yield FitResult(GpdParams(xi, sigma), ll, conv, edge, points, evaluations)
+
+
+def fit_columns(samples) -> FitColumns:
+    """The fits of :func:`fit_samples` as one FitColumns: its blocks' columns, joined."""
+    return FitColumns(*map(np.concatenate, zip(*_fit_blocks(samples), _NO_FITS)))
+
+
+_NO_FITS = FitColumns(*(np.empty(0, dtype=t) for t in (float, float, float, bool, bool, np.intp, np.intp, np.intp)))
+
+
+def _fit_blocks(samples):
+    """The FitColumns of each block of :func:`fit_samples`."""
     rows = _kernels.Rows()
     # The cap bounds a block's arrays of one value per grid point (8 *
     # BLOCK_ELEMENTS elements each); their temporaries are made in chunks
@@ -451,19 +489,19 @@ def fit_samples(samples):
     for y in samples:
         y = np.ascontiguousarray(y, dtype=float)
         if rows.count and (rows.count >= max_rows or not rows.has_room(y.size)):
-            yield from _fit_block(rows)
+            yield _fit_block(rows)
         rows.add(y)
     if rows.count:
-        yield from _fit_block(rows)
+        yield _fit_block(rows)
 
 
-def _fit_block(rows) -> list:
+def _fit_block(rows) -> FitColumns:
     """Fit one block: the tau grids of all rows at once, then the searches in lockstep."""
     rows.load()
     grids = _tau_grids(rows.mean, rows.y_min, rows.y_max)
-    results = _search(rows, grids, *rows.profile_nll_grid(grids))
+    fits = _search(rows, grids, *rows.profile_nll_grid(grids))
     rows.clear()
-    return results
+    return fits
 
 
 def fit_mle(sample: ExcessSample, min_exceedances: int = DEFAULT_MIN_EXCEEDANCES) -> FitResult:

@@ -9,6 +9,8 @@ reported number can be recomputed by the library from the recorded inputs.
 ``report.json`` and ``trend.json`` are written by :func:`write_json`. A
 scan's JSON, thousands of estimates, is streamed by :func:`write_scan_json`
 from one template per estimate, in the bytes ``write_json`` would give.
+The scan writers format the scan's columns a chunk at a time, and take the
+text of each row's verdicts from one prebuilt text per verdict code.
 """
 
 import datetime
@@ -31,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .excess import MeanExcessCurve, mean_excess_curve
-from .gof import require_alpha
+from .gof import ACCEPT, ALPHA_LEVELS, VERDICTS, require_alpha
 from .gpd import DEFAULT_MIN_EXCEEDANCES
 from .risk import (
     HEAVY_TAIL,
@@ -42,7 +44,6 @@ from .risk import (
     scan_with_alpha_filter,
 )
 from .series import (
-    CHUNK_ROWS,
     ReturnSeries,
     box_plot,
     compute_returns,
@@ -205,40 +206,37 @@ def read_curve_csv(path) -> tuple[list[float], list[float], list[int]]:
     return us, means, counts
 
 
+# Per verdict code (gof.VERDICTS), the scan CSV's accepted alphas and the scan JSON's verdicts, 8 deep.
+_ACCEPTED_TEXTS = [";".join(f"{a:g}" for a, v in zip(ALPHA_LEVELS, verdicts) if v == ACCEPT) for verdicts in VERDICTS]
+_VERDICT_JSON = [
+    json.dumps({f"{a:g}": v for a, v in zip(ALPHA_LEVELS, verdicts)}, indent=2).replace("\n", "\n        ")
+    for verdicts in VERDICTS
+]
+
+
 def write_scan_csv(scan: ThresholdScan, path) -> None:
     header = "u,xi,sigma,n_u,var,es,w2,a2,accepted_alphas\n"
-    line = "{:.15g},{:.15g},{:.15g},{},{:.15g},{},{}{}\n"
-    write_rows(path, header, line, column_chunks(_scan_columns(scan.estimates)))
+    line = "{},{},{},{},{},{}," + (",," if scan.codes is None else "{},{},{}") + "\n"
+    write_rows(path, header, line, _scan_texts(scan, "{:.15g}".format, "", _ACCEPTED_TEXTS))
 
 
-def _scan_columns(estimates) -> list[list]:
-    """The scan CSV's columns: u, xi, sigma, n_u, var, and the texts of es, of w2 and a2, and of the accepted alphas.
+def _scan_texts(scan: ThresholdScan, fmt, missing: str, code_texts):
+    """The texts of the scan writers' columns, a chunk at a time, as :func:`~potrisk.series.format_chunks` takes them.
 
-    The accepted alphas of a GoF report follow from its verdicts, which
-    take few distinct values, so their text is kept per tuple of (level,
-    verdict) items.
+    The columns are u, shape, scale, n_u, var, es, and w2, a2 and the
+    verdict codes if the scan has them. A float's text is ``fmt(x)``, a
+    None shortfall's ``missing``, and a code's ``code_texts[code]``.
     """
-    accepted_texts = {}
-
-    def accepted(gof) -> str:
-        if gof is None:
-            return ""
-        verdicts = tuple(gof.verdicts.items())
-        if (text := accepted_texts.get(verdicts)) is None:
-            text = accepted_texts[verdicts] = ";".join(f"{a:g}" for a in gof.accepted_alphas())
-        return text
-
-    gofs = [e.gof for e in estimates]
-    return [
-        [e.u for e in estimates],
-        [e.params.shape for e in estimates],
-        [e.params.scale for e in estimates],
-        [e.n_u for e in estimates],
-        [e.var for e in estimates],
-        ["" if e.es is None else f"{e.es:.15g}" for e in estimates],
-        [",," if gof is None else f"{gof.w2:.15g},{gof.a2:.15g}," for gof in gofs],
-        list(map(accepted, gofs)),
-    ]
+    columns = [scan.u, scan.shape, scan.scale, scan.n_u, scan.var, scan.es, scan.has_es]
+    if scan.codes is not None:
+        columns += [scan.w2, scan.a2, scan.codes]
+    for u, shape, scale, n_u, var, es, has_es, *gof in column_chunks(columns):
+        texts = [list(map(fmt, u)), list(map(fmt, shape)), list(map(fmt, scale)), n_u, list(map(fmt, var))]
+        texts.append([fmt(e) if ok else missing for e, ok in zip(es, has_es)])
+        if gof:
+            w2, a2, codes = gof
+            texts += [list(map(fmt, w2)), list(map(fmt, a2)), [code_texts[c] for c in codes]]
+        yield texts
 
 
 def read_scan_csv(path) -> tuple[list[float], list[float]]:
@@ -307,25 +305,22 @@ def write_scan_json(scan: ThresholdScan, alpha_filtered: RiskEstimate | None, pa
 
     The mirror holds the regime, diagnostics and selected index, each
     estimate as :func:`_estimate_dict` gives it, and ``alpha_filtered``.
-    The estimates are formatted straight into their text, a chunk of
-    ``series.CHUNK_ROWS`` at a time.
+    The estimates are formatted straight from the scan's columns into their
+    text, a chunk of ``series.CHUNK_ROWS`` at a time.
     """
     head = {"regime": scan.regime, "diagnostics": asdict(scan.diagnostics), "selected_index": scan.selected_index}
-    line, columns = _estimate_json(4)
-    estimates = scan.estimates
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "estimates": [')  # the head without its "\n}"
-        if estimates:
+        if scan.u.size:
             fh.write("\n    ")
-            chunks = (columns(estimates[i : i + CHUNK_ROWS]) for i in range(0, len(estimates), CHUNK_ROWS))
-            fh.writelines(format_chunks(line, chunks, sep=",\n    "))
+            chunks = _scan_texts(scan, _json12, "null", _VERDICT_JSON)
+            fh.writelines(format_chunks(_estimate_line(scan), chunks, sep=",\n    "))
             fh.write("\n  ")
         fh.write('],\n  "alpha_filtered": ')
         if alpha_filtered is None:
             fh.write("null")
-        else:
-            line, columns = _estimate_json(2)
-            fh.writelines(format_chunks(line, [columns([alpha_filtered])]))
+        else:  # nested one level deep
+            fh.write(json.dumps(_estimate_dict(alpha_filtered), indent=2).replace("\n", "\n  "))
         fh.write("\n}\n")
 
 
@@ -339,44 +334,17 @@ def _json12(x) -> str:
     return text if "." in text and "e" not in text else json.dumps(float(text))
 
 
-def _estimate_json(indent: int):
-    """A line template and a function of estimates to its columns: each as ``json.dumps(_estimate_dict(e), indent=2)``.
+def _estimate_line(scan: ThresholdScan) -> str:
+    """The template of an estimate of ``scan`` in the scan JSON, for the texts of :func:`_scan_texts`.
 
-    The text is nested ``indent`` deep. The verdicts of a GoF report, keyed
-    by alpha level, take few distinct values, so their text is kept per
-    tuple of (level, verdict) items.
+    Each estimate's text is ``json.dumps(_estimate_dict(e), indent=2)``
+    nested 4 deep. The scan's n and p, the same in every row, are in the
+    template.
     """
-    pad = "\n" + " " * indent
     keys = ("u", "shape", "scale", "n", "n_u", "p", "var", "es", "gof")
-    line = "{{" + ",".join(f'{pad}  "{key}": {{}}' for key in keys) + pad + "}}"
-    verdict_texts = {}
-
-    def gof_text(gof) -> str:
-        if gof is None:
-            return "null"
-        verdicts = tuple(gof.verdicts.items())
-        if (text := verdict_texts.get(verdicts)) is None:
-            doc = {f"{a:g}": v for a, v in verdicts}
-            text = verdict_texts[verdicts] = json.dumps(doc, indent=2).replace("\n", pad + "    ")
-        return (
-            f'{{{pad}    "w2": {_json12(gof.w2)},{pad}    "a2": {_json12(gof.a2)},'
-            f'{pad}    "verdicts": {text}{pad}  }}'
-        )
-
-    def columns(estimates) -> list[list]:
-        return [
-            [_json12(e.u) for e in estimates],
-            [_json12(e.params.shape) for e in estimates],
-            [_json12(e.params.scale) for e in estimates],
-            [e.n for e in estimates],
-            [e.n_u for e in estimates],
-            [_json12(e.p) for e in estimates],
-            [_json12(e.var) for e in estimates],
-            ["null" if e.es is None else _json12(e.es) for e in estimates],
-            [gof_text(e.gof) for e in estimates],
-        ]
-
-    return line, columns
+    gof = "null" if scan.codes is None else '{{\n        "w2": {},\n        "a2": {},\n        "verdicts": {}\n      }}'
+    values = ("{}", "{}", "{}", str(scan.n), "{}", _json12(scan.p), "{}", "{}", gof)
+    return "{{" + ",".join(f'\n      "{key}": {value}' for key, value in zip(keys, values)) + "\n    }}"
 
 
 def _estimate_dict(est: RiskEstimate) -> dict:

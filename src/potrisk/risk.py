@@ -6,27 +6,29 @@ parameters. Threshold selection fits a GPD at every candidate threshold,
 keeps the fits whose shape sign matches the expected tail regime, and
 picks the candidate with the maximal VaR (ties broken toward the smaller
 threshold, which keeps more data in the tail).
+
+A scan is kept as columns from the fits to the writers (:class:`ThresholdScan`),
+with one verdict code per row (see :mod:`potrisk.gof`); a :class:`RiskEstimate`
+is built only where one is asked for, such as the selected row.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
-    DegenerateSample,
     InvalidCounts,
     InvalidProbability,
     NoExceedances,
-    NonConvergence,
     NoSurvivingCandidates,
     NotApplicable,
     ShapeAtOrAboveOne,
     ValidationError,
 )
 from .excess import sorted_candidates
-from .gof import ACCEPT, GofReport, gof_reports, require_alpha
-from .gpd import DEFAULT_MIN_EXCEEDANCES, GpdParams, fit_samples
+from .gof import ACCEPT, ALPHA_LEVELS, VERDICTS, GofReport, gof_reports, require_alpha
+from .gpd import DEFAULT_MIN_EXCEEDANCES, GpdParams, fit_columns
 
 __all__ = [
     "HEAVY_TAIL",
@@ -70,16 +72,57 @@ class ScanDiagnostics:
     surviving: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdScan:
-    estimates: tuple[RiskEstimate, ...]
-    selected_index: int
+    """A scan's surviving candidates as columns, in ascending threshold order.
+
+    Row r is the fit (shape[r], scale[r]) on the n_u[r] of the tail's n
+    values above u[r], and its VaR at p. es[r] is its shortfall where
+    has_es[r]; elsewhere es[r] is nan and the shortfall None. w2, a2 and
+    codes hold each row's goodness of fit and verdict code, or are None
+    for a scan without (the short tail). Scans are equal when every
+    column is, bit for bit.
+    """
+
     regime: str
     diagnostics: ScanDiagnostics
+    selected_index: int
+    n: int
+    p: float
+    u: np.ndarray
+    shape: np.ndarray
+    scale: np.ndarray
+    n_u: np.ndarray
+    var: np.ndarray
+    es: np.ndarray
+    has_es: np.ndarray
+    w2: np.ndarray | None = None
+    a2: np.ndarray | None = None
+    codes: np.ndarray | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, ThresholdScan):
+            return NotImplemented
+        return all(_bits(getattr(self, f.name)) == _bits(getattr(other, f.name)) for f in fields(self))
+
+    @property
+    def estimates(self) -> tuple[RiskEstimate, ...]:
+        return tuple(map(self._estimate, range(self.u.size)))
 
     @property
     def selected(self) -> RiskEstimate:
-        return self.estimates[self.selected_index]
+        return self._estimate(self.selected_index)
+
+    def _estimate(self, r: int) -> RiskEstimate:
+        columns = (self.u, self.shape, self.scale, self.n_u, self.var, self.es)
+        u, shape, scale, n_u, var, es = (c[r].item() for c in columns)
+        gof = None if self.codes is None else GofReport(self.w2[r].item(), self.a2[r].item(), shape, int(self.codes[r]))
+        return RiskEstimate(u, GpdParams(shape, scale), self.n, n_u, self.p, var, es if self.has_es[r] else None, gof)
+
+
+def _bits(value):
+    """``value``, or an array's dtype, shape and bytes."""
+    return (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
 
 
 def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> float:
@@ -90,9 +133,10 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
     the mantissa of sigma = m * 2**e. The product is formed from the
     mantissas of sigma and of the power minus one and scaled back once, so
     that it overflows only where the VaR does. Where the power overflows,
-    the -1 is below its rounding, and the VaR is u + sign(xi) *
-    exp(log(sigma/|xi|) - xi*ln((n/n_u) * p)). Raises ValidationError where
-    the VaR is not a finite double.
+    the -1 is below its rounding, and the VaR is u + sign(xi) * 2**e *
+    exp(log(m/|xi|) - xi*ln((n/n_u) * p)), the exp taken in units of 2**j
+    where it would overflow. Raises ValidationError where the VaR is not a
+    finite double.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must lie in (0, 1), got {p}")
@@ -108,8 +152,10 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
         try:
             f, k = math.frexp(math.expm1(exponent))
         except OverflowError:  # the power is past the double range, its product with sigma/xi need not be
+            t = math.log(m) - math.log(abs(xi)) + exponent
+            j = max(0, math.ceil((t - 709.0) / math.log(2.0)))  # exp(t - j*ln 2) is below the largest double
             try:
-                var = u + math.copysign(math.exp(math.log(sigma) - math.log(abs(xi)) + exponent), xi)
+                var = u + math.copysign(math.ldexp(math.exp(t - j * math.log(2.0)), e + j), xi)
             except OverflowError:  # so is the product
                 var = math.inf
         else:
@@ -157,15 +203,16 @@ def scan_thresholds(
 
     ``tail`` holds positive magnitudes (gains, or sign-flipped losses),
     all finite. The candidates are fitted together, by
-    :func:`~potrisk.gpd.fit_samples`. Fits that error out or fail to
+    :func:`~potrisk.gpd.fit_columns`. Fits that error out or fail to
     converge are dropped but counted, as are fits whose shape sign
     contradicts ``regime``. Boundary optima are dropped too: there the
     likelihood is unbounded and the "fit" would only reflect the
-    numerical feasibility margin. Goodness-of-fit reports are attached
-    for the heavy-tail regime, where the critical table applies; they are
-    computed together, by :func:`~potrisk.gof.gof_reports`, from the tail
-    sorted once. A VaR beyond the double range raises a ValidationError;
-    a shortfall there, or at shape >= 1, is None.
+    numerical feasibility margin. W², A² and verdict codes are computed
+    for the heavy-tail regime, where the critical table applies, all
+    together, by :func:`~potrisk.gof.gof_reports`, from the tail sorted
+    once. A VaR beyond the double range raises a ValidationError; a
+    shortfall there, or at shape >= 1, is None. The selection is the
+    first maximal VaR, so an exact tie goes to the smaller threshold.
     """
     if regime not in (HEAVY_TAIL, SHORT_TAIL):
         raise ValueError(f"unknown regime {regime!r}")
@@ -178,73 +225,35 @@ def scan_thresholds(
     if min_exceedances < 1:  # then the largest value is a candidate, with nothing above
         raise NoExceedances(f"no observations above threshold {candidates[-1]}")
 
-    fits = fit_samples(xs[x.size - c :] - u for u, c in zip(candidates, counts))
-    survivors = []  # (candidate index, fit)
-    fit_errors = 0
-    not_converged = 0
-    boundary_hits = 0
-    wrong_sign = 0
-    for i, fit in enumerate(fits):
-        if isinstance(fit, (NonConvergence, DegenerateSample)):
-            fit_errors += 1
-        elif not fit.converged:
-            not_converged += 1
-        elif fit.boundary_hit:
-            boundary_hits += 1
-        elif not _sign_matches(fit.params.shape, regime):
-            wrong_sign += 1
-        else:
-            survivors.append((i, fit))
-    index = np.array([i for i, _ in survivors], dtype=np.intp)
-    params = [fit.params for _, fit in survivors]
-    gofs = [None] * len(survivors)
-    if regime == HEAVY_TAIL:
-        # the survivors' excesses are xs[x.size - n_u:] - u, sorted
-        gofs = gof_reports(xs, x.size - counts[index], candidates[index], params)
-    estimates = []
-    for (i, fit), gof in zip(survivors, gofs):
-        u, n_u = float(candidates[i]), int(counts[i])
-        var = value_at_risk(u, fit.params, x.size, n_u, p)
-        try:
-            es = expected_shortfall(var, u, fit.params)
-        except ValidationError:  # shape >= 1, or beyond the double range
-            es = None
-        estimates.append(
-            RiskEstimate(u=u, params=fit.params, n=x.size, n_u=n_u, p=p, var=var, es=es, gof=gof)
-        )
-    diagnostics = ScanDiagnostics(
-        candidates_total=int(candidates.size),
-        fit_errors=fit_errors,
-        not_converged=not_converged,
-        boundary_hits=boundary_hits,
-        wrong_sign=wrong_sign,
-        surviving=len(estimates),
-    )
-    if not estimates:
+    fits = fit_columns(xs[x.size - c :] - u for u, c in zip(candidates, counts))
+    # Each candidate's first reason to be dropped: 1 an error, 2 no convergence, 3 a boundary hit, 4 the wrong sign.
+    reasons = [fits.error != 0, ~fits.converged, fits.boundary_hit, ~_sign_matches(fits.shape, regime)]
+    reason = np.select(reasons, [1, 2, 3, 4])
+    surviving, *drops = np.bincount(reason, minlength=5).tolist()
+    diagnostics = ScanDiagnostics(int(candidates.size), *drops, surviving)
+    if not surviving:
         raise NoSurvivingCandidates(
             f"no candidate threshold survived the {regime} scan "
-            f"(of {candidates.size}: {fit_errors} fit errors, "
-            f"{not_converged} unconverged, {boundary_hits} at the boundary, "
-            f"{wrong_sign} wrong-sign)"
+            f"(of {candidates.size}: {diagnostics.fit_errors} fit errors, "
+            f"{diagnostics.not_converged} unconverged, {diagnostics.boundary_hits} at the boundary, "
+            f"{diagnostics.wrong_sign} wrong-sign)"
         )
-    selected = _argmax_var(estimates)
+    index = np.flatnonzero(reason == 0)
+    u, n_u, shape, scale = candidates[index], counts[index], fits.shape[index], fits.scale[index]
+    # the survivors' excesses are xs[x.size - n_u:] - u, sorted
+    gof = gof_reports(xs, x.size - n_u, u, shape, scale) if regime == HEAVY_TAIL else (None,) * 3
+    var, es = [], []
+    for t, k, xi, sigma in zip(u.tolist(), n_u.tolist(), shape.tolist(), scale.tolist()):
+        params = GpdParams(xi, sigma)
+        var.append(value_at_risk(t, params, x.size, k, p))
+        try:
+            es.append(expected_shortfall(var[-1], t, params))
+        except ValidationError:  # shape >= 1, or beyond the double range
+            es.append(math.nan)
+    var, es = np.array(var), np.array(es)
     return ThresholdScan(
-        estimates=tuple(estimates),
-        selected_index=selected,
-        regime=regime,
-        diagnostics=diagnostics,
+        regime, diagnostics, int(np.argmax(var)), x.size, p, u, shape, scale, n_u, var, es, ~np.isnan(es), *gof
     )
-
-
-def _argmax_var(estimates) -> int:
-    """Index of the maximal VaR; exact ties go to the smaller threshold."""
-    best = 0
-    for i in range(1, len(estimates)):
-        if estimates[i].var > estimates[best].var or (
-            estimates[i].var == estimates[best].var and estimates[i].u < estimates[best].u
-        ):
-            best = i
-    return best
 
 
 def require_alpha_filter(alpha: float, regime: str) -> float:
@@ -263,12 +272,10 @@ def require_alpha_filter(alpha: float, regime: str) -> float:
 
 
 def scan_with_alpha_filter(scan: ThresholdScan, alpha: float) -> RiskEstimate:
-    """Max-VaR estimate among those whose fit is accepted at ``alpha``."""
+    """Max-VaR estimate among those whose fit is accepted at ``alpha``; exact ties go to the smaller threshold."""
     alpha = require_alpha_filter(alpha, scan.regime)
-    survivors = [
-        e for e in scan.estimates
-        if e.gof is not None and e.gof.verdicts.get(alpha) == ACCEPT
-    ]
-    if not survivors:
+    accepts = np.array([verdicts[ALPHA_LEVELS.index(alpha)] == ACCEPT for verdicts in VERDICTS])  # by verdict code
+    index = np.flatnonzero([] if scan.codes is None else accepts[scan.codes])
+    if not index.size:
         raise NoSurvivingCandidates(f"no estimate accepted at alpha={alpha}")
-    return survivors[_argmax_var(survivors)]
+    return scan._estimate(int(index[np.argmax(scan.var[index])]))

@@ -7,7 +7,7 @@ format them the way the writers did before, one line (or one SVG element)
 per row, joined into one string, or with csv.writer and json.dump; the
 tests compare bytes around the chunk boundaries. The scan JSON is
 compared with json.dumps of its estimates as ``_estimate_dict`` gives
-them, around the chunk boundaries and on random estimates.
+them, around the chunk boundaries and on random scans.
 """
 
 import csv
@@ -16,6 +16,7 @@ import datetime
 import functools
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from potrisk import figures
 from potrisk.cli import main
 from potrisk.excess import MeanExcessCurve
-from potrisk.gof import ACCEPT, ALPHA_LEVELS, NOT_APPLICABLE, REJECT, GofReport, table_rows
+from potrisk.gof import NOT_COVERED, GofReport, table_rows
 from potrisk.gpd import GpdParams, gpd_sample
 from potrisk.report import (
     _estimate_dict,
@@ -64,19 +65,17 @@ def _real_scan():
     return scan_thresholds(gpd_sample(GpdParams(0.3, 1.0), 200, seed=4), regime=HEAVY_TAIL)
 
 
-def _scan(size):
-    """A scan of ``size`` estimates, cycling through a real scan's, some without ES or GoF."""
+def _scans(size):
+    """Scans of ``size`` rows, cycling through a real scan's, every third without a shortfall: with GoF and without."""
     real = _real_scan()
-    u = np.cumsum(np.abs(_values(size, 5)))
-    estimates = []
-    for i in range(size):
-        e = dataclasses.replace(real.estimates[i % len(real.estimates)], u=float(u[i]))
-        if i % 3 == 1:
-            e = dataclasses.replace(e, es=None)
-        if i % 5 == 2:
-            e = dataclasses.replace(e, gof=None)
-        estimates.append(e)
-    return dataclasses.replace(real, estimates=tuple(estimates), selected_index=0)
+    rows = np.arange(size) % real.u.size
+    has_es = real.has_es[rows] & (np.arange(size) % 3 != 1)
+    cycled = {name: getattr(real, name)[rows] for name in ("shape", "scale", "n_u", "var", "w2", "a2", "codes")}
+    scan = dataclasses.replace(
+        real, selected_index=0, u=np.cumsum(np.abs(_values(size, 5))), es=np.where(has_es, real.es[rows], np.nan),
+        has_es=has_es, **cycled,
+    )
+    return scan, dataclasses.replace(scan, w2=None, a2=None, codes=None)
 
 
 def _returns_text(returns):
@@ -165,20 +164,20 @@ def test_the_curve_csv_is_byte_identical(tmp_path, size):
 
 @pytest.mark.parametrize("size", SIZES)
 def test_the_scan_csv_is_byte_identical(tmp_path, size):
-    scan = _scan(size)
-    assert len(scan.estimates) == size
-    write_scan_csv(scan, tmp_path / "s.csv")
-    assert (tmp_path / "s.csv").read_bytes() == _scan_text(scan).encode()
+    for scan in _scans(size):
+        assert len(scan.estimates) == size
+        write_scan_csv(scan, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _scan_text(scan).encode()
 
 
 @pytest.mark.parametrize("filtered", [False, True], ids=["alone", "alpha_filtered"])
 @pytest.mark.parametrize("size", SIZES)
 def test_the_scan_json_is_byte_identical(tmp_path, size, filtered):
-    scan = _scan(size)
-    assert len(scan.estimates) == size
-    alpha_filtered = scan.estimates[-1] if filtered else None
-    write_scan_json(scan, alpha_filtered, tmp_path / "s.json")
-    assert (tmp_path / "s.json").read_bytes() == _scan_json_text(scan, alpha_filtered).encode()
+    for scan in _scans(size):
+        assert len(scan.estimates) == size
+        alpha_filtered = scan.estimates[-1] if filtered else None
+        write_scan_json(scan, alpha_filtered, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_bytes() == _scan_json_text(scan, alpha_filtered).encode()
 
 
 # Floats where the .12g text and repr differ or are at their edges: whole
@@ -197,19 +196,14 @@ _floats = st.one_of(
     st.floats(1e12, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
 )
 _finite = _floats.filter(lambda x: x == x and abs(x) != float("inf"))
-_verdicts = st.one_of(
-    st.just({}),
-    st.fixed_dictionaries({a: st.sampled_from([ACCEPT, REJECT]) for a in ALPHA_LEVELS}),
-    st.just(dict.fromkeys(ALPHA_LEVELS, NOT_APPLICABLE)),
-    st.dictionaries(st.sampled_from(ALPHA_LEVELS), st.sampled_from([ACCEPT, REJECT, NOT_APPLICABLE])),
-)
-_gofs = st.builds(
-    GofReport, w2=_floats, a2=_floats, shape_used=_floats, verdicts=_verdicts, interpolated_criticals=st.just({})
-)
+_codes = st.integers(0, NOT_COVERED)
+_shapes = _finite
+_scales = _finite.filter(lambda x: x > 0.0)
+_gofs = st.builds(GofReport, w2=_floats, a2=_floats, shape_used=_floats, code=_codes)
 _estimates = st.builds(
     RiskEstimate,
     u=_floats,
-    params=st.builds(GpdParams, shape=_finite, scale=_finite.filter(lambda x: x > 0.0)),
+    params=st.builds(GpdParams, shape=_shapes, scale=_scales),
     n=st.integers(0, 10**12),
     n_u=st.integers(0, 10**12),
     p=_floats,
@@ -219,17 +213,34 @@ _estimates = st.builds(
 )
 
 
+# A scan's row: u, shape, scale, n_u, var, es, w2, a2 and verdict code.
+_rows = st.tuples(
+    _floats, _shapes, _scales, st.integers(0, 10**12), _floats, st.none() | _floats, _floats, _floats, _codes
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    estimates=st.lists(_estimates, max_size=6),
+    rows=st.lists(_rows, max_size=6),
+    n=st.integers(0, 10**12),
+    p=_floats,
+    gof=st.booleans(),
     alpha_filtered=st.none() | _estimates,
     diagnostics=st.builds(ScanDiagnostics, *[st.integers(0, 10**6)] * 6),
     selected_index=st.integers(0, 5),
 )
 def test_the_scan_json_is_json_dumps_of_random_estimates(
-    tmp_path_factory, estimates, alpha_filtered, diagnostics, selected_index
+    tmp_path_factory, rows, n, p, gof, alpha_filtered, diagnostics, selected_index
 ):
-    scan = ThresholdScan(tuple(estimates), selected_index, HEAVY_TAIL, diagnostics)
+    u, shape, scale, n_u, var, es, w2, a2, codes = (list(c) for c in zip(*rows)) if rows else [[]] * 9
+    has_es = np.array([e is not None for e in es], dtype=bool)
+    es = np.array([math.nan if e is None else e for e in es], dtype=float)
+    gofs = [np.array(w2, dtype=float), np.array(a2, dtype=float), np.array(codes, dtype=np.intp)] if gof else []
+    floats = [np.array(c, dtype=float) for c in (u, shape, scale)]
+    scan = ThresholdScan(
+        HEAVY_TAIL, diagnostics, selected_index, n, p, *floats, np.array(n_u, dtype=np.int64),
+        np.array(var, dtype=float), es, has_es, *gofs,
+    )
     path = tmp_path_factory.mktemp("scan") / "s.json"
     write_scan_json(scan, alpha_filtered, path)
     assert path.read_bytes() == _scan_json_text(scan, alpha_filtered).encode()

@@ -13,6 +13,7 @@ from potrisk.gof import (
     CRITICAL_VALUE_TABLE,
     NOT_APPLICABLE,
     REJECT,
+    VERDICTS,
     GofReport,
     _verdict_rows,
     anderson_darling,
@@ -108,8 +109,16 @@ class TestAndersonDarling:
 
 class TestCriticalTable:
     def test_rows_increase_as_alpha_decreases(self):
+        # so the verdicts at the levels are nested, and one code holds them
+        assert CRITICAL_VALUE_TABLE.alphas == ALPHA_LEVELS == tuple(sorted(ALPHA_LEVELS, reverse=True))
         for row in CRITICAL_VALUE_TABLE.w2 + CRITICAL_VALUE_TABLE.a2:
             assert all(a < b for a, b in zip(row, row[1:]))
+
+    def test_columns_decrease_as_the_shape_increases(self):
+        assert all(a < b for a, b in zip(CRITICAL_VALUE_TABLE.shapes, CRITICAL_VALUE_TABLE.shapes[1:]))
+        for table in (CRITICAL_VALUE_TABLE.w2, CRITICAL_VALUE_TABLE.a2):
+            for column in zip(*table):
+                assert all(a > b for a, b in zip(column, column[1:]))
 
     def test_exact_row_lookup(self):
         crit = interpolate_criticals(0.10)
@@ -220,16 +229,53 @@ def test_the_batched_verdicts_are_the_table_loop_bit_for_bit(rows):
     w2s, a2s, shapes = map(list, zip(*rows))
     if 0.0 <= shapes[0] <= 0.3:  # statistics at their criticals, which accept
         w2s[0], a2s[0] = _loop_verdicts(0.0, 0.0, shapes[0])[1][0.05]
-    for (w2, a2, shape), (verdicts, criticals) in zip(zip(w2s, a2s, shapes), _verdict_rows(w2s, a2s, shapes)):
+    codes, w2c, a2c = _verdict_rows(w2s, a2s, shapes)
+    for r, (w2, a2, shape) in enumerate(zip(w2s, a2s, shapes)):
         want_verdicts, want_criticals = _loop_verdicts(w2, a2, shape)
+        assert list(zip(ALPHA_LEVELS, VERDICTS[codes[r]])) == list(want_verdicts.items())
+        if want_criticals:
+            assert _bits(dict(zip(ALPHA_LEVELS, zip(w2c[r].tolist(), a2c[r].tolist())))) == _bits(want_criticals)
+        verdicts, criticals = verdicts_for(w2, a2, shape)
         assert list(verdicts.items()) == list(want_verdicts.items())
         assert _bits(criticals) == _bits(want_criticals)
-        assert verdicts_for(w2, a2, shape) == (verdicts, criticals)
         assert _bits(interpolate_criticals(shape)) == _bits(want_criticals)
 
 
+# The table's rows and their neighbouring doubles within it.
+_COVERED_EDGES = [
+    s for row in CRITICAL_VALUE_TABLE.shapes
+    for s in (np.nextafter(row, -1.0), row, np.nextafter(row, 1.0)) if 0.0 <= s <= 0.3
+]
+
+
+@st.composite
+def _coded_rows(draw):
+    """A covered shape, and W² and A² at, next to or away from its criticals at some level."""
+    shape = draw(st.floats(0.0, 0.3) | st.sampled_from(_COVERED_EDGES))
+    criticals = _loop_verdicts(0.0, 0.0, shape)[1]
+
+    def statistic(i):
+        c = criticals[draw(st.sampled_from(ALPHA_LEVELS))][i]
+        return draw(st.sampled_from([c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)]) | st.floats(0.0, 2.0))
+
+    return statistic(0), statistic(1), float(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_coded_rows(), min_size=1, max_size=20))
+def test_a_verdict_code_decodes_to_the_comparison_at_each_level(rows):
+    w2s, a2s, shapes = map(list, zip(*rows))
+    codes = _verdict_rows(w2s, a2s, shapes)[0]
+    for code, w2, a2, shape in zip(codes.tolist(), w2s, a2s, shapes):
+        criticals = _loop_verdicts(0.0, 0.0, shape)[1]
+        want = [ACCEPT if w2 <= w2c and a2 <= a2c else REJECT for w2c, a2c in criticals.values()]
+        assert list(VERDICTS[code]) == want
+        report = GofReport(w2, a2, shape, code)
+        assert report.accepted_alphas() == tuple(a for a, v in zip(ALPHA_LEVELS, want) if v == ACCEPT)
+
+
 def test_no_fits_have_no_reports():
-    assert gof_reports(np.array([1.0, 2.0]), [], [], []) == []
+    assert [c.size for c in gof_reports(np.array([1.0, 2.0]), [], [], [], [])] == [0, 0, 0]
 
 
 def test_an_empty_sample_has_no_report():
@@ -244,8 +290,8 @@ def _report_from_parts(excesses, params):
     if z.size == 0:
         raise EmptySample("all transformed values are zero")
     w2, a2 = cramer_von_mises(z), anderson_darling(z)
-    verdicts, criticals = verdicts_for(w2, a2, params.shape)
-    return GofReport(w2, a2, params.shape, verdicts, criticals)
+    verdicts, _ = verdicts_for(w2, a2, params.shape)
+    return GofReport(w2, a2, params.shape, VERDICTS.index(tuple(verdicts.values())))
 
 
 @st.composite
@@ -282,6 +328,7 @@ def _suffix_fits(draw):
 def test_batched_reports_are_bitwise_those_of_the_statistics(case, block):
     """Also with chunks of at most ``block`` elements (or one longer row), so that one call's rows span several chunks."""
     xs, starts, thresholds, params = case
+    shapes_and_scales = [p.shape for p in params], [p.scale for p in params]
     want, error = [], None
     for start, u, p in zip(starts, thresholds, params):
         try:
@@ -294,9 +341,10 @@ def test_batched_reports_are_bitwise_those_of_the_statistics(case, block):
             patch.setattr(_kernels, "BLOCK_ELEMENTS", size)
             if error is not None:
                 with pytest.raises(type(error), match=str(error)):
-                    gof_reports(xs, starts, thresholds, params)
+                    gof_reports(xs, starts, thresholds, *shapes_and_scales)
                 continue
-            got = gof_reports(xs, starts, thresholds, params)
+            columns = gof_reports(xs, starts, thresholds, *shapes_and_scales)
+        got = [GofReport(w2, a2, p.shape, code) for w2, a2, code, p in zip(*(c.tolist() for c in columns), params)]
         assert got == want
         assert [(r.w2.hex(), r.a2.hex()) for r in got] == [(r.w2.hex(), r.a2.hex()) for r in want]
     if error is not None:

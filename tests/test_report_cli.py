@@ -1,6 +1,7 @@
 import csv
 import datetime
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,6 @@ from potrisk.report import (
 )
 from potrisk.risk import (
     HEAVY_TAIL,
-    RiskEstimate,
     ScanDiagnostics,
     ThresholdScan,
     expected_shortfall,
@@ -111,6 +111,24 @@ class TestAnalyze:
     def test_golden_report_byte_identical(self, tmp_path):
         analyze(_bundled_config(tmp_path))
         assert (tmp_path / "report.json").read_bytes() == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("k", [10, -20, 40])
+    def test_revenues_times_a_power_of_two_give_the_same_report(self, tmp_path, k):
+        # A return is a ratio of revenues, so every bit of the report is the
+        # same on the revenues times 2**k (written with repr), apart from the
+        # input's name.
+        with open(bundled_data_path("synthetic_weekends.csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        scaled = tmp_path / "scaled.csv"
+        with open(scaled, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(f"{date},{math.ldexp(float(revenue), k)!r}\n" for date, revenue in rows)
+        analyze(AnalysisConfig.from_json(
+            bundled_data_path("synthetic_config.json"), input_path=scaled, out_dir=tmp_path
+        ))
+        got = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert '"input_file": "scaled.csv",' in got
+        assert got.replace('"scaled.csv"', '"synthetic_weekends.csv"', 1).encode() == GOLDEN.read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         analyze(_bundled_config(tmp_path / "a"))
@@ -529,28 +547,23 @@ class TestCsvWriters:
     def test_scan_with_empty_es_and_gof_cells(self, tmp_path):
         params = GpdParams(0.2, 1e300)
         gof = gof_report(gpd_sample(params, 50, seed=1), params)
-        estimates = tuple(
-            RiskEstimate(u=u, params=GpdParams(xi, 1e-300), n=100, n_u=10 + i, p=0.01, var=var, es=es, gof=g)
-            for i, (u, xi, var, es, g) in enumerate([
-                (-0.0, -0.0, 1e300, None, None),
-                (1e-300, 0.1, -0.0, 1e-300, gof),
-                (1e300, 1.5, 0.5, None, gof),
-                (0.25, -0.3, 2.0, 3.0, None),
-            ])
-        )
-        scan = ThresholdScan(estimates, 0, HEAVY_TAIL, ScanDiagnostics(4, 0, 0, 0, 0, 4))
-        write_scan_csv(scan, tmp_path / "got.csv")
-        rows = [["u", "xi", "sigma", "n_u", "var", "es", "w2", "a2", "accepted_alphas"]] + [
-            [
-                f"{e.u:.15g}", f"{e.params.shape:.15g}", f"{e.params.scale:.15g}", e.n_u, f"{e.var:.15g}",
-                "" if e.es is None else f"{e.es:.15g}",
-                "" if e.gof is None else f"{e.gof.w2:.15g}",
-                "" if e.gof is None else f"{e.gof.a2:.15g}",
-                "" if e.gof is None else ";".join(f"{a:g}" for a in e.gof.accepted_alphas()),
+        rows = [(-0.0, -0.0, 1e300, None), (1e-300, 0.1, -0.0, 1e-300), (1e300, 1.5, 0.5, None), (0.25, -0.3, 2.0, 3.0)]
+        u, xi, var = (np.array(c) for c in list(zip(*rows))[:3])
+        es = np.array([math.nan if e is None else e for *_, e in rows])
+        gof_cells = [f"{gof.w2:.15g}", f"{gof.a2:.15g}", ";".join(f"{a:g}" for a in gof.accepted_alphas())]
+        gof_columns = [np.full(4, gof.w2), np.full(4, gof.a2), np.full(4, gof.code)]
+        for gofs, cells in [(gof_columns, gof_cells), ([], [""] * 3)]:
+            scan = ThresholdScan(
+                HEAVY_TAIL, ScanDiagnostics(4, 0, 0, 0, 0, 4), 0, 100, 0.01, u, xi, np.full(4, 1e-300),
+                np.arange(10, 14), var, es, ~np.isnan(es), *gofs,
+            )
+            write_scan_csv(scan, tmp_path / "got.csv")
+            want = [["u", "xi", "sigma", "n_u", "var", "es", "w2", "a2", "accepted_alphas"]] + [
+                [f"{u:.15g}", f"{xi:.15g}", f"{1e-300:.15g}", 10 + i, f"{var:.15g}", "" if e is None else f"{e:.15g}"]
+                + cells
+                for i, (u, xi, var, e) in enumerate(rows)
             ]
-            for e in estimates
-        ]
-        assert (tmp_path / "got.csv").read_bytes() == self._csv_writer_bytes(tmp_path, rows)
+            assert (tmp_path / "got.csv").read_bytes() == self._csv_writer_bytes(tmp_path, want)
 
 
 # Malformed --config files, each against the bundled input.

@@ -20,15 +20,14 @@ from potrisk.errors import (
     ValidationError,
 )
 from potrisk.excess import candidate_thresholds, mean_excess_theoretical
-from potrisk.gof import GofReport, interpolate_criticals
+from potrisk import risk
+from potrisk.gof import ACCEPT
 from potrisk.gpd import GpdParams, gpd_quantile, gpd_sample
 from potrisk.risk import (
     HEAVY_TAIL,
     SHORT_TAIL,
-    RiskEstimate,
     ThresholdScan,
     ScanDiagnostics,
-    _argmax_var,
     expected_shortfall,
     scan_thresholds,
     scan_with_alpha_filter,
@@ -102,6 +101,11 @@ class TestValueAtRisk:
     @pytest.mark.parametrize("u,params,n,n_u,p", [
         pytest.param(0.0, GpdParams(2.0, 1e-300), 10, 10, 1e-300, id="heavy_tail"),
         pytest.param(1.0, GpdParams(-60.0, 1e-100), 10**6, 1, 0.5, id="short_tail"),
+        # the exp of the product's log in units of 2**e overflows, the VaR does not
+        pytest.param(
+            0.0, GpdParams(2.096178345261734, math.ldexp(1.8602441027374532, -994)), 1, 1, 1.8065959017578687e-264,
+            id="exp_overflows",
+        ),
     ])
     def test_a_var_whose_power_overflows_is_the_40_digit_value(self, u, params, n, n_u, p):
         # ((n/n_u) * p)^(-xi) is past the double range, (sigma/xi) times it is not
@@ -111,6 +115,11 @@ class TestValueAtRisk:
             ratio = mpmath.mpf(n) / n_u * mpmath.mpf(p)
             want = float(u + mpmath.mpf(sigma) / xi * (ratio ** -mpmath.mpf(xi) - 1))
         assert value_at_risk(u, params, n, n_u, p) == pytest.approx(want, rel=1e-12)
+
+    def test_a_var_whose_power_overflows_scales_with_sigma(self):
+        xi, sigma, p = 2.096178345261734, math.ldexp(1.8602441027374532, -994), 1.8065959017578687e-264
+        var = value_at_risk(0.0, GpdParams(xi, sigma), 1, 1, p)
+        assert value_at_risk(0.0, GpdParams(xi, math.ldexp(sigma, -5)), 1, 1, p) == math.ldexp(var, -5)
 
     @pytest.mark.parametrize("u,params,n,n_u,p,rel", [
         # sigma/xi is past the double range, the VaR is not
@@ -206,17 +215,15 @@ class TestExpectedShortfall:
                 assert expected_shortfall(var, u, GpdParams(xi, sigma)) >= var
 
 
-def _fake_estimate(u, var, verdict="accept"):
-    verdicts = {a: verdict for a in (0.5, 0.25, 0.1, 0.05, 0.025, 0.01, 0.005)}
-    gof = GofReport(w2=0.01, a2=0.1, shape_used=0.1, verdicts=verdicts,
-                    interpolated_criticals=interpolate_criticals(0.1))
-    return RiskEstimate(u=u, params=GpdParams(0.1, 1.0), n=100, n_u=50,
-                        p=0.01, var=var, es=var + 1.0, gof=gof)
-
-
-def _fake_scan(estimates, regime=HEAVY_TAIL):
-    diag = ScanDiagnostics(len(estimates), 0, 0, 0, 0, len(estimates))
-    return ThresholdScan(tuple(estimates), _argmax_var(estimates), regime, diag)
+def _fake_scan(rows, regime=HEAVY_TAIL):
+    """A scan of (u, var, accepted) rows, accepted at every level or rejected at every one."""
+    u, var, accepted = (np.array(c) for c in zip(*rows))
+    size = u.size
+    return ThresholdScan(
+        regime, ScanDiagnostics(size, 0, 0, 0, 0, size), int(np.argmax(var)), 100, 0.01,
+        u=u, shape=np.full(size, 0.1), scale=np.ones(size), n_u=np.full(size, 50), var=var, es=var + 1.0,
+        has_es=np.ones(size, dtype=bool), w2=np.full(size, 0.01), a2=np.full(size, 0.1), codes=np.where(accepted, 7, 0),
+    )
 
 
 class TestScan:
@@ -237,9 +244,15 @@ class TestScan:
         with pytest.raises(NoSurvivingCandidates):
             scan_thresholds(x, p=0.01, regime=SHORT_TAIL, min_exceedances=100)
 
-    def test_tie_break_prefers_smaller_threshold(self):
-        estimates = [_fake_estimate(0.5, 2.0), _fake_estimate(0.2, 2.0), _fake_estimate(0.9, 1.0)]
-        assert _argmax_var(estimates) == 1
+    def test_tie_break_prefers_smaller_threshold(self, monkeypatch):
+        # every VaR ties, so the selection and the alpha filter each take their smallest threshold
+        monkeypatch.setattr(risk, "value_at_risk", lambda *args: 2.0)
+        scan = scan_thresholds(gpd_sample(GpdParams(0.25, 1.0), 300, seed=61), p=0.01, regime=HEAVY_TAIL)
+        us = [e.u for e in scan.estimates]
+        accepted = [e.u for e in scan.estimates if e.gof.verdicts[0.05] == ACCEPT]
+        assert len(accepted) < len(us)
+        assert scan.selected.u == min(us) and scan.selected.var == 2.0
+        assert scan_with_alpha_filter(scan, 0.05).u == min(accepted)
 
     def test_near_zero_shape_belongs_to_neither_regime(self):
         from potrisk.risk import _sign_matches
@@ -319,21 +332,16 @@ class TestScan:
 
 class TestAlphaFilter:
     def test_all_rejected(self):
-        scan = _fake_scan([_fake_estimate(0.1, 1.0, verdict="reject")])
+        scan = _fake_scan([(0.1, 1.0, False)])
         with pytest.raises(NoSurvivingCandidates):
             scan_with_alpha_filter(scan, 0.05)
 
     def test_single_accepted_wins_regardless_of_rank(self):
-        estimates = [_fake_estimate(0.1, 5.0, verdict="reject"),
-                     _fake_estimate(0.2, 1.0, verdict="accept")]
-        scan = _fake_scan(estimates)
+        scan = _fake_scan([(0.1, 5.0, False), (0.2, 1.0, True)])
         assert scan_with_alpha_filter(scan, 0.05).var == 1.0
 
     def test_unfiltered_max_rejected_survivor_returned(self):
-        estimates = [_fake_estimate(0.1, 5.0, verdict="reject"),
-                     _fake_estimate(0.2, 2.0, verdict="accept"),
-                     _fake_estimate(0.3, 1.0, verdict="accept")]
-        scan = _fake_scan(estimates)
+        scan = _fake_scan([(0.1, 5.0, False), (0.2, 2.0, True), (0.3, 1.0, True)])
         assert scan.selected.var == 5.0
         assert scan_with_alpha_filter(scan, 0.05).var == 2.0
 
@@ -344,7 +352,7 @@ class TestAlphaFilter:
             scan_with_alpha_filter(scan, 0.05)
 
     def test_unknown_alpha(self):
-        scan = _fake_scan([_fake_estimate(0.1, 1.0)])
+        scan = _fake_scan([(0.1, 1.0, True)])
         with pytest.raises(UnknownAlphaLevel):
             scan_with_alpha_filter(scan, 0.03)
 
@@ -375,9 +383,8 @@ def test_var_does_not_increase_as_p_increases(shape, log_scale, n, data):
 def test_the_closed_forms_scale_with_sigma_bit_for_bit(shape, mantissa, exponent, n, data):
     """Quantile, VaR (u = 0) and shortfall at sigma * 2**k are those at sigma times 2**k, while all are normal.
 
-    The VaR and shortfall are checked only where the power ((n/n_u)*p)^-xi
-    is finite: the VaR's fallback past it forms log(sigma), which is not
-    scale-equivariant.
+    Also where the power ((n/n_u)*p)^-xi is past the double range, and the
+    VaR takes its fallback.
     """
     k = data.draw(st.integers(-1021 - exponent, 1024 - exponent))  # so that sigma * 2**k is normal too
     sigma = math.ldexp(mantissa, exponent)
@@ -385,10 +392,6 @@ def test_the_closed_forms_scale_with_sigma_bit_for_bit(shape, mantissa, exponent
     p = data.draw(st.floats(5e-324, 1.0, exclude_max=True))
     q = data.draw(st.floats(0.0, 1.0, exclude_max=True))
     want = [_scaled_normal(x, k) for x in _closed_forms(shape, sigma, n, n_u, p, q)]
-    try:
-        math.expm1(-shape * math.log((n / n_u) * p))
-    except OverflowError:
-        want[1] = None
     if want[1] is None:  # a shortfall is scaled exactly only from a normal VaR
         want[2] = None
     got = _closed_forms(shape, math.ldexp(sigma, k), n, n_u, p, q)

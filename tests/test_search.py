@@ -423,7 +423,7 @@ def test_the_solve_leaves_the_block_as_it_was_loaded():
     before = rows.count, rows._y[: rows._used].tobytes(), [getattr(rows, name).tobytes() for name in names]
     grids = gpd._tau_grids(rows.mean, rows.y_min, rows.y_max)
     fits = gpd._search(rows, grids, *rows.profile_nll_grid(grids))
-    assert len({f.score_evaluations for f in fits}) > 2  # rows stop at different steps
+    assert len(set(fits.score_evaluations.tolist())) > 2  # rows stop at different steps
     assert (rows.count, rows._y[: rows._used].tobytes(), [getattr(rows, name).tobytes() for name in names]) == before
 
 
