@@ -15,7 +15,10 @@ ends with the work of its fits' searches: the totals of
 ``FitResult.grid_points`` and ``score_evaluations``, and the median, 90th
 percentile and most score evaluations of one fit, which can differ
 between checkouts whose fits do not, since a fit's grid points can depend
-on the rows that share its block.
+on the rows that share its block; then the kernel passes (``Rows.sums``
+calls), the elements they computed, and the elements of the rows they
+were asked for, whose difference is the idle rows a chunk computed
+between its busy ones.
 
 The GoF digests take, for each survivor of a heavy-tail
 ``risk.scan_thresholds`` of each input's gains (the bundled periods'
@@ -54,6 +57,7 @@ seconds, the dense check at N = 4,000 about a minute):
 """
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -133,23 +137,52 @@ def fits(batches) -> tuple:
 
     Returns a list with, per fit, (shape, scale, log-likelihood, converged,
     boundary_hit) or the error's name, and the fits' work: their total grid
-    points and score evaluations, and the median, 90th percentile and most
-    score evaluations of one.
+    points and score evaluations, the median, 90th percentile and most
+    score evaluations of one, and the kernel work of :func:`counting_passes`.
     """
     from potrisk.gpd import FitResult, fit_samples
 
     out, grid_points, evaluations = [], 0, []
-    for samples in batches:
-        for fit in fit_samples(samples):
-            if isinstance(fit, FitResult):
-                p = fit.params
-                out.append((p.shape, p.scale, fit.log_likelihood, fit.converged, fit.boundary_hit))
-                grid_points += fit.grid_points
-                evaluations.append(fit.score_evaluations)
-            else:
-                out.append(type(fit).__name__)
+    with counting_passes() as kernel_work:
+        for samples in batches:
+            for fit in fit_samples(samples):
+                if isinstance(fit, FitResult):
+                    p = fit.params
+                    out.append((p.shape, p.scale, fit.log_likelihood, fit.converged, fit.boundary_hit))
+                    grid_points += fit.grid_points
+                    evaluations.append(fit.score_evaluations)
+                else:
+                    out.append(type(fit).__name__)
     spread = np.percentile(evaluations, [50, 90, 100]).tolist() if evaluations else [0, 0, 0]
-    return out, [grid_points, sum(evaluations), *spread]
+    return out, [grid_points, sum(evaluations), *spread, *kernel_work]
+
+
+@contextlib.contextmanager
+def counting_passes():
+    """Count the kernel passes made within, by wrapping ``Rows.sums``: yields [passes, elements computed, busy elements].
+
+    The elements computed are those that ``Rows.elements`` counts, the busy
+    elements those of the rows whose tau is not 0 (each row with its
+    leading zero). Their difference is what a pass computes for the idle
+    rows between the busy ones of its chunks.
+    """
+    from potrisk._kernels import Rows
+
+    work, sums = [0, 0, 0], Rows.sums
+
+    def counted(self, tau, deriv):
+        before = self.elements
+        out = sums(self, tau, deriv)
+        work[0] += 1
+        work[1] += self.elements - before
+        work[2] += int(self._widths[np.asarray(tau) != 0.0].sum())
+        return out
+
+    Rows.sums = counted
+    try:
+        yield work
+    finally:
+        Rows.sums = sums
 
 
 def _bits(record) -> bytes:  # a record of fits()
@@ -231,9 +264,10 @@ def _relative(a: float, b: float) -> float:
 
 
 def _work(work) -> str:
-    points, evaluations, median, p90, most = work
+    points, evaluations, median, p90, most, passes, computed, busy = work
     return (f"grid_points {points} score_evaluations {evaluations} "
-            f"(per fit median {median:g}, p90 {p90:g}, at most {most:g})")
+            f"(per fit median {median:g}, p90 {p90:g}, at most {most:g}); "
+            f"passes {passes} elements computed {computed} of busy rows {busy}")
 
 
 def compare(name, mine, theirs) -> bool:

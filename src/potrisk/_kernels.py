@@ -14,10 +14,11 @@ at the row's own tau in one pass (the profile score,
 :meth:`Rows.profile_nll_deriv`), or the profile NLL at a grid of taus per
 row, lazily (:meth:`Rows.profile_nll_grid`): bounds from a few bins of
 each sample rule out nearly every point as the row's minimum, so that it
-evaluates about three points per row. The kernel passes and the bounds
-write into scratch buffers, made once per fit_samples call or per block
-and reused, the bounds' in chunks of rows (see ``BLOCK_ELEMENTS``), so
-that what they cost is arithmetic rather than allocation.
+evaluates about three points per row. A pass runs a block one chunk of
+rows at a time through scratch buffers made once per fit_samples call,
+and the bounds run in chunks of rows through a scratch buffer made once
+per block (see ``BLOCK_ELEMENTS`` for the sizes), so that what they cost
+is arithmetic rather than allocation.
 
 Every sample comes sorted ascending (a threshold scan cuts each one from
 its tail sorted once) and is stored times 2**-e, e the exponent of its
@@ -50,36 +51,50 @@ __all__ = [
 # The kernels are numpy only; perfbench records this in its provenance.
 BACKEND = "numpy"
 
-# Elements per kernel scratch buffer (2**13 doubles = 64 KiB), and the unit
-# of every block size. fit_samples gives a block up to 8 * (BLOCK_ELEMENTS //
-# gpd._GRID_POINTS) (1,072) samples, however long, while their rows fit a
-# data buffer of 16 * BLOCK_ELEMENTS elements (which binds first on a scan,
-# at about 510 candidates); a longer sample gets a block of its own.
-# Per-block costs (the bound and neighbour rounds of the grid, every step of
-# the score solve, whose fixed cost hardly depends on the row count) are
-# then paid once per tail of the bundled data, or per 9 candidates of 14,000
-# points (long_history). A kernel pass runs one chunk of consecutive rows
-# (at most BLOCK_ELEMENTS elements in all, or one longer row; the GoF's
-# blocks are the same chunks) at a time through the scratch buffers, so its
-# arithmetic stays in cache, and the temporaries of the tau grids are made
-# in chunks of rows of about BLOCK_ELEMENTS elements.
-# Buffers are allocated once per fit_samples call and reused, since a numpy
-# array above glibc's 128 KiB mmap threshold gets fresh pages on every
-# allocation and costs about three times as much per element; the data
-# buffer is past it, but only its touched pages are resident. Doubling the
-# data buffer from 8 * BLOCK_ELEMENTS cut the long_history scans by 16% and
-# tail_scan's by 2% in alternating in-process runs (2-core Xeon VM); raising
-# the row cap from 96 cut paper_analyze by about 10% (perfbench).
+# The unit of every block and chunk size: 2**13 doubles (64 KiB).
+# fit_samples gives a block up to 8 * (BLOCK_ELEMENTS // gpd._GRID_POINTS)
+# (1,072) samples, however long, while their rows fit a data buffer of 16 *
+# BLOCK_ELEMENTS elements (which binds first on a scan, at about 510
+# candidates); a longer sample gets a block of its own. Per-block costs (the
+# bound and neighbour rounds of the grid, every step of the score solve,
+# whose fixed cost hardly depends on the row count) are then paid once per
+# tail of the bundled data, or per 9 candidates of 14,000 points
+# (long_history). The temporaries of the tau grids are made in chunks of
+# rows of about BLOCK_ELEMENTS elements.
+#
+# A kernel pass (Rows.sums, and the sums of squares of Rows.load) runs one
+# chunk of consecutive rows at a time: at most 4 * BLOCK_ELEMENTS elements in
+# all, or one longer row. A pass holds three arrays of a chunk's size (the
+# data and two scratch buffers, 768 KiB), which stay in a 2 MiB L2, and pays
+# a fixed cost per chunk (about 11 us in a score pass, 4-6 us in a plain one).
+# On 510 suffix rows (635,715 elements), chunks of 1, 2, 4 and 8 *
+# BLOCK_ELEMENTS took 7.0-7.4, 6.3-6.6, 5.7-5.9 and 5.8-6.0 ns an element in
+# a score pass, and in perfbench pairs 2, 4 and 8 * BLOCK_ELEMENTS took
+# tail_scan to 0.90, 0.88 and 0.89 of its time (2-vCPU VM). The GoF
+# (gof.gof_reports) holds about a dozen arrays of a chunk's size, and cuts
+# its chunks at BLOCK_ELEMENTS: at 4 * BLOCK_ELEMENTS it took about twice as
+# long on tail_scan.
+#
+# Scratch buffers are allocated once per fit_samples call (the passes' two)
+# or per block (the bounds') and reused, since a numpy array above glibc's
+# 128 KiB mmap threshold gets fresh pages on every allocation and costs
+# about three times as much per element; the data buffer is past it, but
+# only its touched pages are resident. One buffer shared by the passes and
+# the bounds ran paper_analyze faster, but long_history about 3% slower in
+# perfbench pairs (5 of 5), and did not keep paper_analyze's peak RSS from
+# rising either.
 #
 # The bin bounds of the lazy grid run in chunks of rows whose arrays of bins
 # x points hold about 2 * BLOCK_ELEMENTS elements, and write their six such
 # arrays into one scratch buffer (768 KiB at most) made once per block; the
-# bins' own temporaries go through the kernel scratch buffers. Against
+# bins' own temporaries go through the passes' scratch buffers. Against
 # fresh arrays in chunks of BLOCK_ELEMENTS this cut Rows._floors to
-# 0.74-0.77, 0.77-0.83 and 0.88-0.90 of its time on the blocks of the
-# perfbench workloads (alternating in-process runs, same VM). Chunks of 3
-# or 4 * BLOCK_ELEMENTS saved about 0.07 more of that time, but raised the
-# peak RSS of paper_analyze by about 0.7 and 1.2 MB, against 0.4 MB.
+# 0.74-0.90 of its time on the perfbench workloads; chunks of 3 or 4 *
+# BLOCK_ELEMENTS saved about 0.07 more of it, but raised the peak RSS of
+# paper_analyze by about 0.7 and 1.2 MB, against 0.4 MB.
+# Doubling the data buffer from 8 * BLOCK_ELEMENTS cut the long_history
+# scans by 16% and tail_scan's by 2% (alternating in-process runs); raising
+# the row cap from 96 cut paper_analyze by about 10% (perfbench).
 BLOCK_ELEMENTS = 1 << 13
 
 # profile_nll_grid bounds k(tau) from bins of each sorted row, cut as those
@@ -97,8 +112,9 @@ class Rows:
     :meth:`add` copies each sample into one data buffer as it arrives, and
     :meth:`load` finishes the block. The rows lie back to back, each as one
     leading zero followed by its values, and :meth:`load` cuts the block
-    into :func:`chunks`. :meth:`sums` makes each pass one chunk at a time,
-    through scratch buffers sized to the largest chunk, so that the
+    into :func:`chunks` of at most ``4 * BLOCK_ELEMENTS`` elements.
+    :meth:`sums` makes each pass one chunk at a time, through scratch
+    buffers sized to the largest chunk, so that the
     arithmetic of a pass runs in cache however many rows the block holds.
 
     :meth:`load` sets each row's constants ``n``, ``e``, and in row units
@@ -144,7 +160,7 @@ class Rows:
         """Finish the block: cut its chunks and set the row constants; return the rows' sizes."""
         self._starts = starts = np.array([*self._starts, self._used])  # and the end of the last row
         self._widths = widths = np.diff(starts)
-        self._chunks = chunks(widths.tolist())
+        self._chunks = chunks(widths.tolist(), 4 * BLOCK_ELEMENTS)  # four times the GoF's (see BLOCK_ELEMENTS)
         largest = max(starts[j] - starts[i] for i, j in self._chunks)
         if largest > self._scratch[0].size:
             self._scratch = tuple(np.empty(max(largest, BLOCK_ELEMENTS)) for _ in range(2))
@@ -339,14 +355,14 @@ class Rows:
         return score, l, g2, g3, w, s2
 
 
-def chunks(widths) -> list:
+def chunks(widths, limit) -> list:
     """Rows of ``widths`` elements cut into (first, end) runs of consecutive rows; [] for no rows.
 
-    A run holds at most ``BLOCK_ELEMENTS`` elements in all, or one longer row.
+    A run holds at most ``limit`` elements in all, or one longer row.
     """
     runs, first, size = [], 0, 0
     for row, width in enumerate(widths):
-        if size + width > BLOCK_ELEMENTS and row > first:
+        if size + width > limit and row > first:
             runs.append((first, row))
             first, size = row, 0
         size += width

@@ -206,8 +206,10 @@ def gof_reports(xs, starts, thresholds, shapes, scales) -> tuple[np.ndarray, np.
     too. The transforms of sorted excesses come out sorted, since the CDF is
     monotone, and so are the rounded steps that compute it (a product,
     log1p, a quotient and expm1). Each fit is a row of one leading zero
-    followed by its excesses, and the rows are taken in the kernels' chunks
-    (:func:`~potrisk._kernels.chunks`), laid back to back. A chunk computes
+    followed by its excesses, and the rows are laid back to back in chunks
+    of at most ``BLOCK_ELEMENTS`` elements (:func:`~potrisk._kernels.chunks`),
+    a quarter of a kernel pass's, since a chunk here holds about a dozen
+    arrays of its size where a pass holds three. A chunk computes
     its transforms, clipping and logs as one 1-d array, and sums each
     statistic's terms of all its rows in one np.add.reduceat, every row's
     sum starting at a zero before its kept terms, which is the order np.sum
@@ -221,7 +223,7 @@ def gof_reports(xs, starts, thresholds, shapes, scales) -> tuple[np.ndarray, np.
     thresholds, shapes, scales = (np.asarray(c, dtype=float) for c in (thresholds, shapes, scales))
     widths = padded.size - starts
     w2, a2 = np.empty(starts.size), np.empty(starts.size)
-    for a, b in _kernels.chunks(widths.tolist()):
+    for a, b in _kernels.chunks(widths.tolist(), _kernels.BLOCK_ELEMENTS):
         w2[a:b], a2[a:b] = _gof_block(padded, starts[a:b], widths[a:b], thresholds[a:b], shapes[a:b], scales[a:b])
     return w2, a2, _verdict_rows(w2, a2, shapes)[0]
 

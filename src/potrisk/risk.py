@@ -13,6 +13,7 @@ is built only where one is asked for, such as the selected row.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -135,20 +136,26 @@ def value_at_risk(u: float, params: GpdParams, n: int, n_u: int, p: float) -> fl
     that it overflows only where the VaR does. Where the power overflows,
     the -1 is below its rounding, and the VaR is u + sign(xi) * 2**e *
     exp(log(m/|xi|) - xi*ln((n/n_u) * p)), the exp taken in units of 2**j
-    where it would overflow. Raises ValidationError where the VaR is not a
-    finite double.
+    where it would overflow. Where (n/n_u) * p is subnormal, its log is
+    log(n/n_u) + log(p), since the product has lost digits. Raises
+    ValidationError where the VaR is not a finite double.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must lie in (0, 1), got {p}")
     if not 0 < n_u <= n:
         raise InvalidCounts(f"need 0 < n_u <= n, got n_u={n_u}, n={n}")
-    xi, sigma = params.shape, params.scale
+    return _value_at_risk(u, params.shape, params.scale, n, n_u, p)
+
+
+def _value_at_risk(u: float, xi: float, sigma: float, n: int, n_u: int, p: float) -> float:
+    """:func:`value_at_risk` at shape ``xi`` and scale ``sigma``, of arguments that are not checked."""
     ratio = (n / n_u) * p
+    log_ratio = math.log(ratio) if ratio >= sys.float_info.min else math.log(n / n_u) + math.log(p)
     m, e = math.frexp(sigma)
     if xi == 0.0 or not math.isfinite(m / xi):
-        var = u - sigma * math.log(ratio)
+        var = u - sigma * log_ratio
     else:
-        exponent = -xi * math.log(ratio)
+        exponent = -xi * log_ratio
         try:
             f, k = math.frexp(math.expm1(exponent))
         except OverflowError:  # the power is past the double range, its product with sigma/xi need not be
@@ -174,16 +181,22 @@ def expected_shortfall(var: float, u: float, params: GpdParams) -> float:
     Where the numerator overflows, it is formed at half scale, which
     rounds as the full-scale one would.
     """
-    xi, sigma = params.shape, params.scale
+    xi = params.shape
     if xi >= 1.0:
         raise ShapeAtOrAboveOne(
             f"expected shortfall diverges for shape >= 1, got {xi}"
         )
+    es = _expected_shortfall(var, u, xi, params.scale)
+    if not math.isfinite(es):
+        raise ValidationError(f"the expected shortfall at u={u}, VaR {var} is not a finite double")
+    return es
+
+
+def _expected_shortfall(var: float, u: float, xi: float, sigma: float) -> float:
+    """:func:`expected_shortfall` at a shape ``xi`` below 1 and scale ``sigma``; not finite where it would raise."""
     es = (var + sigma - u * xi) / (1.0 - xi)
     if not math.isfinite(es):
         es = 2.0 * ((0.5 * var + 0.5 * sigma - 0.5 * u * xi) / (1.0 - xi))
-    if not math.isfinite(es):
-        raise ValidationError(f"the expected shortfall at u={u}, VaR {var} is not a finite double")
     return es
 
 
@@ -244,13 +257,10 @@ def scan_thresholds(
     gof = gof_reports(xs, x.size - n_u, u, shape, scale) if regime == HEAVY_TAIL else (None,) * 3
     var, es = [], []
     for t, k, xi, sigma in zip(u.tolist(), n_u.tolist(), shape.tolist(), scale.tolist()):
-        params = GpdParams(xi, sigma)
-        var.append(value_at_risk(t, params, x.size, k, p))
-        try:
-            es.append(expected_shortfall(var[-1], t, params))
-        except ValidationError:  # shape >= 1, or beyond the double range
-            es.append(math.nan)
+        var.append(_value_at_risk(t, xi, sigma, x.size, k, p))
+        es.append(_expected_shortfall(var[-1], t, xi, sigma) if xi < 1.0 else math.nan)
     var, es = np.array(var), np.array(es)
+    es[~np.isfinite(es)] = math.nan  # beyond the double range, which is None as at shape >= 1
     return ThresholdScan(
         regime, diagnostics, int(np.argmax(var)), x.size, p, u, shape, scale, n_u, var, es, ~np.isnan(es), *gof
     )

@@ -91,11 +91,12 @@ class TestRows:
         assert np.ldexp(b.max(axis=1), rows.e).tolist() == [y.max() for y in samples]
 
     def test_a_pass_computes_no_padding(self):
-        # Rows of 301, 130 and 4,097 elements make one chunk of at most
-        # BLOCK_ELEMENTS, the next 4,097 another, the longer row one of its
-        # own, and the rows of 1 and 7 points the last.
-        half = _kernels.BLOCK_ELEMENTS // 2
-        sizes = [300, 129, half, half, _kernels.BLOCK_ELEMENTS + 10, 1, 7]
+        # A pass's chunks hold at most 4 * BLOCK_ELEMENTS elements: rows of
+        # 301, 130 and 16,385 elements make one, the next 16,385 another,
+        # the longer row one of its own, and the rows of 1 and 7 points the last.
+        limit = 4 * _kernels.BLOCK_ELEMENTS
+        half = limit // 2
+        sizes = [300, 129, half, half, limit + 10, 1, 7]
         chunks = [[0, 1, 2], [3], [4], [5, 6]]
         rows = _loaded([np.arange(1.0, size + 1.0) for size in sizes])
         for busy in ([0, 1], list(range(7)), [1], [0, 2], [1, 2, 3, 4, 6], [3, 5], []):
@@ -107,6 +108,7 @@ class TestRows:
             spans = [[row for row in chunk if row in busy] for chunk in chunks]
             want = sum(sizes[row] + 1 for span in spans if span for row in range(span[0], span[-1] + 1))
             assert rows.elements - before == want, busy
+        assert rows._chunks == [(chunk[0], chunk[-1] + 1) for chunk in chunks]
 
     def test_row_constants(self):
         samples = self._samples()
@@ -326,3 +328,18 @@ def test_one_row_blocks_give_the_same_scan(monkeypatch):
     assert set(block_sizes) == {1}
     assert one_row == default
     assert one_row_fits == default_fits
+
+
+def _columns_and_scan(tail, min_exc):
+    """The FitColumns of the candidates of ``tail`` as bytes, grid_points left out, and its scan."""
+    fits = gpd.fit_columns(np.sort(tail[tail > u] - u) for u in candidate_thresholds(tail, min_exc))
+    columns = [(c.dtype, c.tobytes()) for name, c in zip(fits._fields, fits) if name != "grid_points"]
+    return columns, scan_thresholds(tail, min_exceedances=min_exc)
+
+
+@pytest.mark.parametrize("size", [7, 300])
+def test_chunk_sizes_give_the_same_fits_and_scans(monkeypatch, size):
+    # pass chunks of 4 * size elements and GoF chunks of size, against the defaults
+    default = [_columns_and_scan(*case) for case in (MANY, LONG)]
+    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", size)
+    assert [_columns_and_scan(*case) for case in (MANY, LONG)] == default

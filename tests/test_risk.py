@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -20,9 +21,10 @@ from potrisk.errors import (
     ValidationError,
 )
 from potrisk.excess import candidate_thresholds, mean_excess_theoretical
-from potrisk import risk
+from potrisk import bundled_data_path, risk
 from potrisk.gof import ACCEPT
 from potrisk.gpd import GpdParams, gpd_quantile, gpd_sample
+from potrisk.report import AnalysisConfig
 from potrisk.risk import (
     HEAVY_TAIL,
     SHORT_TAIL,
@@ -33,6 +35,7 @@ from potrisk.risk import (
     scan_with_alpha_filter,
     value_at_risk,
 )
+from potrisk.series import compute_returns, read_earnings_csv, split_by_period, split_by_sign
 
 from helpers import grafted_sample, grafted_true_quantile
 
@@ -120,6 +123,14 @@ class TestValueAtRisk:
         xi, sigma, p = 2.096178345261734, math.ldexp(1.8602441027374532, -994), 1.8065959017578687e-264
         var = value_at_risk(0.0, GpdParams(xi, sigma), 1, 1, p)
         assert value_at_risk(0.0, GpdParams(xi, math.ldexp(sigma, -5)), 1, 1, p) == math.ldexp(var, -5)
+
+    def test_a_var_whose_ratio_is_subnormal_is_the_40_digit_value(self):
+        # (n/n_u) * p is subnormal, so the product has lost about 7 of its digits
+        n, n_u, p = 1000, 7, 1e-320
+        assert 0.0 < (n / n_u) * p < sys.float_info.min
+        with mpmath.workdps(40):
+            want = float(2 * ((mpmath.mpf(n) / n_u * mpmath.mpf(p)) ** -mpmath.mpf(0.5) - 1))
+        assert value_at_risk(0.0, GpdParams(0.5, 1.0), n, n_u, p) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("u,params,n,n_u,p,rel", [
         # sigma/xi is past the double range, the VaR is not
@@ -246,7 +257,7 @@ class TestScan:
 
     def test_tie_break_prefers_smaller_threshold(self, monkeypatch):
         # every VaR ties, so the selection and the alpha filter each take their smallest threshold
-        monkeypatch.setattr(risk, "value_at_risk", lambda *args: 2.0)
+        monkeypatch.setattr(risk, "_value_at_risk", lambda *args: 2.0)
         scan = scan_thresholds(gpd_sample(GpdParams(0.25, 1.0), 300, seed=61), p=0.01, regime=HEAVY_TAIL)
         us = [e.u for e in scan.estimates]
         accepted = [e.u for e in scan.estimates if e.gof.verdicts[0.05] == ACCEPT]
@@ -323,6 +334,19 @@ class TestScan:
             with pytest.raises(ValidationError, match="not a finite double"):
                 expected_shortfall(e.var, e.u, e.params)
         assert all(math.isfinite(e.var) for e in scan.estimates)
+
+    @pytest.mark.parametrize("k", [7, -9])
+    def test_a_tail_times_a_power_of_two_scales_its_scan_bit_for_bit(self, k):
+        # every u, scale, VaR and shortfall times 2**k; every shape, W², A²,
+        # verdict code, count and the selection the same
+        config = AnalysisConfig.from_json(bundled_data_path("synthetic_config.json"))
+        returns = compute_returns(read_earnings_csv(bundled_data_path("synthetic_weekends.csv")))
+        gains = split_by_sign(split_by_period(returns, config.periods)[0]).positive.values
+        want = scan_thresholds(gains, min_exceedances=config.min_exceedances)
+        got = scan_thresholds(np.ldexp(gains, k), min_exceedances=config.min_exceedances)
+        scaled = {name: np.ldexp(getattr(want, name), k) for name in ("u", "scale", "var", "es")}
+        assert want.u.size > 100
+        assert got == dataclasses.replace(want, **scaled)
 
     def test_candidates_without_exceedances_are_rejected(self):
         x = gpd_sample(GpdParams(0.2, 1.0), 50, seed=64)
