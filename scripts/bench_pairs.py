@@ -4,7 +4,10 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T``
 once in each checkout, alternating which side runs first. For each
 end-to-end metric of BENCHMARK.json the output records each side's median,
 quartiles and runs, the pair count, and in how many pairs the change was
-better (in the metric's direction; ties count for neither). It also records
+better (in the metric's direction; ties count for neither). Under ``"raw"``
+it records the same for perfbench's unscaled ``wall_s_p50``, since a
+difference in the reference samples taken during a task moves the scaled
+metrics alone. It also records
 the provenance that perfbench prints for the change's runs: the backend,
 the Python and numpy versions, the core count and the CPU. A run that
 fails, or whose tasks are not all correct, stops the script. The file also
@@ -40,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROVENANCE = ("backend", "python", "numpy", "nproc", "cpu")
+RAW = ({"name": "wall_s_p50", "unit": "s", "better": "lower"},)
 
 
 def run(checkout: Path, args) -> tuple[dict, dict]:
@@ -57,7 +61,9 @@ def run(checkout: Path, args) -> tuple[dict, dict]:
     if args.trace:
         result_path = checkout / ".perfbench_work" / args.workload / "result.json"
         return json.loads(result_path.read_text(encoding="utf-8"))["layers"], provenance
-    return {name: m["value"] for name, m in result["metrics"].items()}, provenance
+    table = (line.split() for line in lines if line.startswith("  "))  # perfbench's printed metrics: name, value, unit
+    raw = {row[0]: float(row[1]) for row in table if len(row) > 1 and row[0] in {m["name"] for m in RAW}}
+    return {name: m["value"] for name, m in result["metrics"].items()} | raw, provenance
 
 
 def compile_sources(checkout: Path) -> None:
@@ -129,6 +135,7 @@ def main(argv=None) -> int:
         }
     else:
         entry["metrics"] = {metric["name"]: compare(metric, runs) for metric in benchmark["end_to_end"]}
+        entry["raw"] = {metric["name"]: compare(metric, runs) for metric in RAW}
     out = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"workloads": {}}
     out.setdefault("layers" if args.trace else "workloads", {})[f"{args.workload}@{args.seed}"] = entry
     out["src_lines"] = {"parent": src_lines(args.parent.resolve()), "change": src_lines(ROOT)}

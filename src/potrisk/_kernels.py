@@ -71,9 +71,12 @@ BACKEND = "numpy"
 # BLOCK_ELEMENTS took 7.0-7.4, 6.3-6.6, 5.7-5.9 and 5.8-6.0 ns an element in
 # a score pass, and in perfbench pairs 2, 4 and 8 * BLOCK_ELEMENTS took
 # tail_scan to 0.90, 0.88 and 0.89 of its time (2-vCPU VM). The GoF
-# (gof.gof_reports) holds about a dozen arrays of a chunk's size, and cuts
-# its chunks at BLOCK_ELEMENTS: at 4 * BLOCK_ELEMENTS it took about twice as
-# long on tail_scan.
+# (gof.gof_reports) cuts its chunks at 4 * BLOCK_ELEMENTS too, and runs them
+# through three scratch buffers and a table of weights made once per call
+# (1 MiB at most); each of its steps writes in place. In process, chunks of
+# 1, 2 and 4 * BLOCK_ELEMENTS took its calls to 1.23, 1.00 and 0.90 of the
+# 2 * time on tail_scan, 1.20, 1.00 and 0.96 on paper_analyze, and 0.97,
+# 1.00 and 0.85 on long_history, whose 14,300-point rows pair up only at 4 *.
 #
 # Scratch buffers are allocated once per fit_samples call (the passes' two)
 # or per block (the bounds') and reused, since a numpy array above glibc's
@@ -160,7 +163,7 @@ class Rows:
         """Finish the block: cut its chunks and set the row constants; return the rows' sizes."""
         self._starts = starts = np.array([*self._starts, self._used])  # and the end of the last row
         self._widths = widths = np.diff(starts)
-        self._chunks = chunks(widths.tolist(), 4 * BLOCK_ELEMENTS)  # four times the GoF's (see BLOCK_ELEMENTS)
+        self._chunks = chunks(widths.tolist(), 4 * BLOCK_ELEMENTS)  # as the GoF's (see BLOCK_ELEMENTS)
         largest = max(starts[j] - starts[i] for i, j in self._chunks)
         if largest > self._scratch[0].size:
             self._scratch = tuple(np.empty(max(largest, BLOCK_ELEMENTS)) for _ in range(2))

@@ -89,11 +89,16 @@ def candidate_thresholds(sample, min_exceedances: int) -> np.ndarray:
 
 
 def sorted_candidates(x: np.ndarray, min_exceedances: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``x`` sorted, :func:`candidate_thresholds` of it, and the count above each candidate."""
+    """``x`` sorted, :func:`candidate_thresholds` of it, and the count above each candidate.
+
+    Raises TooFewObservations on an empty sample, whatever ``min_exceedances``.
+    """
     if x.size <= min_exceedances:
         raise TooFewObservations(
             f"sample size {x.size} must exceed min_exceedances={min_exceedances}"
         )
+    if not x.size:
+        raise TooFewObservations("the sample is empty")
     xs, distinct, above = _sorted_counts(x)
     keep = above >= min_exceedances
     return xs, distinct[keep], above[keep]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BoundaryValue, EmptySample, UnknownAlphaLevel
-from .gpd import GpdParams, gpd_cdf, gpd_cdf_rows
+from .gpd import GpdParams, by_row, gpd_cdf, gpd_cdf_rows
 
 __all__ = [
     "ALPHA_LEVELS",
@@ -207,54 +207,75 @@ def gof_reports(xs, starts, thresholds, shapes, scales) -> tuple[np.ndarray, np.
     monotone, and so are the rounded steps that compute it (a product,
     log1p, a quotient and expm1). Each fit is a row of one leading zero
     followed by its excesses, and the rows are laid back to back in chunks
-    of at most ``BLOCK_ELEMENTS`` elements (:func:`~potrisk._kernels.chunks`),
-    a quarter of a kernel pass's, since a chunk here holds about a dozen
-    arrays of its size where a pass holds three. A chunk computes
-    its transforms, clipping and logs as one 1-d array, and sums each
-    statistic's terms of all its rows in one np.add.reduceat, every row's
-    sum starting at a zero before its kept terms, which is the order np.sum
-    takes over those terms. So each W² and A² is bitwise the one that
-    :func:`cramer_von_mises` and :func:`anderson_darling` give on the
-    sorted, nonzero transforms. The verdicts of all fits are then coded at
-    once. Raises, for the first fit that has them, the errors those would.
+    of at most ``4 * BLOCK_ELEMENTS`` elements, or one longer row, as a
+    kernel pass's (:func:`~potrisk._kernels.chunks`). Every chunk runs
+    through three scratch buffers of the largest chunk's size and a table
+    of the terms' weights 2i - 1, made once per call, and each of its steps
+    writes in place (:func:`_gof_block`). A chunk computes its transforms,
+    clipping and logs as one 1-d array, and sums each statistic's terms of
+    all its rows in one np.add.reduceat, every row's sum starting at a zero
+    before its kept terms, which is the order np.sum takes over those terms.
+    So each W² and A² is bitwise the one that :func:`cramer_von_mises` and
+    :func:`anderson_darling` give on the sorted, nonzero transforms. The
+    verdicts of all fits are then coded at once. Raises, for the first fit
+    that has them, the errors those would.
+
+    On the calls of one seed-1 perfbench task, alternated in one process
+    with the pass that made about a dozen fresh arrays per chunk of
+    ``BLOCK_ELEMENTS``, this pass took 0.47-0.65, 0.29-0.53 and 0.23-0.52
+    of its time on paper_analyze, tail_scan and long_history (three runs of
+    30 alternations, 2-vCPU VM; the other pass's time moved with the heap's
+    state), and 0.77, 0.41 and 0.40 of it within whole tasks, where each
+    call's buffers take fresh pages.
     """
     padded = np.concatenate([[0.0], np.asarray(xs, dtype=float)])  # padded[starts[r]] precedes row r's excesses
     starts = np.asarray(starts, dtype=np.intp)
     thresholds, shapes, scales = (np.asarray(c, dtype=float) for c in (thresholds, shapes, scales))
     widths = padded.size - starts
+    runs = _kernels.chunks(widths.tolist(), 4 * _kernels.BLOCK_ELEMENTS)
+    size = max((int(widths[a:b].sum()) for a, b in runs), default=0)
+    scratch = tuple(np.empty(size + 1) for _ in range(3))
+    weights = 2.0 * np.arange(size) - 1.0  # 2p - 1 at place p, exact
     w2, a2 = np.empty(starts.size), np.empty(starts.size)
-    for a, b in _kernels.chunks(widths.tolist(), _kernels.BLOCK_ELEMENTS):
-        w2[a:b], a2[a:b] = _gof_block(padded, starts[a:b], widths[a:b], thresholds[a:b], shapes[a:b], scales[a:b])
+    with np.errstate(all="ignore"):
+        for a, b in runs:
+            rows = slice(a, b)
+            w2[rows], a2[rows] = _gof_block(padded, starts[rows], widths[rows], thresholds[rows], shapes[rows],
+                                            scales[rows], scratch, weights)
     return w2, a2, _verdict_rows(w2, a2, shapes)[0]
 
 
-def _gof_block(padded, starts, widths, thresholds, shapes, scales):
-    """W² and A² of the fits on ``padded[starts[r] + 1:] - thresholds[r]``, rows of ``widths`` laid back to back."""
+def _gof_block(padded, starts, widths, thresholds, shapes, scales, scratch, weights):
+    """W² and A² of the fits on ``padded[starts[r] + 1:] - thresholds[r]``, rows of ``widths`` laid back to back.
+
+    Every step writes into the three ``scratch`` buffers; the only other
+    arrays of a chunk's size are the repeats of the rows' values
+    (:func:`~potrisk.gpd.by_row`) where the chunk has several rows. Rows are
+    gathered and reversed by concatenating views, one per row, so that no
+    index array is made. A row's kept transforms are those after
+    its last zero one. Where a row has zero transforms besides its leading
+    one, the chunk is compacted so that each row is its last zero followed
+    by its kept transforms, as it always is otherwise. The clip to [1e-12,
+    1 - 1e-12] runs only where a row's first or last kept transform lies
+    near or beyond it (the transforms are sorted; the margin covers a few
+    ulps of disorder).
+    """
+    free, z_buf, weight_buf = scratch
     ends = np.cumsum(widths)
     heads = ends - widths
-    at = np.arange(ends[-1])
-    y = padded[np.repeat(starts - heads, widths) + at] - np.repeat(thresholds, widths)
-    xi, sigma = np.repeat([shapes, scales], widths, axis=1)
-    z = gpd_cdf_rows(xi, sigma, y)
-    # Row r holds padded[starts[r]:] - thresholds[r], its first transform
-    # set to the leading zero, so that each fit's kept transforms follow
-    # one that is dropped.
+    size = int(ends[-1])
+    y, z = free[:size], z_buf[:size]
+    np.concatenate([padded[s:] for s in starts.tolist()], out=y)
+    y -= by_row(thresholds, widths)
+    y[heads] = 0.0  # the leading zero's transform is set to zero below, whatever its excess
+    gpd_cdf_rows(shapes, scales, widths, y, z)
     z[heads] = 0.0
-    with np.errstate(all="ignore"):
-        # Zero transforms (and the leading zero) lead each row; fit r keeps
-        # the n = widths[r] - first[r] transforms after its last dropped one.
-        first = np.add.reduceat(z == 0.0, heads, dtype=np.intp)
-        n = widths - first
-        last = heads + first - 1
-        i = at - np.repeat(last, widths)  # i = 1..n for the kept transforms
-        q = 2.0 * i - 1.0
-        w_terms = (z - q / np.repeat(2.0 * n, widths)) ** 2
-        clipped = np.clip(z, _Z_CLAMP, 1.0 - _Z_CLAMP)
-        log_tail = np.log(1.0 - clipped)
-        # log(1 - z) of the kept transforms in reverse order: kept transform
-        # i of row r pairs with element ends[r] - i.
-        a_terms = q * (np.log(clipped) + log_tail.take(np.repeat(ends, widths) - i, mode="clip"))
-    bad = (n == 0) | np.isnan(z[ends - 1])
+    # Zero transforms lead a row, so a row has more than its leading one
+    # where its next transform is zero, or where it has no next one.
+    compact = not z.take(heads + 1, mode="clip").all()
+    n = widths - (np.add.reduceat(z == 0.0, heads, dtype=np.intp) if compact else 1)
+    tops = z[ends - 1]
+    bad = (n == 0) | np.isnan(tops)
     if bad.any():
         r = np.argmax(bad)
         if widths[r] == 1:
@@ -262,13 +283,38 @@ def _gof_block(padded, starts, widths, thresholds, shapes, scales):
         if n[r] == 0:
             raise EmptySample("all transformed values are zero")
         raise BoundaryValue("A² input contains values at 0 or 1 after clamping")
-    # Row r's sum runs from its last dropped term, set to zero, to the row's
-    # end: the order np.sum takes over its kept terms alone. Each row's
-    # segments are [its head, its last dropped term) and the rest of it.
-    w_terms[last] = a_terms[last] = 0.0
-    segments = np.stack([heads, last], axis=1).ravel()
-    w2 = np.add.reduceat(w_terms, segments)[1::2] + 1.0 / (12.0 * n)
-    return w2, -n - np.add.reduceat(a_terms, segments)[1::2] / n
+    if compact:  # each row from its last zero transform on
+        size = int(n.sum()) + n.size
+        np.concatenate([z[e - m - 1 : e] for e, m in zip(ends.tolist(), n.tolist())], out=free[:size])
+        free, z_buf = z_buf, free
+        z = z_buf[:size]
+        widths = n + 1
+        ends = np.cumsum(widths)
+        heads = ends - widths
+    # Row r is its zero at heads[r] followed by its n[r] kept transforms, of
+    # ranks i = 1..n, weighted 2i - 1. Each sum runs from the row's zero term,
+    # set to zero, to the row's end: the order np.sum takes over its kept
+    # terms alone.
+    weight = np.subtract(weights[:size], by_row(2.0 * heads, widths), out=weight_buf[:size])
+    terms = np.divide(weight, by_row(2.0 * n, widths), out=free[:size])
+    np.subtract(z, terms, out=terms)
+    np.square(terms, out=terms)
+    terms[heads] = 0.0
+    w2 = np.add.reduceat(terms, heads) + 1.0 / (12.0 * n)
+    if z[heads + 1].min() < 2.0 * _Z_CLAMP or tops.max() > 1.0 - 2.0 * _Z_CLAMP:
+        np.clip(z, _Z_CLAMP, 1.0 - _Z_CLAMP, out=z)
+    # z[heads + i] pairs in A² with z[ends - i]: each row reversed, one place
+    # to the right.
+    backwards = z[::-1]
+    np.concatenate([backwards[a:b] for a, b in zip((size - ends).tolist(), (size - heads).tolist())],
+                   out=free[1 : size + 1])
+    terms = np.subtract(1.0, free[:size], out=free[:size])
+    np.log(terms, out=terms)
+    np.log(z, out=z)
+    terms += z
+    terms *= weight
+    terms[heads] = 0.0
+    return w2, -n - np.add.reduceat(terms, heads) / n
 
 
 def require_alpha(alpha: float) -> float:

@@ -191,33 +191,46 @@ def gpd_cdf(params: GpdParams, y):
 
     Continuous in the shape at 0 (exponential limit). Values beyond the
     upper support endpoint of a negative-shape distribution map to 1;
-    negative arguments map to 0. The one-shape case of :func:`gpd_cdf_rows`.
+    negative arguments map to 0. The one-row case of :func:`gpd_cdf_rows`.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = gpd_cdf_rows(np.full(y_arr.shape, params.shape), np.full(y_arr.shape, params.scale), y_arr)
-    return float(out[0]) if np.ndim(y) == 0 else out
+    flat = y_arr.ravel()
+    out = gpd_cdf_rows(np.array([params.shape]), np.array([params.scale]), [flat.size], flat, np.empty(flat.size))
+    return float(out[0]) if np.ndim(y) == 0 else out.reshape(y_arr.shape)
 
 
-def gpd_cdf_rows(xi: np.ndarray, sigma: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`gpd_cdf` of each element of ``y`` under the shape and scale at its place in the arrays ``xi`` and ``sigma``.
+def gpd_cdf_rows(shapes: np.ndarray, scales: np.ndarray, widths, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`gpd_cdf` of rows laid back to back in the 1-d ``y``: ``widths[r]`` elements under ``shapes[r]``, ``scales[r]``.
 
-    The steps after the first run in place on the result, so that a call
-    holds two arrays the size of ``y``: the result and tau*y.
+    Writes into ``out``, an array the size of ``y`` other than ``y``, and
+    returns it. Each row's tau = shape/scale and its shape-0 test are formed
+    once, and are repeated per element only where there are several rows.
+    Every step after tau*y runs in place on ``out``, and the masks (tau*y
+    not above -1, y negative or nan) are made only where a minimum over
+    ``y`` or tau*y says that some element needs them.
     """
     with np.errstate(all="ignore"):  # the shape-0 and out-of-support entries are set afterwards
-        t = (xi / sigma) * y
-        z = np.log1p(t)
-        np.negative(z, out=z)
-        z /= xi
+        z = np.multiply(y, by_row(shapes / scales, widths), out=out)
+        outside = None if z.min(initial=math.inf) > -1.0 else ~(z > -1.0)  # a nan minimum is not above -1 either
+        np.log1p(z, out=z)
+        np.divide(z, by_row(-shapes, widths), out=z)  # bitwise -log1p(t)/xi: a quotient's sign is either operand's
         np.expm1(z, out=z)
         np.negative(z, out=z)
-        z[~(t > -1.0)] = 1.0
-        exponential = xi == 0.0
-        if exponential.any():
-            z[exponential] = -np.expm1(-y[exponential] / sigma[exponential])
-    z[y < 0.0] = 0.0
-    z[np.isnan(y)] = np.nan
+        if outside is not None:
+            z[outside] = 1.0
+        ends = np.cumsum(widths)
+        for r in np.flatnonzero(shapes == 0.0):
+            row = slice(ends[r] - widths[r], ends[r])
+            z[row] = -np.expm1(-y[row] / scales[r])
+    if not y.min(initial=math.inf) >= 0.0:
+        z[y < 0.0] = 0.0
+        z[np.isnan(y)] = np.nan
     return z
+
+
+def by_row(values: np.ndarray, widths):
+    """Each row's value for each of its ``widths[r]`` elements: the value itself where there is one row."""
+    return values[0] if len(values) == 1 else np.repeat(values, widths)
 
 
 def gpd_quantile(params: GpdParams, q):

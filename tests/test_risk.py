@@ -17,6 +17,7 @@ from potrisk.errors import (
     NoSurvivingCandidates,
     NotApplicable,
     ShapeAtOrAboveOne,
+    TooFewObservations,
     UnknownAlphaLevel,
     ValidationError,
 )
@@ -352,6 +353,11 @@ class TestScan:
         x = gpd_sample(GpdParams(0.2, 1.0), 50, seed=64)
         with pytest.raises(NoExceedances):
             scan_thresholds(x, p=0.01, regime=HEAVY_TAIL, min_exceedances=0)
+
+    @pytest.mark.parametrize("min_exceedances", [0, -1])
+    def test_an_empty_tail_has_too_few_observations(self, min_exceedances):
+        with pytest.raises(TooFewObservations):
+            scan_thresholds(np.array([]), min_exceedances=min_exceedances)
 
 
 class TestAlphaFilter:
